@@ -239,22 +239,6 @@ class Bimodule:
         return Bimodule(field, self.dim, conv3(self.left), conv3(self.right))
 
 
-def sparse_left_actions(m):
-    zero = m.field.zero
-    return [
-        [[(k, c) for k, c in enumerate(row) if c != zero] for row in plane]
-        for plane in m.left
-    ]
-
-
-def sparse_right_actions(m):
-    zero = m.field.zero
-    return [
-        [[(k, c) for k, c in enumerate(row) if c != zero] for row in plane]
-        for plane in m.right
-    ]
-
-
 @dataclass(frozen=True)
 class BimoduleMorphism:
     source: Bimodule

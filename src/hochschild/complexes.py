@@ -150,6 +150,23 @@ def _bump(field, col, idx, c):
         col[idx] = nv
 
 
+def expand_slots(field, scheme, head, slots, col):
+    """col += head (x) slots[0] (x) slots[1] (x) ... as chains of scheme:
+    head is a sparse vector over the module slot, followed by one sparse
+    vector per A-slot and per b-slot in index order."""
+    degree = scheme.degree
+    options = [list(v.items()) for v in slots]
+    for mu, c0 in head.items():
+        for combo in itertools.product(*options):
+            coeff = c0
+            for _, c in combo:
+                coeff = field.mul(coeff, c)
+            if coeff == field.zero:
+                continue
+            entries = tuple(k for k, _ in combo)
+            _bump(field, col, scheme.encode(mu, entries[:degree], entries[degree:]), coeff)
+
+
 def secondary_boundary(t, m, n):
     """Matrix of the degree-n secondary boundary under the index scheme."""
     if n < 1:
@@ -362,15 +379,6 @@ def homology(complex_, n, with_reps=False, deadline=None):
     basis = HomologyBasis(complex_.cycle_space(n), complex_.boundary_image(n + 1))
     assert basis.dim == dim
     return HomologyResult(dim, basis.reps)
-
-
-def homology_basis(complex_, n):
-    """Cycles-mod-boundaries bookkeeping for induced maps at degree n."""
-    if not 0 <= n <= complex_.max_degree - 1:
-        raise PreconditionError(
-            f"degree {n} outside built range 0..{complex_.max_degree - 1}"
-        )
-    return HomologyBasis(complex_.cycle_space(n), complex_.boundary_image(n + 1))
 
 
 def estimate_build_bytes(dims):

@@ -107,11 +107,41 @@ class Rationals(Field):
         return hash(Rationals)
 
 
+# deterministic Miller-Rabin bases: exact below 3.3e24 (Sorenson-Webster 2015)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MODULUS_LIMIT = 1 << 64
+
+
+def _is_prime(n):
+    if n < 2:
+        return False
+    for w in _WITNESSES:
+        if n % w == 0:
+            return n == w
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for w in _WITNESSES:
+        x = pow(w, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField(Field):
-    """GF(p) with residues stored as plain ints in [0, p)."""
+    """GF(p) with residues stored as plain ints in [0, p), for primes
+    p < 2^64."""
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MODULUS_LIMIT:
+            raise ScalarError(f"modulus of {p.bit_length()} bits is not below 2^64")
+        if not _is_prime(p):
             raise ScalarError(f"modulus {p} is not prime")
         self.p = p
         self.zero = 0
@@ -161,7 +191,9 @@ def GF(p):
 
 
 def field_from_name(name):
-    """Field named by an instance file: "Q" or "Fp:<prime>"."""
+    """Field named by an instance file: "Q" or "Fp:<prime below 2^64>"."""
+    if not isinstance(name, str):
+        raise ScalarError(f"bad field name {name!r}")
     if name == "Q":
         return QQ
     if name.startswith("Fp:"):

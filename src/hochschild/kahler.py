@@ -27,6 +27,7 @@ from .linalg import (
     image_basis,
     kernel_basis,
     rank,
+    vec_add_scaled,
 )
 from .report import Report
 
@@ -54,13 +55,8 @@ def _act_free(a, vec, gen_count, basis_idx):
     out = {}
     for flat, c in vec.items():
         gi, u = divmod(flat, da)
-        for k, cv in a.mul(a.basis_vec(basis_idx), {u: c}).items():
-            key = gi * da + k
-            nv = field.add(out.get(key, field.zero), cv)
-            if nv == field.zero:
-                out.pop(key, None)
-            else:
-                out[key] = nv
+        moved = a.mul(a.basis_vec(basis_idx), {u: c})
+        vec_add_scaled(field, out, field.one, {gi * da + k: cv for k, cv in moved.items()})
     return out
 
 

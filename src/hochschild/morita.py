@@ -14,33 +14,46 @@ Dual-basis certificates {p_j},{q_j} with f(sum p_j (x) q_j) = 1_A and
 psi/phi and the homotopies h/l.  The homotopy orientation is pinned:
 with H = sum (-1)^i h_i, one has dH + Hd = id - phi.psi (and likewise
 id - psi.phi on the primed side).
+
+Two primitives carry the constructions.  `BalancedTensor` is the tensor
+product of bimodules over algebras with its outer actions: P (x)_A' Q,
+the induced coefficients Q (x)_A M (x)_A P, and the modules of a
+composed context.  Each chain map and homotopy is a head table and
+per-slot tables, built once per call from f, g and the dual bases and
+expanded column by column through `complexes.expand_slots`; psi and phi
+are one routine on the two sides, and l is h on the target side.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from math import prod
 
 from .algebra import (
     AlgebraMorphism,
     Bimodule,
     Triple,
+    corner_triple,
     matrix_triple,
     regular_bimodule,
 )
-from .complexes import build_secondary_complex, homology, secondary_scheme
+from .complexes import (
+    build_secondary_complex,
+    expand_slots,
+    homology,
+    secondary_scheme,
+)
 from .errors import PreconditionError
 from .linalg import (
     QuotientSpace,
     SparseMatrix,
     Subspace,
+    rank,
     solve,
     vec_add_scaled,
 )
 from .report import Report
-
-HOMOTOPY_SIGN = "id-minus-roundtrip"  # dH + Hd = id - phi.psi, pinned by tests
 
 
 def _freeze_vec(vec, dim, field):
@@ -49,6 +62,41 @@ def _freeze_vec(vec, dim, field):
 
 def _vec(tup, field):
     return {i: v for i, v in enumerate(tup) if v != field.zero}
+
+
+def _pairing(field, mat, right_dim):
+    """x, y -> mat applied to x (x) y, whose column is x * right_dim + y."""
+    columns = SparseMatrix.from_dense(field, mat).columns()
+
+    def pair(xvec, yvec):
+        out = {}
+        for (x, cx), (y, cy) in itertools.product(xvec.items(), yvec.items()):
+            vec_add_scaled(field, out, field.mul(cx, cy), columns[x * right_dim + y])
+        return out
+
+    return pair
+
+
+def _bilinear_matrix(field, rows, x_dim, y_dim, pair):
+    """Dense rows of the matrix whose column x * y_dim + y is pair(x, y)."""
+    mat = [[field.zero] * (x_dim * y_dim) for _ in range(rows)]
+    for x in range(x_dim):
+        for y in range(y_dim):
+            for k, c in pair(x, y).items():
+                mat[k][x * y_dim + y] = c
+    return tuple(tuple(r) for r in mat)
+
+
+def _planes(field, count, dim, act):
+    """Action tensor [i][b][k]: the coefficient of basis k in act(i, b)."""
+    zero = field.zero
+    return tuple(
+        tuple(
+            tuple(vec.get(k, zero) for k in range(dim))
+            for vec in (act(i, b) for b in range(dim))
+        )
+        for i in range(count)
+    )
 
 
 @dataclass(frozen=True)
@@ -77,47 +125,21 @@ class MoritaData:
     def t(self):
         return len(self.pprime_dual)
 
-    def f_apply(self, pvec, qvec):
-        """f(p (x) q) as a dict over A."""
+    def pairings(self):
+        """f on P (x) Q and g on Q (x) P, as functions of two sparse vectors."""
         field = self.field
-        dq = self.q_mod.dim
-        out = {}
-        for pi, cp in pvec.items():
-            for qi, cq in qvec.items():
-                coeff = field.mul(cp, cq)
-                if coeff == field.zero:
-                    continue
-                col = pi * dq + qi
-                for r, row in enumerate(self.f_mat):
-                    v = row[col]
-                    if v != field.zero:
-                        nv = field.add(out.get(r, field.zero), field.mul(coeff, v))
-                        if nv == field.zero:
-                            out.pop(r, None)
-                        else:
-                            out[r] = nv
-        return out
+        return (
+            _pairing(field, self.f_mat, self.q_mod.dim),
+            _pairing(field, self.g_mat, self.p_mod.dim),
+        )
 
-    def g_apply(self, qvec, pvec):
-        """g(q (x) p) as a dict over A'."""
+    def dual_vecs(self):
+        """The families p_j, q_j, p'_m, q'_m as lists of sparse vectors."""
         field = self.field
-        dp = self.p_mod.dim
-        out = {}
-        for qi, cq in qvec.items():
-            for pi, cp in pvec.items():
-                coeff = field.mul(cq, cp)
-                if coeff == field.zero:
-                    continue
-                col = qi * dp + pi
-                for r, row in enumerate(self.g_mat):
-                    v = row[col]
-                    if v != field.zero:
-                        nv = field.add(out.get(r, field.zero), field.mul(coeff, v))
-                        if nv == field.zero:
-                            out.pop(r, None)
-                        else:
-                            out[r] = nv
-        return out
+        return tuple(
+            [_vec(v, field) for v in family]
+            for family in (self.p_dual, self.q_dual, self.pprime_dual, self.qprime_dual)
+        )
 
     def over(self, field):
         conv = field.from_rational
@@ -144,169 +166,111 @@ class MoritaData:
 
 
 # ---------------------------------------------------------------------------
-# tensor products over an algebra
+# tensor products over algebras
+
+
+class BalancedTensor:
+    """X_1 (x)_(A_1) X_2 (x)_(A_2) ... (x)_(A_(k-1)) X_k for bimodules X_i.
+
+    The plain tensor product is indexed mixed-radix with X_1 most
+    significant.  The quotient is by the balancing relations
+    x.a (x) y - x (x) a.y between neighbouring factors (a a basis element
+    of the algebra between them, every other factor a basis vector); its
+    canonical RREF fixes the quotient basis.  `module` is the outer
+    bimodule: the left action on the first factor, the right action on
+    the last.
+    """
+
+    def __init__(self, factors, algebras):
+        field = factors[0].field
+        minus_one = field.neg(field.one)
+        self.field = field
+        self.dims = dims = tuple(x.dim for x in factors)
+        self.strides = tuple(prod(dims[pos + 1 :]) for pos in range(len(dims)))
+        ambient = prod(dims)
+        relations = []
+        for pos, alg in enumerate(algebras):
+            left, right = factors[pos], factors[pos + 1]
+            for k in range(alg.dim):
+                xa = [left.act_right_basis(k, x) for x in range(dims[pos])]
+                ay = [right.act_left_basis(k, y) for y in range(dims[pos + 1])]
+                for flat in range(ambient):
+                    rel = self._replace(flat, pos, xa[self._digit(flat, pos)])
+                    moved = ay[self._digit(flat, pos + 1)]
+                    vec_add_scaled(
+                        field, rel, minus_one, self._replace(flat, pos + 1, moved)
+                    )
+                    if rel:
+                        relations.append(rel)
+        self.quotient = QuotientSpace(Subspace.span(field, ambient, relations))
+        first, last = factors[0], factors[-1]
+        self.module = Bimodule(
+            field,
+            self.dim,
+            _planes(
+                field,
+                first.left_alg_dim,
+                self.dim,
+                lambda i, b: self._act(0, first.act_left_basis, i, b),
+            ),
+            _planes(
+                field,
+                last.right_alg_dim,
+                self.dim,
+                lambda i, b: self._act(len(dims) - 1, last.act_right_basis, i, b),
+            ),
+        )
+
+    @property
+    def dim(self):
+        return self.quotient.dim
+
+    def _digit(self, flat, pos):
+        return flat // self.strides[pos] % self.dims[pos]
+
+    def _replace(self, flat, pos, vec):
+        """Ambient vector: basis tensor `flat` with factor pos replaced by vec."""
+        stride = self.strides[pos]
+        base = flat - self._digit(flat, pos) * stride
+        return {base + k * stride: c for k, c in vec.items()}
+
+    def _act(self, pos, action, i, b):
+        """Class of basis class b acted on at factor pos by action(i, .);
+        the lift of a basis class is a single basis tensor."""
+        flat = self.quotient.free[b]
+        moved = action(i, self._digit(flat, pos))
+        return self.quotient.project(self._replace(flat, pos, moved))
+
+    def embed(self, *vecs):
+        """Class of vecs[0] (x) vecs[1] (x) ..., one sparse vector per factor."""
+        field = self.field
+        amb = {}
+        for combo in itertools.product(*(v.items() for v in vecs)):
+            flat, coeff = 0, field.one
+            for (k, c), stride in zip(combo, self.strides):
+                flat += k * stride
+                coeff = field.mul(coeff, c)
+            amb[flat] = coeff
+        return self.quotient.project(amb)
+
+    def lift_terms(self, vec):
+        """Ambient representative of a class, as (factor indices, coeff) pairs."""
+        return [
+            (tuple(self._digit(flat, pos) for pos in range(len(self.dims))), c)
+            for flat, c in self.quotient.lift(vec).items()
+        ]
 
 
 def tensor_over_algebra(x_mod, y_mod, a):
-    """x (x)_a y: quotient of the plain tensor product by the balancing
-    relations x.c (x) y - x (x) c.y; returns a QuotientSpace whose
-    coordinates index the quotient and whose project/lift realize the
-    canonical surjection and a section of it."""
-    field = a.field
-    dx, dy = x_mod.dim, y_mod.dim
-    ambient = dx * dy
-    relations = []
-    for i in range(dx):
-        for k in range(a.dim):
-            xa = x_mod.act_right({i: field.one}, a.basis_vec(k))
-            for j in range(dy):
-                ay = y_mod.act_left(a.basis_vec(k), {j: field.one})
-                rel = {}
-                for ii, c in xa.items():
-                    rel[ii * dy + j] = c
-                for jj, c in ay.items():
-                    idx = i * dy + jj
-                    nv = field.sub(rel.get(idx, field.zero), c)
-                    if nv == field.zero:
-                        rel.pop(idx, None)
-                    else:
-                        rel[idx] = nv
-                if rel:
-                    relations.append(rel)
-    return QuotientSpace(Subspace.span(field, ambient, relations))
+    """x (x)_a y as a BalancedTensor (dim, embed, lift_terms, module)."""
+    return BalancedTensor((x_mod, y_mod), (a,))
 
 
-@dataclass(frozen=True)
-class InducedCoefficients:
-    module: Bimodule
-    quotient: QuotientSpace  # of Q (x) M (x) P, index (q*dimM + m)*dimP + p
-    dim_q: int
-    dim_m: int
-    dim_p: int
-
-    def embed(self, qvec, mvec, pvec):
-        """Class of q (x) m (x) p in the induced module."""
-        field = self.module.field
-        amb = {}
-        for qi, cq in qvec.items():
-            for mi, cm in mvec.items():
-                c2 = field.mul(cq, cm)
-                if c2 == field.zero:
-                    continue
-                for pi, cp in pvec.items():
-                    c3 = field.mul(c2, cp)
-                    if c3 != field.zero:
-                        idx = (qi * self.dim_m + mi) * self.dim_p + pi
-                        amb[idx] = field.add(amb.get(idx, field.zero), c3)
-        return self.quotient.project({k: v for k, v in amb.items() if v != field.zero})
-
-    def lift_terms(self, nvec):
-        """Ambient tensor representative of a class, as (q, m, p, coeff)."""
-        out = []
-        for idx, c in self.quotient.lift(nvec).items():
-            pi = idx % self.dim_p
-            rest = idx // self.dim_p
-            mi = rest % self.dim_m
-            qi = rest // self.dim_m
-            out.append((qi, mi, pi, c))
-        return out
-
-
-@lru_cache(maxsize=None)
 def induced_module(d, m):
-    """Q (x)_A M (x)_A P as an A'-bimodule, with its quotient structure."""
-    field = d.field
+    """Q (x)_A M (x)_A P as a BalancedTensor: `module` is the induced
+    A'-bimodule and embed(q, m, p) the class of q (x) m (x) p."""
     a = d.source.A
-    dq, dm, dp = d.q_mod.dim, m.dim, d.p_mod.dim
-    ambient = dq * dm * dp
-
-    def idx(q, mm, p):
-        return (q * dm + mm) * dp + p
-
-    relations = []
-    for k in range(a.dim):
-        ak = a.basis_vec(k)
-        for q in range(dq):
-            qa = d.q_mod.act_right({q: field.one}, ak)
-            for mm in range(dm):
-                am = m.act_left(ak, {mm: field.one})
-                for p in range(dp):
-                    rel = {}
-                    for qq, c in qa.items():
-                        rel[idx(qq, mm, p)] = c
-                    for m2, c in am.items():
-                        key = idx(q, m2, p)
-                        nv = field.sub(rel.get(key, field.zero), c)
-                        if nv == field.zero:
-                            rel.pop(key, None)
-                        else:
-                            rel[key] = nv
-                    if rel:
-                        relations.append(rel)
-        for mm in range(dm):
-            ma = m.act_right({mm: field.one}, ak)
-            for p in range(dp):
-                ap = d.p_mod.act_left(ak, {p: field.one})
-                for q in range(dq):
-                    rel = {}
-                    for m2, c in ma.items():
-                        rel[idx(q, m2, p)] = c
-                    for pp, c in ap.items():
-                        key = idx(q, mm, pp)
-                        nv = field.sub(rel.get(key, field.zero), c)
-                        if nv == field.zero:
-                            rel.pop(key, None)
-                        else:
-                            rel[key] = nv
-                    if rel:
-                        relations.append(rel)
-    qs = QuotientSpace(Subspace.span(field, ambient, relations))
-    dim_n = qs.dim
-    aprime = d.target.A
-    zero = field.zero
-
-    def act(side, i, nbasis):
-        amb = qs.lift({nbasis: field.one})
-        out = {}
-        for t_idx, c in amb.items():
-            p = t_idx % dp
-            rest = t_idx // dp
-            mm = rest % dm
-            q = rest // dm
-            if side == "left":
-                moved = d.q_mod.act_left(aprime.basis_vec(i), {q: field.one})
-                for qq, c2 in moved.items():
-                    key = idx(qq, mm, p)
-                    nv = field.add(out.get(key, zero), field.mul(c, c2))
-                    if nv == zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = nv
-            else:
-                moved = d.p_mod.act_right({p: field.one}, aprime.basis_vec(i))
-                for pp, c2 in moved.items():
-                    key = idx(q, mm, pp)
-                    nv = field.add(out.get(key, zero), field.mul(c, c2))
-                    if nv == zero:
-                        out.pop(key, None)
-                    else:
-                        out[key] = nv
-        return qs.project(out)
-
-    left = []
-    right = []
-    for i in range(aprime.dim):
-        lplane = []
-        rplane = []
-        for nb in range(dim_n):
-            lv = act("left", i, nb)
-            rv = act("right", i, nb)
-            lplane.append(tuple(lv.get(k, zero) for k in range(dim_n)))
-            rplane.append(tuple(rv.get(k, zero) for k in range(dim_n)))
-        left.append(tuple(lplane))
-        right.append(tuple(rplane))
-    module = Bimodule(field, dim_n, tuple(left), tuple(right))
-    return InducedCoefficients(module, qs, dq, dm, dp)
+    return BalancedTensor((d.q_mod, m, d.p_mod), (a, a))
 
 
 def induced_coefficients(d, m):
@@ -322,22 +286,19 @@ def identity_morita(t):
     """The reflexive context: P = Q = A, f = g = multiplication."""
     a = t.A
     field = a.field
-    reg = regular_bimodule(a)
     da = a.dim
-    zero = field.zero
-    f_mat = [[zero] * (da * da) for _ in range(da)]
-    for i in range(da):
-        for j in range(da):
-            for k, c in a.mul(a.basis_vec(i), a.basis_vec(j)).items():
-                f_mat[k][i * da + j] = c
+    mult = _bilinear_matrix(
+        field, da, da, da, lambda i, j: a.mul(a.basis_vec(i), a.basis_vec(j))
+    )
     unit = _freeze_vec(a.unit_vec(), da, field)
+    reg = regular_bimodule(a)
     return MoritaData(
         source=t,
         target=t,
         p_mod=reg,
         q_mod=reg,
-        f_mat=tuple(tuple(r) for r in f_mat),
-        g_mat=tuple(tuple(r) for r in f_mat),
+        f_mat=mult,
+        g_mat=mult,
         eta=AlgebraMorphism.identity(t.B),
         p_dual=(unit,),
         q_dual=(unit,),
@@ -360,177 +321,118 @@ def standard_matrix_morita(t, n):
     target, _ = matrix_triple(t, n)
     a = t.A
     field = a.field
-    zero = field.zero
     da = a.dim
-    dp = n * da  # rows
+    dp = n * da  # rows and columns alike
     dbig = target.A.dim
 
-    def pidx(c, u):
-        return c * da + u
+    def mul(u, v):
+        return a.mul(a.basis_vec(u), a.basis_vec(v))
 
-    def bigidx(r, c, u):
-        return (r * n + c) * da + u
+    def at_slot(slot, vec):
+        return {slot * da + k: c for k, c in vec.items()}
 
-    # P: left action of A, right action of M_n(A)
-    p_left = [[[zero] * dp for _ in range(dp)] for _ in range(da)]
-    for i in range(da):
-        for c in range(n):
-            for u in range(da):
-                for k, cv in a.mul(a.basis_vec(i), a.basis_vec(u)).items():
-                    p_left[i][pidx(c, u)][pidx(c, k)] = cv
-    p_right = [[[zero] * dp for _ in range(dp)] for _ in range(dbig)]
-    for r, c2, v in itertools.product(range(n), range(n), range(da)):
-        for c in range(n):
-            if c != r:
-                continue
-            for u in range(da):
-                for k, cv in a.mul(a.basis_vec(u), a.basis_vec(v)).items():
-                    p_right[bigidx(r, c2, v)][pidx(c, u)][pidx(c2, k)] = cv
-    p_mod = Bimodule.from_data(field, dp, p_left, p_right)
+    def split(big):  # M_n(A) basis index -> (row, column, A-basis)
+        rc, u = divmod(big, da)
+        return (*divmod(rc, n), u)
 
-    # Q: left action of M_n(A), right action of A
-    q_left = [[[zero] * dp for _ in range(dp)] for _ in range(dbig)]
-    for r, c2, v in itertools.product(range(n), range(n), range(da)):
-        for rp in range(n):
-            if c2 != rp:
-                continue
-            for u in range(da):
-                for k, cv in a.mul(a.basis_vec(v), a.basis_vec(u)).items():
-                    q_left[bigidx(r, c2, v)][pidx(rp, u)][pidx(r, k)] = cv
-    q_right = [[[zero] * dp for _ in range(dp)] for _ in range(da)]
-    for i in range(da):
-        for r in range(n):
-            for u in range(da):
-                for k, cv in a.mul(a.basis_vec(u), a.basis_vec(i)).items():
-                    q_right[i][pidx(r, u)][pidx(r, k)] = cv
-    q_mod = Bimodule.from_data(field, dp, q_left, q_right)
+    def p_right(big, b):
+        r, c, v = split(big)
+        return at_slot(c, mul(b % da, v)) if b // da == r else {}
 
-    f_mat = [[zero] * (dp * dp) for _ in range(da)]
-    for c, u in itertools.product(range(n), range(da)):
-        for r, v in itertools.product(range(n), range(da)):
-            if c != r:
-                continue
-            for k, cv in a.mul(a.basis_vec(u), a.basis_vec(v)).items():
-                f_mat[k][pidx(c, u) * dp + pidx(r, v)] = cv
-    g_mat = [[zero] * (dp * dp) for _ in range(dbig)]
-    for r, u in itertools.product(range(n), range(da)):
-        for c, v in itertools.product(range(n), range(da)):
-            for k, cv in a.mul(a.basis_vec(u), a.basis_vec(v)).items():
-                g_mat[bigidx(r, c, k)][pidx(r, u) * dp + pidx(c, v)] = cv
+    def q_left(big, b):
+        r, c, v = split(big)
+        return at_slot(r, mul(v, b % da)) if b // da == c else {}
 
-    unit_row = [zero] * dp
-    for u, cu in a.unit_vec().items():
-        unit_row[pidx(0, u)] = cu
-    p_dual = (tuple(unit_row),)
-    q_dual = (tuple(unit_row),)
-    pprime, qprime = [], []
-    for slot in range(n):
-        vec = [zero] * dp
-        for u, cu in a.unit_vec().items():
-            vec[pidx(slot, u)] = cu
-        pprime.append(tuple(vec))
-        qprime.append(tuple(vec))
+    def p_left(i, b):
+        return at_slot(b // da, mul(i, b % da))
+
+    def q_right(i, b):
+        return at_slot(b // da, mul(b % da, i))
+
+    p_mod = Bimodule(
+        field, dp, _planes(field, da, dp, p_left), _planes(field, dbig, dp, p_right)
+    )
+    q_mod = Bimodule(
+        field, dp, _planes(field, dbig, dp, q_left), _planes(field, da, dp, q_right)
+    )
+    f_mat = _bilinear_matrix(
+        field,
+        da,
+        dp,
+        dp,
+        lambda x, y: mul(x % da, y % da) if x // da == y // da else {},
+    )
+    g_mat = _bilinear_matrix(
+        field,
+        dbig,
+        dp,
+        dp,
+        lambda x, y: {
+            (x // da * n + y // da) * da + k: c
+            for k, c in mul(x % da, y % da).items()
+        },
+    )
+    units = tuple(_freeze_vec(at_slot(c, a.unit_vec()), dp, field) for c in range(n))
     return MoritaData(
         source=t,
         target=target,
         p_mod=p_mod,
         q_mod=q_mod,
-        f_mat=tuple(tuple(r) for r in f_mat),
-        g_mat=tuple(tuple(r) for r in g_mat),
+        f_mat=f_mat,
+        g_mat=g_mat,
         eta=AlgebraMorphism.identity(t.B),
-        p_dual=p_dual,
-        q_dual=q_dual,
-        pprime_dual=tuple(pprime),
-        qprime_dual=tuple(qprime),
+        p_dual=units[:1],
+        q_dual=units[:1],
+        pprime_dual=units,
+        qprime_dual=units,
     )
 
 
 def corner_morita(t, e):
     """Context between t and its corner triple at a full idempotent e,
     with P = Ae, Q = eA and dual bases found by a linear solve."""
-    from .algebra import corner_triple
-
     target = corner_triple(t, e)
     a = t.A
     field = a.field
     zero = field.zero
-    p_space = Subspace.span(
-        field, a.dim, [a.mul(a.basis_vec(i), e) for i in range(a.dim)]
-    )
-    q_space = Subspace.span(
-        field, a.dim, [a.mul(e, a.basis_vec(i)) for i in range(a.dim)]
-    )
-    corner = Subspace.span(
-        field, a.dim, [a.mul(a.mul(e, a.basis_vec(i)), e) for i in range(a.dim)]
-    )
+    basis = [a.basis_vec(i) for i in range(a.dim)]
+    p_space = Subspace.span(field, a.dim, [a.mul(x, e) for x in basis])
+    q_space = Subspace.span(field, a.dim, [a.mul(e, x) for x in basis])
+    corner = Subspace.span(field, a.dim, [a.mul(a.mul(e, x), e) for x in basis])
+    pb, qb, cb = p_space.basis, q_space.basis, corner.basis
     dp, dq, dc = p_space.dim, q_space.dim, corner.dim
 
-    def p_coords(vec):
-        c = p_space.coordinates(vec)
+    def coords(space, name, vec):
+        c = space.coordinates(vec)
         if c is None:
-            raise PreconditionError("element left Ae")
-        return c
+            raise PreconditionError(f"element left {name}")
+        return dict(enumerate(c))
 
-    def q_coords(vec):
-        c = q_space.coordinates(vec)
-        if c is None:
-            raise PreconditionError("element left eA")
-        return c
+    def action(space, name, count, product):
+        return _planes(
+            field, count, space.dim, lambda i, j: coords(space, name, product(i, j))
+        )
 
-    def c_coords(vec):
-        c = corner.coordinates(vec)
-        if c is None:
-            raise PreconditionError("element left eAe")
-        return c
-
-    # P = Ae: left action of A, right action of eAe
-    p_left = [[[zero] * dp for _ in range(dp)] for _ in range(a.dim)]
-    for i in range(a.dim):
-        for j, bvec in enumerate(p_space.basis):
-            img = a.mul(a.basis_vec(i), dict(bvec))
-            for k, cv in enumerate(p_coords(img)):
-                p_left[i][j][k] = cv
-    p_right = [[[zero] * dp for _ in range(dp)] for _ in range(dc)]
-    for i in range(dc):
-        for j, bvec in enumerate(p_space.basis):
-            img = a.mul(dict(bvec), dict(corner.basis[i]))
-            for k, cv in enumerate(p_coords(img)):
-                p_right[i][j][k] = cv
-    p_mod = Bimodule.from_data(field, dp, p_left, p_right)
-
-    q_left = [[[zero] * dq for _ in range(dq)] for _ in range(dc)]
-    for i in range(dc):
-        for j, bvec in enumerate(q_space.basis):
-            img = a.mul(dict(corner.basis[i]), dict(bvec))
-            for k, cv in enumerate(q_coords(img)):
-                q_left[i][j][k] = cv
-    q_right = [[[zero] * dq for _ in range(dq)] for _ in range(a.dim)]
-    for i in range(a.dim):
-        for j, bvec in enumerate(q_space.basis):
-            img = a.mul(dict(bvec), a.basis_vec(i))
-            for k, cv in enumerate(q_coords(img)):
-                q_right[i][j][k] = cv
-    q_mod = Bimodule.from_data(field, dq, q_left, q_right)
-
-    f_mat = [[zero] * (dp * dq) for _ in range(a.dim)]
-    for j, pb in enumerate(p_space.basis):
-        for l, qb in enumerate(q_space.basis):
-            for k, cv in a.mul(dict(pb), dict(qb)).items():
-                f_mat[k][j * dq + l] = cv
-    g_mat = [[zero] * (dq * dp) for _ in range(dc)]
-    for l, qb in enumerate(q_space.basis):
-        for j, pb in enumerate(p_space.basis):
-            prod = a.mul(dict(qb), dict(pb))
-            for k, cv in enumerate(c_coords(prod)):
-                g_mat[k][l * dp + j] = cv
+    # P = Ae: left action of A, right action of eAe; Q = eA the other way
+    p_mod = Bimodule(
+        field,
+        dp,
+        action(p_space, "Ae", a.dim, lambda i, j: a.mul(basis[i], pb[j])),
+        action(p_space, "Ae", dc, lambda i, j: a.mul(pb[j], cb[i])),
+    )
+    q_mod = Bimodule(
+        field,
+        dq,
+        action(q_space, "eA", dc, lambda i, j: a.mul(cb[i], qb[j])),
+        action(q_space, "eA", a.dim, lambda i, j: a.mul(qb[j], basis[i])),
+    )
+    f_mat = _bilinear_matrix(field, a.dim, dp, dq, lambda j, l: a.mul(pb[j], qb[l]))
+    g_mat = _bilinear_matrix(
+        field, dc, dq, dp, lambda l, j: coords(corner, "eAe", a.mul(qb[l], pb[j]))
+    )
 
     # dual basis for f: write 1_A = sum_j rho_j * w_j, rho_j the P basis
-    sys_cols = []
-    for j in range(dp):
-        for l in range(dq):
-            sys_cols.append(a.mul(dict(p_space.basis[j]), dict(q_space.basis[l])))
-    sysmat = SparseMatrix(field, a.dim, dp * dq, sys_cols)
-    x = solve(sysmat, a.unit_vec())
+    x = solve(SparseMatrix.from_dense(field, f_mat), a.unit_vec())
     if x is None:
         raise PreconditionError("AeA != A: dual-basis solve infeasible")
     w = [[zero] * dq for _ in range(dp)]
@@ -540,24 +442,20 @@ def corner_morita(t, e):
     q_dual = []
     for j in range(dp):
         if any(v != zero for v in w[j]):
-            unit_j = [zero] * dp
-            unit_j[j] = field.one
-            p_dual.append(tuple(unit_j))
+            p_dual.append(_freeze_vec({j: field.one}, dp, field))
             q_dual.append(tuple(w[j]))
-    e_in_p = tuple(p_coords(e))
-    e_in_q = tuple(q_coords(e))
     return MoritaData(
         source=t,
         target=target,
         p_mod=p_mod,
         q_mod=q_mod,
-        f_mat=tuple(tuple(r) for r in f_mat),
-        g_mat=tuple(tuple(r) for r in g_mat),
+        f_mat=f_mat,
+        g_mat=g_mat,
         eta=AlgebraMorphism.identity(t.B),
         p_dual=tuple(p_dual),
         q_dual=tuple(q_dual),
-        pprime_dual=(e_in_p,),
-        qprime_dual=(e_in_q,),
+        pprime_dual=(tuple(coords(p_space, "Ae", e).values()),),
+        qprime_dual=(tuple(coords(q_space, "eA", e).values()),),
     )
 
 
@@ -567,181 +465,49 @@ def compose_morita(d1, d2):
     if d1.target != d2.source:
         raise PreconditionError("contexts do not share the middle triple")
     field = d1.field
+    one = field.one
     aprime = d1.target.A
-    p_q = tensor_over_algebra(d1.p_mod, d2.p_mod, aprime)
-    q_q = tensor_over_algebra(d2.q_mod, d1.q_mod, aprime)
-    d1p, d2p = d1.p_mod.dim, d2.p_mod.dim
-    d1q, d2q = d1.q_mod.dim, d2.q_mod.dim
-    zero = field.zero
+    p_t = BalancedTensor((d1.p_mod, d2.p_mod), (aprime,))
+    q_t = BalancedTensor((d2.q_mod, d1.q_mod), (aprime,))
+    f1, g1 = d1.pairings()
+    f2, g2 = d2.pairings()
 
-    def p_embed(v1, v2):
-        amb = {}
-        for i, c1 in v1.items():
-            for j, c2 in v2.items():
-                c = field.mul(c1, c2)
-                if c != zero:
-                    amb[i * d2p + j] = field.add(amb.get(i * d2p + j, zero), c)
-        return p_q.project(amb)
-
-    def q_embed(v2, v1):
-        amb = {}
-        for i, c2 in v2.items():
-            for j, c1 in v1.items():
-                c = field.mul(c2, c1)
-                if c != zero:
-                    amb[i * d1q + j] = field.add(amb.get(i * d1q + j, zero), c)
-        return q_q.project(amb)
-
-    dp, dq = p_q.dim, q_q.dim
-
-    def build_action(dim_alg, act):
-        dim_mod = dp if act in ("p_left", "p_right") else dq
-        planes = []
-        for i in range(dim_alg):
-            plane = []
-            for bidx in range(dim_mod):
-                vv = act_on_basis(act, i, bidx)
-                plane.append(tuple(vv.get(k, zero) for k in range(dim_mod)))
-            planes.append(tuple(plane))
-        return tuple(planes)
-
-    def act_on_basis(act, i, bidx):
-        if act in ("p_left", "p_right"):
-            amb = p_q.lift({bidx: field.one})
-            out = {}
-            for t_idx, c in amb.items():
-                i1, i2 = divmod(t_idx, d2p)
-                if act == "p_left":
-                    moved = d1.p_mod.act_left(d1.source.A.basis_vec(i), {i1: field.one})
-                    for ii, c2 in moved.items():
-                        out[ii * d2p + i2] = field.add(
-                            out.get(ii * d2p + i2, zero), field.mul(c, c2)
-                        )
-                else:
-                    moved = d2.p_mod.act_right({i2: field.one}, d2.target.A.basis_vec(i))
-                    for jj, c2 in moved.items():
-                        out[i1 * d2p + jj] = field.add(
-                            out.get(i1 * d2p + jj, zero), field.mul(c, c2)
-                        )
-            return p_q.project({k: v for k, v in out.items() if v != zero})
-        amb = q_q.lift({bidx: field.one})
+    def f_of(pb, qb):  # f1(p1 (x) f2(p2 (x) q2) q1)
         out = {}
-        for t_idx, c in amb.items():
-            i2, i1 = divmod(t_idx, d1q)
-            if act == "q_left":
-                moved = d2.q_mod.act_left(d2.target.A.basis_vec(i), {i2: field.one})
-                for ii, c2 in moved.items():
-                    out[ii * d1q + i1] = field.add(
-                        out.get(ii * d1q + i1, zero), field.mul(c, c2)
-                    )
-            else:
-                moved = d1.q_mod.act_right({i1: field.one}, d1.source.A.basis_vec(i))
-                for jj, c2 in moved.items():
-                    out[i2 * d1q + jj] = field.add(
-                        out.get(i2 * d1q + jj, zero), field.mul(c, c2)
-                    )
-        return q_q.project({k: v for k, v in out.items() if v != zero})
-
-    p_left = build_action(d1.source.A.dim, "p_left")
-    p_right = build_action(d2.target.A.dim, "p_right")
-    q_left = build_action(d2.target.A.dim, "q_left")
-    q_right = build_action(d1.source.A.dim, "q_right")
-    p_mod = Bimodule(field, dp, p_left, p_right)
-    q_mod = Bimodule(field, dq, q_left, q_right)
-
-    def f_of(p_basis, q_basis):
-        out = {}
-        for tp, cp in p_q.lift({p_basis: field.one}).items():
-            i1, i2 = divmod(tp, d2p)
-            for tq, cq in q_q.lift({q_basis: field.one}).items():
-                j2, j1 = divmod(tq, d1q)
-                c = field.mul(cp, cq)
-                if c == zero:
-                    continue
-                mid = d2.f_apply({i2: field.one}, {j2: field.one})
-                moved = d1.q_mod.act_left(mid, {j1: field.one})
-                inner = d1.f_apply({i1: field.one}, moved)
-                vec_add_scaled(field, out, c, inner)
+        for (i1, i2), cp in p_t.lift_terms({pb: one}):
+            for (j2, j1), cq in q_t.lift_terms({qb: one}):
+                mid = f2({i2: one}, {j2: one})
+                inner = f1({i1: one}, d1.q_mod.act_left(mid, {j1: one}))
+                vec_add_scaled(field, out, field.mul(cp, cq), inner)
         return out
 
-    def g_of(q_basis, p_basis):
+    def g_of(qb, pb):  # g2(q2 (x) g1(q1 (x) p1) p2)
         out = {}
-        for tq, cq in q_q.lift({q_basis: field.one}).items():
-            j2, j1 = divmod(tq, d1q)
-            for tp, cp in p_q.lift({p_basis: field.one}).items():
-                i1, i2 = divmod(tp, d2p)
-                c = field.mul(cq, cp)
-                if c == zero:
-                    continue
-                mid = d1.g_apply({j1: field.one}, {i1: field.one})
-                moved = d2.p_mod.act_left(mid, {i2: field.one})
-                inner = d2.g_apply({j2: field.one}, moved)
-                vec_add_scaled(field, out, c, inner)
+        for (j2, j1), cq in q_t.lift_terms({qb: one}):
+            for (i1, i2), cp in p_t.lift_terms({pb: one}):
+                mid = g1({j1: one}, {i1: one})
+                inner = g2({j2: one}, d2.p_mod.act_left(mid, {i2: one}))
+                vec_add_scaled(field, out, field.mul(cq, cp), inner)
         return out
 
-    da = d1.source.A.dim
-    da2 = d2.target.A.dim
-    f_mat = [[zero] * (dp * dq) for _ in range(da)]
-    for pb in range(dp):
-        for qb in range(dq):
-            for k, cv in f_of(pb, qb).items():
-                f_mat[k][pb * dq + qb] = cv
-    g_mat = [[zero] * (dq * dp) for _ in range(da2)]
-    for qb in range(dq):
-        for pb in range(dp):
-            for k, cv in g_of(qb, pb).items():
-                g_mat[k][qb * dp + pb] = cv
+    p1, q1, pp1, qp1 = d1.dual_vecs()
+    p2, q2, pp2, qp2 = d2.dual_vecs()
 
-    def pairs(duals1, duals2, embed, left_first):
-        out = []
-        for v1 in duals1:
-            for v2 in duals2:
-                if left_first:
-                    out.append(
-                        _freeze_vec(embed(_vec(v1, field), _vec(v2, field)), dp, field)
-                    )
-                else:
-                    out.append(
-                        _freeze_vec(embed(_vec(v2, field), _vec(v1, field)), dq, field)
-                    )
-        return tuple(out)
+    def frozen(tensor, pairs):
+        return tuple(_freeze_vec(tensor.embed(x, y), tensor.dim, field) for x, y in pairs)
 
-    p_dual = pairs(d1.p_dual, d2.p_dual, p_embed, True)
-    q_dual = pairs(d1.q_dual, d2.q_dual, q_embed, False)
-    pprime_dual = []
-    qprime_dual = []
-    for m2 in range(d2.t):
-        for m1 in range(d1.t):
-            pprime_dual.append(
-                _freeze_vec(
-                    p_embed(
-                        _vec(d1.pprime_dual[m1], field), _vec(d2.pprime_dual[m2], field)
-                    ),
-                    dp,
-                    field,
-                )
-            )
-            qprime_dual.append(
-                _freeze_vec(
-                    q_embed(
-                        _vec(d2.qprime_dual[m2], field), _vec(d1.qprime_dual[m1], field)
-                    ),
-                    dq,
-                    field,
-                )
-            )
     return MoritaData(
         source=d1.source,
         target=d2.target,
-        p_mod=p_mod,
-        q_mod=q_mod,
-        f_mat=tuple(tuple(r) for r in f_mat),
-        g_mat=tuple(tuple(r) for r in g_mat),
+        p_mod=p_t.module,
+        q_mod=q_t.module,
+        f_mat=_bilinear_matrix(field, d1.source.A.dim, p_t.dim, q_t.dim, f_of),
+        g_mat=_bilinear_matrix(field, d2.target.A.dim, q_t.dim, p_t.dim, g_of),
         eta=d2.eta.compose(d1.eta),
-        p_dual=p_dual,
-        q_dual=q_dual,
-        pprime_dual=tuple(pprime_dual),
-        qprime_dual=tuple(qprime_dual),
+        p_dual=frozen(p_t, [(x, y) for x in p1 for y in p2]),
+        q_dual=frozen(q_t, [(y, x) for x in q1 for y in q2]),
+        pprime_dual=frozen(p_t, [(x, y) for y in pp2 for x in pp1]),
+        qprime_dual=frozen(q_t, [(y, x) for y in qp2 for x in qp1]),
     )
 
 
@@ -755,6 +521,7 @@ def validate_morita(d):
     a, aprime = d.source.A, d.target.A
     p, q = d.p_mod, d.q_mod
     one = field.one
+    f, g = d.pairings()
 
     # (ii) eta is an isomorphism of algebras B -> B'
     b, bprime = d.source.B, d.target.B
@@ -777,108 +544,77 @@ def validate_morita(d):
     report.check("(ii) eta multiplicative", ok_eta_mult)
     report.check("(ii) eta bijective", ok_eta_bij)
 
-    # f and g kill the balancing relations and are bimodule maps
-    def basis(n):
-        return ({i: one} for i in range(n))
+    # each pairing X (x) Y -> outer: f on P (x)_A' Q -> A, g on Q (x)_A P -> A'
+    sides = (
+        ("f", "P(x)Q", "A", "A'", p, q, f, a, aprime),
+        ("g", "Q(x)P", "A'", "A", q, p, g, aprime, a),
+    )
 
-    ok_f_balanced = all(
-        d.f_apply(p.act_right({pi: one}, aprime.basis_vec(k)), {qi: one})
-        == d.f_apply({pi: one}, q.act_left(aprime.basis_vec(k), {qi: one}))
-        for pi in range(p.dim)
-        for k in range(aprime.dim)
-        for qi in range(q.dim)
-    )
-    report.check("(i) f balanced over A'", ok_f_balanced)
-    ok_g_balanced = all(
-        d.g_apply(q.act_right({qi: one}, a.basis_vec(k)), {pi: one})
-        == d.g_apply({qi: one}, p.act_left(a.basis_vec(k), {pi: one}))
-        for qi in range(q.dim)
-        for k in range(a.dim)
-        for pi in range(p.dim)
-    )
-    report.check("(i) g balanced over A", ok_g_balanced)
-    ok_f_equiv = all(
-        d.f_apply(p.act_left(a.basis_vec(k), {pi: one}), {qi: one})
-        == a.mul(a.basis_vec(k), d.f_apply({pi: one}, {qi: one}))
-        and d.f_apply({pi: one}, q.act_right({qi: one}, a.basis_vec(k)))
-        == a.mul(d.f_apply({pi: one}, {qi: one}), a.basis_vec(k))
-        for pi in range(p.dim)
-        for qi in range(q.dim)
-        for k in range(a.dim)
-    )
-    report.check("(i) f is an A-bimodule map", ok_f_equiv)
-    ok_g_equiv = all(
-        d.g_apply(q.act_left(aprime.basis_vec(k), {qi: one}), {pi: one})
-        == aprime.mul(aprime.basis_vec(k), d.g_apply({qi: one}, {pi: one}))
-        and d.g_apply({qi: one}, p.act_right({pi: one}, aprime.basis_vec(k)))
-        == aprime.mul(d.g_apply({qi: one}, {pi: one}), aprime.basis_vec(k))
-        for qi in range(q.dim)
-        for pi in range(p.dim)
-        for k in range(aprime.dim)
-    )
-    report.check("(i) g is an A'-bimodule map", ok_g_equiv)
+    # the pairings kill the balancing relations and are bimodule maps
+    for name, _, _, inner_name, x_mod, y_mod, pair, _, inner in sides:
+        ok = all(
+            pair(x_mod.act_right({xi: one}, inner.basis_vec(k)), {yi: one})
+            == pair({xi: one}, y_mod.act_left(inner.basis_vec(k), {yi: one}))
+            for xi in range(x_mod.dim)
+            for k in range(inner.dim)
+            for yi in range(y_mod.dim)
+        )
+        report.check(f"(i) {name} balanced over {inner_name}", ok)
+    for name, _, outer_name, _, x_mod, y_mod, pair, outer, _ in sides:
+        ok = all(
+            pair(x_mod.act_left(outer.basis_vec(k), {xi: one}), {yi: one})
+            == outer.mul(outer.basis_vec(k), pair({xi: one}, {yi: one}))
+            and pair({xi: one}, y_mod.act_right({yi: one}, outer.basis_vec(k)))
+            == outer.mul(pair({xi: one}, {yi: one}), outer.basis_vec(k))
+            for xi in range(x_mod.dim)
+            for yi in range(y_mod.dim)
+            for k in range(outer.dim)
+        )
+        report.check(f"(i) {name} is an {outer_name}-bimodule map", ok)
 
     # bijectivity through the quotients
-    pq = tensor_over_algebra(p, q, aprime)
-    qp = tensor_over_algebra(q, p, a)
-    f_cols = []
-    for nb in range(pq.dim):
-        out = {}
-        for t_idx, c in pq.lift({nb: one}).items():
-            pi, qi = divmod(t_idx, q.dim)
-            vec_add_scaled(field, out, c, d.f_apply({pi: one}, {qi: one}))
-        f_cols.append(out)
-    from .linalg import rank as _rank
-
-    f_on_q = SparseMatrix(field, a.dim, pq.dim, f_cols)
-    report.check(
-        "(i) f bijective",
-        pq.dim == a.dim and _rank(f_on_q) == a.dim,
-        f"dim P(x)Q = {pq.dim}, dim A = {a.dim}, rank f = {_rank(f_on_q)}",
-    )
-    g_cols = []
-    for nb in range(qp.dim):
-        out = {}
-        for t_idx, c in qp.lift({nb: one}).items():
-            qi, pi = divmod(t_idx, p.dim)
-            vec_add_scaled(field, out, c, d.g_apply({qi: one}, {pi: one}))
-        g_cols.append(out)
-    g_on_q = SparseMatrix(field, aprime.dim, qp.dim, g_cols)
-    report.check(
-        "(i) g bijective",
-        qp.dim == aprime.dim and _rank(g_on_q) == aprime.dim,
-        f"dim Q(x)P = {qp.dim}, dim A' = {aprime.dim}, rank g = {_rank(g_on_q)}",
-    )
+    for name, tensor_name, outer_name, _, x_mod, y_mod, pair, outer, inner in sides:
+        tensor = tensor_over_algebra(x_mod, y_mod, inner)
+        cols = []
+        for nb in range(tensor.dim):
+            out = {}
+            for (xi, yi), c in tensor.lift_terms({nb: one}):
+                vec_add_scaled(field, out, c, pair({xi: one}, {yi: one}))
+            cols.append(out)
+        r = rank(SparseMatrix(field, outer.dim, tensor.dim, cols))
+        report.check(
+            f"(i) {name} bijective",
+            tensor.dim == outer.dim and r == outer.dim,
+            f"dim {tensor_name} = {tensor.dim}, dim {outer_name} = {outer.dim}, "
+            f"rank {name} = {r}",
+        )
 
     # dual-basis certificates
-    fsum = {}
-    for pd, qd in zip(d.p_dual, d.q_dual):
-        vec_add_scaled(field, fsum, one, d.f_apply(_vec(pd, field), _vec(qd, field)))
-    report.check("dual certificate f(sum p_j (x) q_j) = 1_A", fsum == a.unit_vec())
-    gsum = {}
-    for qd, pd in zip(d.qprime_dual, d.pprime_dual):
-        vec_add_scaled(field, gsum, one, d.g_apply(_vec(qd, field), _vec(pd, field)))
-    report.check(
-        "dual certificate g(sum q'_m (x) p'_m) = 1_A'", gsum == aprime.unit_vec()
+    p_vecs, q_vecs, pp_vecs, qp_vecs = d.dual_vecs()
+    certificates = (
+        ("f(sum p_j (x) q_j) = 1_A", f, p_vecs, q_vecs, a),
+        ("g(sum q'_m (x) p'_m) = 1_A'", g, qp_vecs, pp_vecs, aprime),
     )
+    for label, pair, xs, ys, outer in certificates:
+        total = {}
+        for x, y in zip(xs, ys):
+            vec_add_scaled(field, total, one, pair(x, y))
+        report.check(f"dual certificate {label}", total == outer.unit_vec())
 
     # compatibility relations between f and g
-    ok_lod1 = all(
-        q.act_right({q1: one}, d.f_apply({p1: one}, {q2: one}))
-        == q.act_left(d.g_apply({q1: one}, {p1: one}), {q2: one})
-        for q1 in range(q.dim)
-        for p1 in range(p.dim)
-        for q2 in range(q.dim)
+    compatibilities = (
+        ("q1 f(p1 (x) q2) = g(q1 (x) p1) q2", p, q, f, g),
+        ("p1 g(q1 (x) p2) = f(p1 (x) q1) p2", q, p, g, f),
     )
-    report.check("compatibility q1 f(p1 (x) q2) = g(q1 (x) p1) q2", ok_lod1)
-    ok_lod2 = all(
-        p.act_right({p1: one}, d.g_apply({q1: one}, {p2: one}))
-        == p.act_left(d.f_apply({p1: one}, {q1: one}), {p2: one})
-        for p1 in range(p.dim)
-        for q1 in range(q.dim)
-        for p2 in range(p.dim)
-    )
-    report.check("compatibility p1 g(q1 (x) p2) = f(p1 (x) q1) p2", ok_lod2)
+    for label, x_mod, y_mod, pair, other in compatibilities:
+        ok = all(
+            y_mod.act_right({y1: one}, pair({x1: one}, {y2: one}))
+            == y_mod.act_left(other({y1: one}, {x1: one}), {y2: one})
+            for y1 in range(y_mod.dim)
+            for x1 in range(x_mod.dim)
+            for y2 in range(y_mod.dim)
+        )
+        report.check(f"compatibility {label}", ok)
 
     # (iii) B-symmetry of P and Q through eta
     eps, epsp = d.source.eps, d.target.eps
@@ -903,113 +639,93 @@ def validate_morita(d):
 # chain maps and homotopies
 
 
-def _scheme_pair(d, m, n):
-    ind = induced_module(d, m)
-    src = secondary_scheme(d.source, m, n)
-    tgt = secondary_scheme(d.target, ind.module, n)
-    return ind, src, tgt
+def _slot_table(pair, xs, y_mod, ys, alg):
+    """[alpha][j][j']: pair(x_j (x) e_alpha . y_j')."""
+    return [
+        [[pair(x, y_mod.act_left(alg.basis_vec(al), y)) for y in ys] for x in xs]
+        for al in range(alg.dim)
+    ]
 
 
-def _expand_slots(field, coeff_vec, slot_vecs, encode, col):
-    """Accumulate coeff_vec (x) slot_1 (x) ... into a boundary column."""
-    options = [list(v.items()) for v in slot_vecs]
-    for head, c0 in coeff_vec.items():
-        for combo in itertools.product(*options):
-            coeff = c0
-            for _, c in combo:
-                coeff = field.mul(coeff, c)
-            if coeff == field.zero:
-                continue
-            idx = encode(head, tuple(v for v, _ in combo))
-            nv = field.add(col.get(idx, field.zero), coeff)
-            if nv == field.zero:
-                col.pop(idx, None)
-            else:
-                col[idx] = nv
-
-
-def psi_chain_map(d, m, n):
-    """Matrix of psi_n from the source complex into the target complex
-    with induced coefficients."""
-    if n < 0:
-        raise PreconditionError("negative degree")
-    field = d.field
-    ind, src, tgt = _scheme_pair(d, m, n)
-    s = d.s
-    p_vecs = [_vec(v, field) for v in d.p_dual]
-    q_vecs = [_vec(v, field) for v in d.q_dual]
-    a = d.source.A
-    eta = d.eta
+def _transfer(field, src, tgt, count, head, slot, b_images):
+    """Chain map src -> tgt from its tables.  The column of
+    (x; a_1..a_n; b) sums, over dual indices j_0..j_n in range(count)
+    read cyclically, the expansion of head[x][j_0][j_1] (x)
+    slot[a_1][j_1][j_2] (x) ... (x) slot[a_n][j_n][j_0] (x) the b_images
+    of the b-slots."""
+    n = src.degree
     cols = []
-    for src_idx in range(src.total):
-        mu, alphas, betas = src.decode(src_idx)
+    for idx in range(src.total):
+        x, alphas, betas = src.decode(idx)
+        tail = [b_images[b] for b in betas]
         col = {}
-        for jj in itertools.product(range(s), repeat=n + 1):
-            head = ind.embed(q_vecs[jj[0]], {mu: field.one}, p_vecs[jj[1 % (n + 1)]])
-            slot_vecs = []
-            for i in range(1, n + 1):
-                ap = d.p_mod.act_left(
-                    a.basis_vec(alphas[i - 1]), p_vecs[jj[(i + 1) % (n + 1)]]
-                )
-                slot_vecs.append(d.g_apply(q_vecs[jj[i]], ap))
-            for bidx in betas:
-                slot_vecs.append(eta.apply_basis(bidx))
-            _expand_slots(
-                field,
-                head,
-                slot_vecs,
-                lambda h, rest: tgt.encode(h, rest[:n], rest[n:]),
-                col,
-            )
+        for jj in itertools.product(range(count), repeat=n + 1):
+            nxt = jj[1:] + jj[:1]
+            slots = [slot[al][jj[i]][nxt[i]] for i, al in enumerate(alphas, 1)]
+            expand_slots(field, tgt, head[x][jj[0]][nxt[0]], slots + tail, col)
         cols.append(col)
     return SparseMatrix(field, tgt.total, src.total, cols)
 
 
-def phi_chain_map(d, m, n):
-    """Matrix of phi_n from the target complex back to the source."""
+def psi_chain_map(d, m, n, *, induced=None):
+    """Matrix of psi_n from the source complex into the target complex
+    with induced coefficients: q_j0 (x) mu (x) p_j1 in the module slot,
+    g(q_ji (x) a_i p_j(i+1)) in A'-slot i, eta on the b-slots.  `induced`
+    is induced_module(d, m) when the caller already has it."""
     if n < 0:
         raise PreconditionError("negative degree")
+    ind = induced_module(d, m) if induced is None else induced
+    one = d.field.one
+    _, g = d.pairings()
+    p_vecs, q_vecs, _, _ = d.dual_vecs()
+    head = [
+        [[ind.embed(q, {mu: one}, p) for p in p_vecs] for q in q_vecs]
+        for mu in range(m.dim)
+    ]
+    return _transfer(
+        d.field,
+        secondary_scheme(d.source, m, n),
+        secondary_scheme(d.target, ind.module, n),
+        d.s,
+        head,
+        _slot_table(g, q_vecs, d.p_mod, p_vecs, d.source.A),
+        [d.eta.apply_basis(b) for b in range(d.source.B.dim)],
+    )
+
+
+def phi_chain_map(d, m, n, *, induced=None):
+    """Matrix of phi_n from the target complex back to the source:
+    f(p'_m0 (x) q) mu f(p (x) q'_m1) for a lifted q (x) mu (x) p in the
+    module slot, f(p'_mi (x) a_i q'_m(i+1)) in A-slot i, eta^-1 on the
+    b-slots."""
+    if n < 0:
+        raise PreconditionError("negative degree")
+    ind = induced_module(d, m) if induced is None else induced
     field = d.field
-    ind, src, tgt = _scheme_pair(d, m, n)
-    t_count = d.t
-    pp_vecs = [_vec(v, field) for v in d.pprime_dual]
-    qp_vecs = [_vec(v, field) for v in d.qprime_dual]
-    aprime = d.target.A
+    one = field.one
+    f, _ = d.pairings()
+    _, _, pp_vecs, qp_vecs = d.dual_vecs()
+
+    def head(nu, pp, qp):
+        out = {}
+        for (qi, mi, pi), c in ind.lift_terms({nu: one}):
+            moved = m.act_left(f(pp, {qi: one}), {mi: one})
+            vec_add_scaled(field, out, c, m.act_right(moved, f({pi: one}, qp)))
+        return out
+
     eta_inv = d.eta.inverse()
-    m_mod = m
-    cols = []
-    for tgt_idx in range(tgt.total):
-        nu, alphas, betas = tgt.decode(tgt_idx)
-        col = {}
-        for qi, mi, pi, c_lift in ind.lift_terms({nu: field.one}):
-            for mm in itertools.product(range(t_count), repeat=n + 1):
-                left_a = d.f_apply(pp_vecs[mm[0]], {qi: field.one})
-                right_a = d.f_apply({pi: field.one}, qp_vecs[mm[1 % (n + 1)]])
-                head = m_mod.act_right(
-                    m_mod.act_left(left_a, {mi: field.one}), right_a
-                )
-                if c_lift != field.one:
-                    head = {k: field.mul(c_lift, v) for k, v in head.items()}
-                slot_vecs = []
-                for i in range(1, n + 1):
-                    aq = d.q_mod.act_left(
-                        aprime.basis_vec(alphas[i - 1]), qp_vecs[mm[(i + 1) % (n + 1)]]
-                    )
-                    slot_vecs.append(d.f_apply(pp_vecs[mm[i]], aq))
-                for bidx in betas:
-                    slot_vecs.append(eta_inv.apply_basis(bidx))
-                _expand_slots(
-                    field,
-                    head,
-                    slot_vecs,
-                    lambda h, rest: src.encode(h, rest[:n], rest[n:]),
-                    col,
-                )
-        cols.append(col)
-    return SparseMatrix(field, src.total, tgt.total, cols)
+    return _transfer(
+        field,
+        secondary_scheme(d.target, ind.module, n),
+        secondary_scheme(d.source, m, n),
+        d.t,
+        [[[head(nu, pp, qp) for qp in qp_vecs] for pp in pp_vecs] for nu in range(ind.dim)],
+        _slot_table(f, pp_vecs, d.q_mod, qp_vecs, d.target.A),
+        [eta_inv.apply_basis(b) for b in range(d.target.B.dim)],
+    )
 
 
-def _homotopy_beta_layout(n, i, betas, beta_of, unit_vec):
+def _homotopy_beta_layout(n, i, beta_of, unit_vec):
     """New b-slot dicts for the degree n -> n+1 insertion at position i+1."""
     slots = []
     for k in range(1, n + 1):
@@ -1027,113 +743,61 @@ def _homotopy_beta_layout(n, i, betas, beta_of, unit_vec):
     return slots
 
 
+def _homotopy(field, triple, mod, pair, first, second, n, i):
+    """h_i: C_n -> C_(n+1) on the complex of (triple, mod), from a pairing
+    X (x) Y -> A and two dual families first = (x_j, y_j), second =
+    (x'_m, y'_m).  With c = (j, m), v_c = pair(x_j (x) y'_m) and
+    u_c = pair(x'_m (x) y_j), the column of (mu; a_1..a_n; b) sums over
+    c_0..c_i the expansion of mu v_c0 (x) u_c0 a_1 v_c1 (x) ... (x)
+    u_c(i-1) a_i v_ci (x) u_ci (x) a_(i+1) (x) ... (x) a_n, with units of
+    B inserted into the b-slots."""
+    if not 0 <= i <= n:
+        raise PreconditionError("homotopy index out of range")
+    one = field.one
+    a = triple.A
+    src = secondary_scheme(triple, mod, n)
+    tgt = secondary_scheme(triple, mod, n + 1)
+    (xs, ys), (xps, yps) = first, second
+    duals = list(itertools.product(range(len(xs)), range(len(xps))))
+    v = [pair(xs[j], yps[k]) for j, k in duals]
+    u = [pair(xps[k], ys[j]) for j, k in duals]
+    head = [[mod.act_right({mu: one}, vc) for vc in v] for mu in range(mod.dim)]
+    slot = [
+        [[a.mul(a.mul(uc, {al: one}), vc) for vc in v] for uc in u]
+        for al in range(a.dim)
+    ]
+    unit_b = triple.B.unit_vec()
+    slot_of = {kl: s for s, kl in enumerate(src.pairs)}
+    cols = []
+    for idx in range(src.total):
+        mu, alphas, betas = src.decode(idx)
+        tail = [{al: one} for al in alphas[i:]] + _homotopy_beta_layout(
+            n, i, lambda k, l: {betas[slot_of[(k, l)]]: one}, unit_b
+        )
+        col = {}
+        for cc in itertools.product(range(len(duals)), repeat=i + 1):
+            slots = [slot[al][c0][c1] for al, c0, c1 in zip(alphas, cc, cc[1:])]
+            expand_slots(field, tgt, head[mu][cc[0]], slots + [u[cc[-1]]] + tail, col)
+        cols.append(col)
+    return SparseMatrix(field, tgt.total, src.total, cols)
+
+
 def homotopy_h(d, m, n, i):
     """Matrix of h_i: C_n -> C_(n+1) on the source complex."""
-    if not 0 <= i <= n:
-        raise PreconditionError("homotopy index out of range")
-    field = d.field
-    src = secondary_scheme(d.source, m, n)
-    tgt = secondary_scheme(d.source, m, n + 1)
-    a = d.source.A
-    s, t_count = d.s, d.t
-    p_vecs = [_vec(v, field) for v in d.p_dual]
-    q_vecs = [_vec(v, field) for v in d.q_dual]
-    pp_vecs = [_vec(v, field) for v in d.pprime_dual]
-    qp_vecs = [_vec(v, field) for v in d.qprime_dual]
-    unit_b = d.source.B.unit_vec()
-    slot_of = {pair: idx for idx, pair in enumerate(src.pairs)}
-    cols = []
-    for src_idx in range(src.total):
-        mu, alphas, betas = src.decode(src_idx)
-
-        def beta_of(k, l):
-            return {betas[slot_of[(k, l)]]: field.one}
-
-        col = {}
-        for jj in itertools.product(range(s), repeat=i + 1):
-            for mm in itertools.product(range(t_count), repeat=i + 1):
-                head = m.act_right(
-                    {mu: field.one}, d.f_apply(p_vecs[jj[0]], qp_vecs[mm[0]])
-                )
-                slot_vecs = []
-                for k in range(1, i + 1):
-                    u = d.f_apply(pp_vecs[mm[k - 1]], q_vecs[jj[k - 1]])
-                    v = d.f_apply(p_vecs[jj[k]], qp_vecs[mm[k]])
-                    slot_vecs.append(a.mul(a.mul(u, {alphas[k - 1]: field.one}), v))
-                slot_vecs.append(d.f_apply(pp_vecs[mm[i]], q_vecs[jj[i]]))
-                for k in range(i, n):
-                    slot_vecs.append({alphas[k]: field.one})
-                slot_vecs.extend(
-                    _homotopy_beta_layout(n, i, betas, beta_of, unit_b)
-                )
-                _expand_slots(
-                    field,
-                    head,
-                    slot_vecs,
-                    lambda h, rest: tgt.encode(h, rest[: n + 1], rest[n + 1 :]),
-                    col,
-                )
-        cols.append(col)
-    return SparseMatrix(field, tgt.total, src.total, cols)
+    f, _ = d.pairings()
+    p_vecs, q_vecs, pp_vecs, qp_vecs = d.dual_vecs()
+    return _homotopy(d.field, d.source, m, f, (p_vecs, q_vecs), (pp_vecs, qp_vecs), n, i)
 
 
-def homotopy_l(d, m, n, i):
-    """Matrix of l_i: C_n -> C_(n+1) on the target complex."""
-    if not 0 <= i <= n:
-        raise PreconditionError("homotopy index out of range")
-    field = d.field
-    ind = induced_module(d, m)
-    nmod = ind.module
-    src = secondary_scheme(d.target, nmod, n)
-    tgt = secondary_scheme(d.target, nmod, n + 1)
-    aprime = d.target.A
-    s, t_count = d.s, d.t
-    p_vecs = [_vec(v, field) for v in d.p_dual]
-    q_vecs = [_vec(v, field) for v in d.q_dual]
-    pp_vecs = [_vec(v, field) for v in d.pprime_dual]
-    qp_vecs = [_vec(v, field) for v in d.qprime_dual]
-    unit_b = d.target.B.unit_vec()
-    slot_of = {pair: idx for idx, pair in enumerate(src.pairs)}
-    cols = []
-    for src_idx in range(src.total):
-        nu, alphas, betas = src.decode(src_idx)
-
-        def beta_of(k, l):
-            return {betas[slot_of[(k, l)]]: field.one}
-
-        col = {}
-        for jj in itertools.product(range(s), repeat=i + 1):
-            for mm in itertools.product(range(t_count), repeat=i + 1):
-                coeff_aprime = d.g_apply(qp_vecs[mm[0]], p_vecs[jj[0]])
-                head = {}
-                for qi, mi, pi, c_lift in ind.lift_terms({nu: field.one}):
-                    moved_p = d.p_mod.act_right({pi: field.one}, coeff_aprime)
-                    emb = ind.embed(
-                        {qi: field.one}, {mi: field.one}, moved_p
-                    )
-                    vec_add_scaled(field, head, c_lift, emb)
-                slot_vecs = []
-                for k in range(1, i + 1):
-                    u = d.g_apply(q_vecs[jj[k - 1]], pp_vecs[mm[k - 1]])
-                    v = d.g_apply(qp_vecs[mm[k]], p_vecs[jj[k]])
-                    slot_vecs.append(
-                        aprime.mul(aprime.mul(u, {alphas[k - 1]: field.one}), v)
-                    )
-                slot_vecs.append(d.g_apply(q_vecs[jj[i]], pp_vecs[mm[i]]))
-                for k in range(i, n):
-                    slot_vecs.append({alphas[k]: field.one})
-                slot_vecs.extend(
-                    _homotopy_beta_layout(n, i, betas, beta_of, unit_b)
-                )
-                _expand_slots(
-                    field,
-                    head,
-                    slot_vecs,
-                    lambda h, rest: tgt.encode(h, rest[: n + 1], rest[n + 1 :]),
-                    col,
-                )
-        cols.append(col)
-    return SparseMatrix(field, tgt.total, src.total, cols)
+def homotopy_l(d, m, n, i, *, induced=None):
+    """Matrix of l_i: C_n -> C_(n+1) on the target complex: h_i for the
+    target triple, the induced module and g, with the duals swapped."""
+    ind = induced_module(d, m) if induced is None else induced
+    _, g = d.pairings()
+    p_vecs, q_vecs, pp_vecs, qp_vecs = d.dual_vecs()
+    return _homotopy(
+        d.field, d.target, ind.module, g, (qp_vecs, pp_vecs), (q_vecs, p_vecs), n, i
+    )
 
 
 def alternating_homotopy(parts):
@@ -1175,8 +839,8 @@ def verify_morita_invariance(d, m, max_n, field=None, guard_bytes=None, deadline
         dims_src == dims_tgt,
         f"source {dims_src}, target {dims_tgt}",
     )
-    psis = [psi_chain_map(d, m, k) for k in range(max_n + 1)]
-    phis = [phi_chain_map(d, m, k) for k in range(max_n + 1)]
+    psis = [psi_chain_map(d, m, k, induced=ind) for k in range(max_n + 1)]
+    phis = [phi_chain_map(d, m, k, induced=ind) for k in range(max_n + 1)]
     for k in range(1, max_n + 1):
         lhs = psis[k - 1] @ src_complex.boundary(k)
         rhs = tgt_complex.boundary(k) @ psis[k]
@@ -1184,17 +848,13 @@ def verify_morita_invariance(d, m, max_n, field=None, guard_bytes=None, deadline
         lhs = phis[k - 1] @ tgt_complex.boundary(k)
         rhs = src_complex.boundary(k) @ phis[k]
         report.check(f"phi chain map at degree {k}", lhs == rhs)
+    h_prev = l_prev = None
     for k in range(max_n):
         ident = SparseMatrix.identity(d.field, src_complex.dims[k])
         target_diff = ident - phis[k] @ psis[k]
-        h_k = alternating_homotopy(
-            [homotopy_h(d, m, k, i) for i in range(k + 1)]
-        )
+        h_k = alternating_homotopy([homotopy_h(d, m, k, i) for i in range(k + 1)])
         lhs = src_complex.boundary(k + 1) @ h_k
-        if k >= 1:
-            h_prev = alternating_homotopy(
-                [homotopy_h(d, m, k - 1, i) for i in range(k)]
-            )
+        if h_prev is not None:
             lhs = lhs + h_prev @ src_complex.boundary(k)
         report.check(
             f"homotopy dH + Hd = id - phi.psi at degree {k}", lhs == target_diff
@@ -1202,17 +862,15 @@ def verify_morita_invariance(d, m, max_n, field=None, guard_bytes=None, deadline
         identp = SparseMatrix.identity(d.field, tgt_complex.dims[k])
         target_diff_p = identp - psis[k] @ phis[k]
         l_k = alternating_homotopy(
-            [homotopy_l(d, m, k, i) for i in range(k + 1)]
+            [homotopy_l(d, m, k, i, induced=ind) for i in range(k + 1)]
         )
         lhsp = tgt_complex.boundary(k + 1) @ l_k
-        if k >= 1:
-            l_prev = alternating_homotopy(
-                [homotopy_l(d, m, k - 1, i) for i in range(k)]
-            )
+        if l_prev is not None:
             lhsp = lhsp + l_prev @ tgt_complex.boundary(k)
         report.check(
             f"homotopy dL + Ld = id - psi.phi at degree {k}", lhsp == target_diff_p
         )
+        h_prev, l_prev = h_k, l_k
     report.info("source dims", str(list(src_complex.dims)))
     report.info("target dims", str(list(tgt_complex.dims)))
     return report

@@ -13,7 +13,6 @@ exactness is reported junction by junction as subspace equalities.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .algebra import (
@@ -26,6 +25,7 @@ from .complexes import (
     build_classical_complex,
     build_secondary_complex,
     classical_scheme,
+    expand_slots,
     homology,
     secondary_boundary,
     secondary_scheme,
@@ -37,6 +37,7 @@ from .linalg import (
     induced_quotient_map,
     kernel_basis,
     rank,
+    vec_add_scaled,
 )
 from .report import Report
 
@@ -283,12 +284,7 @@ def _push_vec(fm, vec):
     field = fm.source.field
     out = {}
     for mu, c in vec.items():
-        for r, cv in fm.apply_basis(mu).items():
-            nv = field.add(out.get(r, field.zero), field.mul(c, cv))
-            if nv == field.zero:
-                out.pop(r, None)
-            else:
-                out[r] = nv
+        vec_add_scaled(field, out, c, fm.apply_basis(mu))
     return out
 
 
@@ -334,19 +330,6 @@ def _pushforward_fg_matrix(tm, mprime, restricted, n):
         slot_vecs = [f.apply_basis(a) for a in alphas]
         slot_vecs += [g.apply_basis(b) for b in betas]
         col = {}
-        options = [list(v.items()) for v in slot_vecs]
-        for combo in itertools.product(*options):
-            coeff = field.one
-            for _, c in combo:
-                coeff = field.mul(coeff, c)
-            if coeff == field.zero:
-                continue
-            entries = tuple(v for v, _ in combo)
-            key = tgt.encode(mu, entries[:n], entries[n:])
-            nv = field.add(col.get(key, field.zero), coeff)
-            if nv == field.zero:
-                col.pop(key, None)
-            else:
-                col[key] = nv
+        expand_slots(field, tgt, {mu: field.one}, slot_vecs, col)
         cols.append(col)
     return SparseMatrix(field, tgt.total, src.total, cols)

@@ -207,3 +207,17 @@ def test_instance_parse_rejects_bad_morita_section():
     inst = Instance(t.A.field, t, m, morita={"kind": "nonsense"})
     with pytest.raises(InstanceFormatError):
         parse_instance(serialize_instance(inst))
+
+
+def test_field_override_rejects_huge_modulus(fixture_dir, capsys):
+    argv = ["homology", str(fixture_dir / "FIX-K.json"), "--field", "Fp:" + "9" * 400]
+    assert main(argv) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_instance_field_with_huge_modulus_is_format_error(fixture_dir):
+    data = json.loads((fixture_dir / "FIX-K.json").read_text())
+    for name in ("Fp:" + "9" * 400, 7):
+        data["field"] = name
+        with pytest.raises(InstanceFormatError):
+            parse_instance(json.dumps(data))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from hochschild.algebra import (
@@ -370,3 +373,14 @@ class TestInvariance:
         t2, _ = fix_dd()
         with pytest.raises(PreconditionError):
             compose_morita(identity_morita(t), identity_morita(t2))
+
+
+def test_no_process_wide_cache_keeps_a_context_alive():
+    t, m = fix_d()
+    d = standard_matrix_morita(t, 2)
+    ref = weakref.ref(d)
+    induced_module(d, m)
+    assert verify_morita_invariance(d, m, 1).ok
+    del d
+    gc.collect()
+    assert ref() is None
