@@ -17,8 +17,10 @@ from pathlib import Path
 from .algebra import matrix_triple, validate_bimodule, validate_triple
 from .complexes import (
     DEFAULT_GUARD_BYTES,
+    ChainIndexScheme,
     build_classical_complex,
     build_secondary_complex,
+    check_size_guard,
     homology,
 )
 from .errors import (
@@ -138,7 +140,15 @@ def cmd_morita(args):
     inst = _read_instance(args)
     spec = inst.morita or {"kind": "matrix", "n": args.n}
     if spec["kind"] == "matrix":
-        data = standard_matrix_morita(inst.triple, spec.get("n", args.n))
+        n = spec.get("n", args.n)
+        if n >= 1:  # guard the target complex before M_n(A) is built
+            t, m = inst.triple, inst.module
+            dims = [
+                ChainIndexScheme(k, n * n * m.dim, n * n * t.A.dim, t.B.dim).total
+                for k in range(args.max_degree + 2)
+            ]
+            check_size_guard(dims, args.guard_bytes)
+        data = standard_matrix_morita(inst.triple, n)
     else:
         e = {
             i: v

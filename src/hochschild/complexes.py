@@ -3,10 +3,14 @@
 Degree-n secondary chains are tuples (mu; a_1..a_n; b_(1,2)..b_(n-1,n))
 with the b-slots ordered lexicographically by pair (i, j), i < j; the
 linear index is mixed-radix with mu most significant.  The classical
-complex is the same scheme with no b-slots.
+complex is the secondary complex with B the ground field, so its
+b-digits are always 0.
 
-Boundary faces multiply through structure constants in stages: b-column
-products first, then the morphism into A, then A- and module-products.
+One builder makes both boundaries.  Each face is a table on the slots
+it multiplies (mu a_1 eps(b..), a_i eps(b) a_(i+1), a_n eps(b..) mu),
+built once per call; `pair_layout` says which b-slots it copies and
+which it merges, and `expand_slots` writes the terms, with the copied
+digits entering as a base offset through the target's strides.
 boundary-squared is verified exactly at build time.
 """
 
@@ -14,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .algebra import sparse_products
+from .algebra import field_algebra, sparse_products
 from .errors import (
     ComplexInconsistencyError,
     PreconditionError,
@@ -27,11 +32,17 @@ from .linalg import (
     image_basis,
     kernel_basis,
     rank,
+    vec_add_scaled,
+    vec_scale,
 )
 
 DEFAULT_DEGREE_CAP = 4
 DEFAULT_GUARD_BYTES = 1 << 30
 _ENTRY_BYTES = 96  # coarse per-potential-entry cost of dict storage
+
+
+def _pairs(n):
+    return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -45,8 +56,7 @@ class ChainIndexScheme:
 
     @property
     def pairs(self):
-        n = self.degree
-        return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+        return _pairs(self.degree)
 
     @property
     def num_pairs(self):
@@ -55,6 +65,24 @@ class ChainIndexScheme:
     @property
     def total(self):
         return self.dim_m * self.dim_a**self.degree * self.dim_b**self.num_pairs
+
+    @property
+    def radices(self):
+        """Digit ranges of an index: mu, the A-slots, then the b-slots."""
+        n, p = self.degree, self.num_pairs
+        return (self.dim_m,) + (self.dim_a,) * n + (self.dim_b,) * p
+
+    @property
+    def strides(self):
+        """Weight in the linear index of each digit of `radices`."""
+        out = [1]
+        for r in self.radices[:0:-1]:
+            out.append(out[-1] * r)
+        return out[::-1]
+
+    def digits(self):
+        """The digit tuples of all chains, in index order."""
+        return itertools.product(*map(range, self.radices))
 
     def encode(self, mu, alphas, betas):
         idx = mu
@@ -84,221 +112,131 @@ def secondary_scheme(t, m, n):
     return ChainIndexScheme(n, m.dim, t.A.dim, t.B.dim)
 
 
-def _fold_basis_product(products, field, indices, unit_vec):
-    """Product of basis elements with the given indices, as a dict."""
-    if not indices:
-        return dict(unit_vec)
-    acc = {indices[0]: field.one}
-    for idx in indices[1:]:
-        nxt = {}
-        for i, ci in acc.items():
-            for k, c in products[i][idx]:
-                nv = field.add(nxt.get(k, field.zero), field.mul(ci, c))
-                if nv == field.zero:
-                    nxt.pop(k, None)
-                else:
-                    nxt[k] = nv
-        acc = nxt
-    return acc
+def pair_layout(sources, src_degree):
+    """B-pair layout of a monotone map of A-positions.  sources[k - 1]
+    lists the source positions (1-based) that land on target position k.
+    For each target b-slot, in index order, return the source b-slots
+    whose product fills it, in product order: none is the unit of B, one
+    a copy, two a merge."""
+    slot_of = {pair: s for s, pair in enumerate(_pairs(src_degree))}
+    return tuple(
+        tuple(slot_of[(s, t)] for s in sources[k - 1] for t in sources[l - 1])
+        for k, l in _pairs(len(sources))
+    )
 
 
-def classical_boundary(a, m, n):
-    """Matrix of d_n: M (x) A^n -> M (x) A^(n-1)."""
+def expand_slots(field, col, base, slots, strides):
+    """col += the expansion of slots[0] (x) slots[1] (x) ...: each slot is
+    a sparse vector over one digit of the target index, and its index i
+    adds i * strides[k] to base."""
+    mul, add, zero = field.mul, field.add, field.zero
+    for combo in itertools.product(*[v.items() for v in slots]):
+        idx, coeff = base, None
+        for (i, c), s in zip(combo, strides):
+            idx += i * s
+            coeff = c if coeff is None else mul(coeff, c)
+        nv = add(col.get(idx, zero), coeff)
+        if nv == zero:
+            col.pop(idx, None)
+        else:
+            col[idx] = nv
+
+
+def _boundary(a, b, eps_images, m, n):
+    """d_n = sum (-1)^i d_i on the chains of (A, B, eps) with coefficients
+    in m, where eps_images[y] = eps(b_y).  A face is a table on the slots
+    it multiplies, built once per call, plus the B-pair merges of its
+    layout; the slots it copies enter as a base offset."""
     if n < 1:
         raise PreconditionError("boundary needs degree >= 1")
     if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
         raise PreconditionError("bimodule actions do not match the algebra")
     field = a.field
-    src = classical_scheme(a, m, n)
-    tgt = classical_scheme(a, m, n - 1)
-    prod_a = sparse_products(a)
-    left = [[_nonzero(row, field) for row in plane] for plane in m.left]
-    right = [[_nonzero(row, field) for row in plane] for plane in m.right]
-    minus_one = field.neg(field.one)
+    one = field.one
+    src = ChainIndexScheme(n, m.dim, a.dim, b.dim)
+    tgt = ChainIndexScheme(n - 1, m.dim, a.dim, b.dim)
+    strides = tgt.strides
+    b_at = {pair: n + 1 + s for s, pair in enumerate(src.pairs)}  # digit position
+    merge = [[dict(row) for row in plane] for plane in sparse_products(b)]
+
+    def a_eps(x, beta):  # a_x eps(beta)
+        e = {}
+        for y, c in beta.items():
+            vec_add_scaled(field, e, c, eps_images[y])
+        return a.mul({x: one}, e)
+
+    # the products b_1 b_2 ... b_(n-1) that the outer faces push through eps
+    folds = {(): b.unit_vec()} if n == 1 else {(y,): {y: one} for y in range(b.dim)}
+    for _ in range(n - 2):
+        folds = {
+            bs + (y,): b.mul(v, {y: one})
+            for bs, v in folds.items()
+            for y in range(b.dim)
+        }
+    faces = []
+    for i in range(n + 1):
+        sign = one if i % 2 == 0 else field.neg(one)
+        if 0 < i < n:  # a_i eps(b_(i,i+1)) a_(i+1)
+            sources = [[k] for k in range(1, i)] + [[i, i + 1]]
+            sources += [[k] for k in range(i + 2, n + 1)]
+            keys = (i, b_at[(i, i + 1)], i + 1)
+            table = {
+                (x, y, z): vec_scale(field, sign, a.mul(a_eps(x, {y: one}), {z: one}))
+                for x in range(a.dim)
+                for y in range(b.dim)
+                for z in range(a.dim)
+            }
+            out, copies = i, [(0, strides[0])]
+        else:  # m a_1 eps(prod_j b_(1,j)) or a_n eps(prod_j b_(j,n)) m
+            end = 1 if i == 0 else n
+            sources = [[k] for k in range(1, n + 1) if k != end]
+            keys = (0, end) + tuple(b_at[pair] for pair in src.pairs if end in pair)
+            table = {}
+            for bs, beta in folds.items():
+                for x in range(a.dim):
+                    ae = a_eps(x, beta)
+                    for mu in range(m.dim):
+                        mu_vec = {mu: one}
+                        if i == 0:
+                            vec = m.act_right(mu_vec, ae)
+                        else:
+                            vec = m.act_left(ae, mu_vec)
+                        table[(mu, x) + bs] = vec_scale(field, sign, vec)
+            out, copies = 0, []
+        copies += [
+            (ps[0], strides[k]) for k, ps in enumerate(sources, 1) if len(ps) == 1
+        ]
+        merges, slot_strides = [], [strides[out]]
+        for s, ps in enumerate(pair_layout(sources, n), n):
+            if len(ps) == 1:
+                copies.append((n + 1 + ps[0], strides[s]))
+            else:
+                merges.append((n + 1 + ps[0], n + 1 + ps[1]))
+                slot_strides.append(strides[s])
+        faces.append((itemgetter(*keys), table, copies, merges, slot_strides))
     cols = []
-    empty = ()
-    for src_idx in range(src.total):
-        mu, alphas, _ = src.decode(src_idx)
+    for d in src.digits():
         col = {}
-        # face 0: m . a_1
-        for mu2, c in right[alphas[0]][mu]:
-            _bump(field, col, tgt.encode(mu2, alphas[1:], empty), c)
-        # faces 1..n-1: merge a_i a_(i+1) with sign (-1)^i
-        sign = field.one
-        for i in range(1, n):
-            sign = field.mul(sign, minus_one)
-            for k, c in prod_a[alphas[i - 1]][alphas[i]]:
-                merged = alphas[: i - 1] + (k,) + alphas[i + 1 :]
-                _bump(field, col, tgt.encode(mu, merged, empty), field.mul(sign, c))
-        # face n: a_n . m with sign (-1)^n
-        sign = field.mul(sign, minus_one)
-        for mu2, c in left[alphas[-1]][mu]:
-            _bump(field, col, tgt.encode(mu2, alphas[:-1], empty), field.mul(sign, c))
+        for key, table, copies, merges, slot_strides in faces:
+            head = table[key(d)]
+            if head:
+                base = sum([d[p] * s for p, s in copies])
+                slots = [head] + [merge[d[p]][d[q]] for p, q in merges]
+                expand_slots(field, col, base, slots, slot_strides)
         cols.append(col)
     return SparseMatrix(field, tgt.total, src.total, cols)
 
 
-def _nonzero(row, field):
-    return [(k, c) for k, c in enumerate(row) if c != field.zero]
-
-
-def _bump(field, col, idx, c):
-    nv = field.add(col.get(idx, field.zero), c)
-    if nv == field.zero:
-        col.pop(idx, None)
-    else:
-        col[idx] = nv
-
-
-def expand_slots(field, scheme, head, slots, col):
-    """col += head (x) slots[0] (x) slots[1] (x) ... as chains of scheme:
-    head is a sparse vector over the module slot, followed by one sparse
-    vector per A-slot and per b-slot in index order."""
-    degree = scheme.degree
-    options = [list(v.items()) for v in slots]
-    for mu, c0 in head.items():
-        for combo in itertools.product(*options):
-            coeff = c0
-            for _, c in combo:
-                coeff = field.mul(coeff, c)
-            if coeff == field.zero:
-                continue
-            entries = tuple(k for k, _ in combo)
-            _bump(field, col, scheme.encode(mu, entries[:degree], entries[degree:]), coeff)
+def classical_boundary(a, m, n):
+    """Matrix of d_n: M (x) A^n -> M (x) A^(n-1), the secondary boundary
+    with B the ground field and eps its unit."""
+    return _boundary(a, field_algebra(a.field), [a.unit_vec()], m, n)
 
 
 def secondary_boundary(t, m, n):
     """Matrix of the degree-n secondary boundary under the index scheme."""
-    if n < 1:
-        raise PreconditionError("boundary needs degree >= 1")
-    a, b, eps = t.A, t.B, t.eps
-    if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
-        raise PreconditionError("bimodule actions do not match the algebra")
-    field = a.field
-    src = secondary_scheme(t, m, n)
-    tgt = secondary_scheme(t, m, n - 1)
-    prod_a = sparse_products(a)
-    prod_b = sparse_products(b)
-    left = [[_nonzero(row, field) for row in plane] for plane in m.left]
-    right = [[_nonzero(row, field) for row in plane] for plane in m.right]
-    unit_b = b.unit_vec()
-    # a_i . eps(beta) as a dict over A, per (A-basis, B-basis) pair
-    eps_vecs = [eps.apply_basis(j) for j in range(b.dim)]
-    ae = [
-        [a.mul({i: field.one}, eps_vecs[j]) for j in range(b.dim)]
-        for i in range(a.dim)
-    ]
-    # a_i . eps(beta) . a_l per triple, for the merged middle entry
-    mid = [
-        [
-            [a.mul(ae[i][j], {l: field.one}) for l in range(a.dim)]
-            for j in range(b.dim)
-        ]
-        for i in range(a.dim)
-    ]
-    src_pairs = src.pairs
-    slot_of = {pair: s for s, pair in enumerate(src_pairs)}
-    minus_one = field.neg(field.one)
-
-    cols = []
-    for src_idx in range(src.total):
-        mu, alphas, betas = src.decode(src_idx)
-        col = {}
-
-        def beta(i, j):
-            return betas[slot_of[(i, j)]]
-
-        # face 0: m a_1 eps(prod_j b_(1,j)) (x) rest
-        pi = _fold_basis_product(
-            prod_b, field, [beta(1, j) for j in range(2, n + 1)], unit_b
-        )
-        new_alphas = alphas[1:]
-        new_betas = tuple(beta(i, j) for i in range(2, n) for j in range(i + 1, n + 1))
-        for bb, cb in pi.items():
-            for k, ck in ae[alphas[0]][bb].items():
-                coeff = field.mul(cb, ck)
-                for mu2, cm in right[k][mu]:
-                    _bump(
-                        field,
-                        col,
-                        tgt.encode(mu2, new_alphas, new_betas),
-                        field.mul(coeff, cm),
-                    )
-
-        # faces 1..n-1
-        sign = field.one
-        for i in range(1, n):
-            sign = field.mul(sign, minus_one)
-            entry_options = mid[alphas[i - 1]][beta(i, i + 1)][alphas[i]]
-            # new pair layout after merging positions i and i+1
-            slots = []  # per new pair: (merge-product dict, None) or (None, beta)
-            for k in range(1, n - 1):
-                for l in range(k + 1, n):
-                    if l < i:
-                        slots.append((None, beta(k, l)))
-                    elif l == i:
-                        slots.append(
-                            (
-                                _fold_basis_product(
-                                    prod_b,
-                                    field,
-                                    [beta(k, i), beta(k, i + 1)],
-                                    unit_b,
-                                ),
-                                None,
-                            )
-                        )
-                    elif k < i:
-                        slots.append((None, beta(k, l + 1)))
-                    elif k == i:
-                        slots.append(
-                            (
-                                _fold_basis_product(
-                                    prod_b,
-                                    field,
-                                    [beta(i, l + 1), beta(i + 1, l + 1)],
-                                    unit_b,
-                                ),
-                                None,
-                            )
-                        )
-                    else:
-                        slots.append((None, beta(k + 1, l + 1)))
-            merged_alphas_base = alphas[: i - 1]
-            merged_alphas_tail = alphas[i + 1 :]
-            options = [
-                list(d.items()) if d is not None else [(v, field.one)]
-                for d, v in slots
-            ]
-            for k_entry, c_entry in entry_options.items():
-                base_coeff = field.mul(sign, c_entry)
-                new_alphas_i = merged_alphas_base + (k_entry,) + merged_alphas_tail
-                for combo in itertools.product(*options):
-                    coeff = base_coeff
-                    for _, cb in combo:
-                        coeff = field.mul(coeff, cb)
-                    new_betas_i = tuple(v for v, _ in combo)
-                    _bump(field, col, tgt.encode(mu, new_alphas_i, new_betas_i), coeff)
-
-        # face n: a_n eps(prod_j b_(j,n)) m (x) rest
-        sign = field.mul(sign, minus_one)
-        pi = _fold_basis_product(
-            prod_b, field, [beta(j, n) for j in range(1, n)], unit_b
-        )
-        new_alphas = alphas[:-1]
-        new_betas = tuple(beta(i, j) for i in range(1, n - 1) for j in range(i + 1, n))
-        for bb, cb in pi.items():
-            for k, ck in ae[alphas[-1]][bb].items():
-                coeff = field.mul(field.mul(sign, cb), ck)
-                for mu2, cm in left[k][mu]:
-                    _bump(
-                        field,
-                        col,
-                        tgt.encode(mu2, new_alphas, new_betas),
-                        field.mul(coeff, cm),
-                    )
-        cols.append(col)
-    return SparseMatrix(field, tgt.total, src.total, cols)
+    eps_images = [t.eps.apply_basis(y) for y in range(t.B.dim)]
+    return _boundary(t.A, t.B, eps_images, m, n)
 
 
 @dataclass(frozen=True)
@@ -394,6 +332,12 @@ def _check_guards(dims, max_degree, degree_cap, guard_bytes):
         raise PreconditionError(
             f"max_degree {max_degree} above the degree cap {degree_cap}"
         )
+    check_size_guard(dims, guard_bytes)
+
+
+def check_size_guard(dims, guard_bytes):
+    """SizeGuardError when complexes with these chain dims would take
+    more than guard_bytes to build."""
     est = estimate_build_bytes(dims)
     if est > guard_bytes:
         raise SizeGuardError(

@@ -42,6 +42,7 @@ from .complexes import (
     build_secondary_complex,
     expand_slots,
     homology,
+    pair_layout,
     secondary_scheme,
 )
 from .errors import PreconditionError
@@ -654,6 +655,7 @@ def _transfer(field, src, tgt, count, head, slot, b_images):
     slot[a_1][j_1][j_2] (x) ... (x) slot[a_n][j_n][j_0] (x) the b_images
     of the b-slots."""
     n = src.degree
+    strides = tgt.strides
     cols = []
     for idx in range(src.total):
         x, alphas, betas = src.decode(idx)
@@ -661,8 +663,9 @@ def _transfer(field, src, tgt, count, head, slot, b_images):
         col = {}
         for jj in itertools.product(range(count), repeat=n + 1):
             nxt = jj[1:] + jj[:1]
-            slots = [slot[al][jj[i]][nxt[i]] for i, al in enumerate(alphas, 1)]
-            expand_slots(field, tgt, head[x][jj[0]][nxt[0]], slots + tail, col)
+            slots = [head[x][jj[0]][nxt[0]]]
+            slots += [slot[al][jj[i]][nxt[i]] for i, al in enumerate(alphas, 1)]
+            expand_slots(field, col, 0, slots + tail, strides)
         cols.append(col)
     return SparseMatrix(field, tgt.total, src.total, cols)
 
@@ -725,24 +728,6 @@ def phi_chain_map(d, m, n, *, induced=None):
     )
 
 
-def _homotopy_beta_layout(n, i, beta_of, unit_vec):
-    """New b-slot dicts for the degree n -> n+1 insertion at position i+1."""
-    slots = []
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 2):
-            if l <= i:
-                slots.append(beta_of(k, l))
-            elif k <= i and l == i + 1:
-                slots.append(unit_vec)
-            elif k <= i:
-                slots.append(beta_of(k, l - 1))
-            elif k == i + 1:
-                slots.append(unit_vec)
-            else:
-                slots.append(beta_of(k - 1, l - 1))
-    return slots
-
-
 def _homotopy(field, triple, mod, pair, first, second, n, i):
     """h_i: C_n -> C_(n+1) on the complex of (triple, mod), from a pairing
     X (x) Y -> A and two dual families first = (x_j, y_j), second =
@@ -766,18 +751,26 @@ def _homotopy(field, triple, mod, pair, first, second, n, i):
         [[a.mul(a.mul(uc, {al: one}), vc) for vc in v] for uc in u]
         for al in range(a.dim)
     ]
-    unit_b = triple.B.unit_vec()
-    slot_of = {kl: s for s, kl in enumerate(src.pairs)}
+    # a_(i+1)..a_n move up one place and the b-slots follow the insertion
+    # of a unit at position i+1; copied digits enter as a base offset
+    strides = tgt.strides
+    sources = [[k] for k in range(1, i + 1)] + [[]]
+    sources += [[k] for k in range(i + 1, n + 1)]
+    layout = list(enumerate(pair_layout(sources, n), n + 2))
+    copies = [(k, strides[k + 1]) for k in range(i + 1, n + 1)]
+    copies += [(n + 1 + ps[0], strides[s]) for s, ps in layout if ps]
+    unit_strides = [strides[s] for s, ps in layout if not ps]
+    units = [triple.B.unit_vec()] * len(unit_strides)
+    slot_strides = strides[: i + 2] + unit_strides
     cols = []
-    for idx in range(src.total):
-        mu, alphas, betas = src.decode(idx)
-        tail = [{al: one} for al in alphas[i:]] + _homotopy_beta_layout(
-            n, i, lambda k, l: {betas[slot_of[(k, l)]]: one}, unit_b
-        )
+    for d in src.digits():
+        mu, alphas = d[0], d[1 : i + 1]
+        base = sum([d[p] * s for p, s in copies])
         col = {}
         for cc in itertools.product(range(len(duals)), repeat=i + 1):
-            slots = [slot[al][c0][c1] for al, c0, c1 in zip(alphas, cc, cc[1:])]
-            expand_slots(field, tgt, head[mu][cc[0]], slots + [u[cc[-1]]] + tail, col)
+            slots = [head[mu][cc[0]]]
+            slots += [slot[al][c0][c1] for al, c0, c1 in zip(alphas, cc, cc[1:])]
+            expand_slots(field, col, base, slots + [u[cc[-1]]] + units, slot_strides)
         cols.append(col)
     return SparseMatrix(field, tgt.total, src.total, cols)
 

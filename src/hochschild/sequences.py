@@ -330,6 +330,6 @@ def _pushforward_fg_matrix(tm, mprime, restricted, n):
         slot_vecs = [f.apply_basis(a) for a in alphas]
         slot_vecs += [g.apply_basis(b) for b in betas]
         col = {}
-        expand_slots(field, tgt, {mu: field.one}, slot_vecs, col)
+        expand_slots(field, col, 0, [{mu: field.one}] + slot_vecs, tgt.strides)
         cols.append(col)
     return SparseMatrix(field, tgt.total, src.total, cols)

@@ -108,8 +108,17 @@ def parse_instance(text, field_override=None):
             )
         if morita["kind"] == "matrix" and not isinstance(morita.get("n", 2), int):
             raise InstanceFormatError("morita.n must be an integer")
-        if morita["kind"] == "corner" and "idempotent" not in morita:
-            raise InstanceFormatError("corner morita needs an idempotent")
+        if morita["kind"] == "corner":
+            idem = morita.get("idempotent")
+            if not isinstance(idem, list) or len(idem) != a.dim:
+                raise InstanceFormatError(
+                    f"corner morita needs an idempotent: a list of {a.dim} scalars"
+                )
+            try:
+                for v in idem:
+                    _parse_scalar(field, v)
+            except ScalarError as exc:
+                raise InstanceFormatError(f"morita.idempotent: {exc}") from None
     morphism = None
     if data.get("morphism") is not None:
         mdata = data["morphism"]

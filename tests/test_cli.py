@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -221,3 +222,32 @@ def test_instance_field_with_huge_modulus_is_format_error(fixture_dir):
         data["field"] = name
         with pytest.raises(InstanceFormatError):
             parse_instance(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "idempotent",
+    [[1, 0], ["0", "0", "1"], "10", ["1", "0", "0", "0", "0"]],
+    ids=["not-strings", "three-entries", "string", "five-entries"],
+)
+def test_corner_idempotent_must_be_dim_a_scalars(
+    fixture_dir, tmp_path, capsys, idempotent
+):
+    data = json.loads((fixture_dir / "FIX-D.json").read_text())
+    data["morita"] = {"kind": "corner", "idempotent": idempotent}
+    with pytest.raises(InstanceFormatError):
+        parse_instance(json.dumps(data))
+    p = tmp_path / "corner.json"
+    p.write_text(json.dumps(data))
+    assert main(["morita", str(p)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_matrix_context_guarded_before_it_is_built(fixture_dir, tmp_path, capsys):
+    data = json.loads((fixture_dir / "FIX-D.json").read_text())
+    data["morita"] = {"kind": "matrix", "n": 16}
+    p = tmp_path / "m16.json"
+    p.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["morita", str(p), "--guard-bytes", "1000000"]) == 3
+    assert time.perf_counter() - start < 2
+    assert "resource guard" in capsys.readouterr().err

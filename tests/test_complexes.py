@@ -13,6 +13,7 @@ from oracle_naive import (
 from hochschild.algebra import (
     commutator_subspace,
     matrix_algebra,
+    matrix_triple,
     regular_bimodule,
     trivial_triple,
 )
@@ -33,6 +34,7 @@ from hochschild.fixtures import (
     fix_d,
     fix_dd,
     fix_k,
+    fix_kb,
     fix_p3,
     random_instances,
 )
@@ -174,6 +176,26 @@ class TestSecondaryBoundary:
                 continue
             for n in (1, 2, 3):
                 assert secondary_boundary(t, m, n) == classical_boundary(t.A, m, n)
+
+
+def _lifted(fixture):
+    t, m = fixture()
+    lifted, lift = matrix_triple(t, 2)
+    return lifted, lift(m)
+
+
+class TestOracleOnNonCommutativeA:
+    """2x2 lifts: faces merge b-slots while A is non-commutative."""
+
+    def test_secondary_dd_m2_degree_two(self):
+        _naive_secondary_matrix_agrees(*_lifted(fix_dd), 2)
+
+    def test_secondary_kb_m2_degree_three(self):
+        _naive_secondary_matrix_agrees(*_lifted(fix_kb), 3)
+
+    def test_classical_d_m2_degree_two(self):
+        t, m = _lifted(fix_d)
+        _naive_classical_matrix_agrees(t.A, m, 2)
 
 
 class TestBuildComplex:
