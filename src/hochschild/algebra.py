@@ -253,9 +253,6 @@ class BimoduleMorphism:
         zero = self.source.field.zero
         return {r: row[j] for r, row in enumerate(self.matrix) if row[j] != zero}
 
-    def as_sparse(self):
-        return SparseMatrix.from_dense(self.source.field, [list(r) for r in self.matrix])
-
 
 # ---------------------------------------------------------------------------
 # constructors for common algebras and modules

@@ -34,7 +34,12 @@ from .errors import (
 from .fields import field_from_name
 from .fixtures import NAMED_FIXTURES
 from .kahler import verify_fundamental_sequence, verify_h1_kahler
-from .morita import corner_morita, standard_matrix_morita, verify_morita_invariance
+from .morita import (
+    corner_morita,
+    standard_matrix_morita,
+    validate_morita,
+    verify_morita_invariance,
+)
 from .report import Report
 from .sequences import TripleMorphism, validate_triple_morphism, verify_exact_sequence
 from .serialize import Instance, parse_instance, serialize_instance
@@ -54,6 +59,30 @@ def _read_instance(args):
     return parse_instance(text, field_override=override)
 
 
+def _instance_report(inst):
+    report = Report("instance validation")
+    report.extend(validate_triple(inst.triple))
+    report.extend(validate_bimodule(inst.module, inst.triple))
+    return report
+
+
+def _require_valid(report):
+    """An input error (exit 2) naming the failed checks, unless report is ok."""
+    if not report.ok:
+        failed = "; ".join(
+            f"{item.label}: {item.detail}" if item.detail else item.label
+            for item in report.violations
+        )
+        raise PreconditionError(f"{report.title} failed: {failed}")
+
+
+def _read_valid_instance(args):
+    """The instance, checked before any complex is built from it."""
+    inst = _read_instance(args)
+    _require_valid(_instance_report(inst))
+    return inst
+
+
 def _emit(report, args):
     sys.stdout.write(report.render())
     output = getattr(args, "output", None)
@@ -66,9 +95,7 @@ def _emit(report, args):
 
 def cmd_validate(args):
     inst = _read_instance(args)
-    report = Report("instance validation")
-    report.extend(validate_triple(inst.triple))
-    report.extend(validate_bimodule(inst.module, inst.triple))
+    report = _instance_report(inst)
     if inst.morphism is not None:
         from .algebra import AlgebraMorphism
 
@@ -96,7 +123,7 @@ def _format_chain(scheme, labels_m, labels_a, labels_b, vec, field):
 
 
 def cmd_homology(args):
-    inst = _read_instance(args)
+    inst = _read_valid_instance(args)
     t, m = inst.triple, inst.module
     if args.kind == "classical":
         cx = build_classical_complex(
@@ -129,7 +156,7 @@ def cmd_homology(args):
 
 
 def cmd_exactseq(args):
-    inst = _read_instance(args)
+    inst = _read_valid_instance(args)
     report = verify_exact_sequence(
         inst.triple, inst.module, guard_bytes=args.guard_bytes
     )
@@ -137,7 +164,7 @@ def cmd_exactseq(args):
 
 
 def cmd_morita(args):
-    inst = _read_instance(args)
+    inst = _read_valid_instance(args)
     spec = inst.morita or {"kind": "matrix", "n": args.n}
     if spec["kind"] == "matrix":
         n = spec.get("n", args.n)
@@ -158,6 +185,7 @@ def cmd_morita(args):
             if v != inst.field.zero
         }
         data = corner_morita(inst.triple, e)
+    _require_valid(validate_morita(data))
     report = verify_morita_invariance(
         data, inst.module, args.max_degree, guard_bytes=args.guard_bytes
     )
@@ -165,7 +193,7 @@ def cmd_morita(args):
 
 
 def cmd_kahler(args):
-    inst = _read_instance(args)
+    inst = _read_valid_instance(args)
     report = Report("kahler differentials")
     report.extend(verify_h1_kahler(inst.triple, inst.module))
     report.extend(verify_fundamental_sequence(inst.triple))

@@ -29,6 +29,7 @@ from .errors import (
 from .linalg import (
     HomologyBasis,
     SparseMatrix,
+    Subspace,
     image_basis,
     kernel_basis,
     rank,
@@ -279,21 +280,19 @@ class ChainComplex:
             self._ranks[n] = rank(self.boundary(n), deadline=deadline)
         return self._ranks[n]
 
-    def boundary_image(self, n):
-        """Image of d_n inside degree n-1 chains."""
+    def boundary_image(self, n, deadline=None):
+        """Image of d_n inside degree n-1 chains; it also fixes rank d_n."""
         if n not in self._images:
-            self._images[n] = image_basis(self.boundary(n))
+            self._images[n] = image_basis(self.boundary(n), deadline=deadline)
             self._ranks.setdefault(n, self._images[n].dim)
         return self._images[n]
 
-    def cycle_space(self, n):
-        from .linalg import Subspace
-
+    def cycle_space(self, n, deadline=None):
         if n not in self._cycles:
             if n == 0:
                 self._cycles[n] = Subspace.full(self.field, self.dims[0])
             else:
-                self._cycles[n] = kernel_basis(self.boundary(n))
+                self._cycles[n] = kernel_basis(self.boundary(n), deadline=deadline)
         return self._cycles[n]
 
 
@@ -301,22 +300,25 @@ def homology(complex_, n, with_reps=False, deadline=None):
     """Homology dimension at degree n, optionally with representative cycles.
 
     Representatives are the cycle-kernel RREF vectors not already in the
-    boundary span, in canonical order.
+    boundary span, in canonical order.  With them the dimension is read
+    off the cycles and boundaries, so no boundary is also ranked.
     """
     if not 0 <= n <= complex_.max_degree - 1:
         raise PreconditionError(
             f"degree {n} outside built range 0..{complex_.max_degree - 1}"
         )
+    if with_reps:
+        basis = HomologyBasis(
+            complex_.cycle_space(n, deadline=deadline),
+            complex_.boundary_image(n + 1, deadline=deadline),
+        )
+        return HomologyResult(basis.dim, basis.reps)
     dim = (
         complex_.dims[n]
         - complex_.boundary_rank(n, deadline=deadline)
         - complex_.boundary_rank(n + 1, deadline=deadline)
     )
-    if not with_reps:
-        return HomologyResult(dim)
-    basis = HomologyBasis(complex_.cycle_space(n), complex_.boundary_image(n + 1))
-    assert basis.dim == dim
-    return HomologyResult(dim, basis.reps)
+    return HomologyResult(dim)
 
 
 def estimate_build_bytes(dims):

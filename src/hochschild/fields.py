@@ -52,12 +52,6 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def from_int(self, n):
-        raise NotImplementedError
-
     def from_rational(self, fr):
         """Image of an exact rational in this field."""
         raise NotImplementedError
@@ -90,9 +84,6 @@ class Rationals(Field):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / a
-
-    def from_int(self, n):
-        return Fraction(n)
 
     def from_rational(self, fr):
         return Fraction(fr)
@@ -163,9 +154,6 @@ class PrimeField(Field):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
-
-    def from_int(self, n):
-        return n % self.p
 
     def from_rational(self, fr):
         den = fr.denominator % self.p

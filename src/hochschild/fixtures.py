@@ -161,7 +161,7 @@ def random_triple(rng, field=QQ):
     bvec = {0: fa, 1: fb} if fa != field.zero else {1: fb}
     bsq = a.mul(bvec, bvec)
     # write b^2 = lam2 * b + mu2
-    lam2 = field.div(bsq.get(1, field.zero), fb)
+    lam2 = field.mul(bsq.get(1, field.zero), field.inv(fb))
     mu2 = field.sub(bsq.get(0, field.zero), field.mul(lam2, fa))
     b_alg = FiniteAlgebra.from_data(
         field,

@@ -90,16 +90,14 @@ def kahler_module(t):
     relations = []
     # Leibniz: d(e_i e_j) - e_i d(e_j) - e_j d(e_i)
     unit = a.unit_vec()
+    minus = field.neg(field.one)
     for i in range(da):
         for j in range(da):
             rel = {}
             for k, c in a.mul(a.basis_vec(i), a.basis_vec(j)).items():
-                for u, cu in unit.items():
-                    key = k * da + u
-                    nv = field.add(rel.get(key, field.zero), field.mul(c, cu))
-                    _set(rel, key, nv, field)
-            _sub_at(rel, j * da + i, field.one, field)
-            _sub_at(rel, i * da + j, field.one, field)
+                vec_add_scaled(field, rel, c, {k * da + u: cu for u, cu in unit.items()})
+            vec_add_scaled(field, rel, minus, {j * da + i: field.one})
+            vec_add_scaled(field, rel, minus, {i * da + j: field.one})
             if rel:
                 relations.append(rel)
     # B-linearity: d(eps(b) e_i) - eps(b) d(e_i)
@@ -109,28 +107,12 @@ def kahler_module(t):
             rel = {}
             prod = a.mul(ev, a.basis_vec(i))
             for u, cu in prod.items():
-                for uu, cuu in unit.items():
-                    key = u * da + uu
-                    nv = field.add(rel.get(key, field.zero), field.mul(cu, cuu))
-                    _set(rel, key, nv, field)
-            for u, cu in ev.items():
-                _sub_at(rel, i * da + u, cu, field)
+                vec_add_scaled(field, rel, cu, {u * da + uu: cuu for uu, cuu in unit.items()})
+            vec_add_scaled(field, rel, minus, {i * da + u: cu for u, cu in ev.items()})
             if rel:
                 relations.append(rel)
     closure = module_closure(a, relations, g)
     return PresentedModule(a, gens, closure)
-
-
-def _set(rel, key, value, field):
-    if value == field.zero:
-        rel.pop(key, None)
-    else:
-        rel[key] = value
-
-
-def _sub_at(rel, key, coeff, field):
-    nv = field.sub(rel.get(key, field.zero), coeff)
-    _set(rel, key, nv, field)
 
 
 def tensor_m_kahler(m, omega):
@@ -148,10 +130,8 @@ def tensor_m_kahler(m, omega):
             vec = {}
             for flat, c in rel.items():
                 gi, u = divmod(flat, da)
-                for k, cv in m.act_right({mu: c}, a.basis_vec(u)).items():
-                    key = gi * dm + k
-                    nv = field.add(vec.get(key, field.zero), cv)
-                    _set(vec, key, nv, field)
+                moved = m.act_right({mu: c}, a.basis_vec(u))
+                vec_add_scaled(field, vec, field.one, {gi * dm + k: cv for k, cv in moved.items()})
             ech.insert(vec)
     return g * dm - ech.rank
 
@@ -203,10 +183,8 @@ def verify_fundamental_sequence(t):
         base = {}
         for flat, c in rel.items():
             gi, v = divmod(flat, b.dim)
-            for u, cu in eps.apply_basis(v).items():
-                key = gi * da + u
-                nv = field.add(base.get(key, field.zero), field.mul(c, cu))
-                _set(base, key, nv, field)
+            moved = {gi * da + u: cu for u, cu in eps.apply_basis(v).items()}
+            vec_add_scaled(field, base, c, moved)
         for i in range(da):
             moved = _act_free(a, base, g_b, i)
             if moved:
@@ -217,12 +195,8 @@ def verify_fundamental_sequence(t):
     first_cols = []
     for flat in range(g_b * da):
         gi, x = divmod(flat, da)
-        out = {}
         # d(eps(b_gi)) = sum_u eps[u][gi] d(e_u), with A-coefficient e_x
-        for u, cu in eps.apply_basis(gi).items():
-            out_key = u * da + x
-            nv = field.add(out.get(out_key, field.zero), cu)
-            _set(out, out_key, nv, field)
+        out = {u * da + x: cu for u, cu in eps.apply_basis(gi).items()}
         first_cols.append(q1.project(out))
     first = SparseMatrix(field, q1.dim, g_b * da, first_cols)
 

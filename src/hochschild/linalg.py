@@ -5,8 +5,12 @@ tuples of such dicts.  Elimination over the rationals is fraction-free:
 echelon rows are kept as integer vectors (denominators cleared on
 entry) combined by integer cross-multiplication and re-normalized by
 their content gcd, which keeps entries small without dense Bareiss
-bookkeeping.  Subspaces are canonicalized to reduced row echelon form,
-so equality of subspaces is a syntactic check.
+bookkeeping.  Each field has one row step, chosen when an `Echelon` is
+made, that serves both insertion and back-substitution; back-substitution
+visits only the pivot columns a row holds.  Subspaces are canonicalized
+to reduced row echelon form, so equality of subspaces is a syntactic
+check.  A chain complex eliminates the columns of each boundary once:
+the image it needs for representatives also gives the boundary's rank.
 
 Everything here is immutable after construction and all operations are
 pure, so concurrent use on distinct inputs is safe.
@@ -60,16 +64,6 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self._columns = tuple(columns)
-
-    @classmethod
-    def from_columns(cls, field, rows, columns):
-        cleaned = []
-        for col in columns:
-            c = {r: v for r, v in col.items() if v != field.zero}
-            if any(r < 0 or r >= rows for r in c):
-                raise ValueError("row index out of range")
-            cleaned.append(c)
-        return cls(field, rows, len(cleaned), cleaned)
 
     @classmethod
     def from_entries(cls, field, rows, cols, entries):
@@ -218,13 +212,48 @@ def _normalize_int_row(row):
     return row
 
 
+def _step_q(row, piv, c):
+    """Clear column c of an int row with the stored row piv, fraction-free:
+    row := (piv[c] row - row[c] piv) / gcd, then gcd-normalized."""
+    a = piv[c]
+    b = row[c]
+    g = gcd(a, b)
+    fa, fb = a // g, b // g
+    if fa != 1:
+        for k in row:
+            row[k] *= fa
+    for k, v in piv.items():
+        nv = row.get(k, 0) - fb * v
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
+    _normalize_int_row(row)
+
+
+def _step_mod(p):
+    """The row step over GF(p): clear column c of row with the lead-1 row piv."""
+
+    def step(row, piv, c):
+        b = row[c]
+        for k, v in piv.items():
+            nv = (row.get(k, 0) - b * v) % p
+            if nv:
+                row[k] = nv
+            else:
+                del row[k]
+
+    return step
+
+
 class Echelon:
     """Online row-echelon accumulator.
 
     Rows are stored in raw form: gcd-normalized int vectors over QQ,
-    lead-1 residue vectors over GF(p).  Insertion order determines
-    nothing but performance; the RREF extracted at the end is the
-    canonical one for the row space.
+    lead-1 residue vectors over GF(p).  One row step per field, chosen
+    here, serves both insertion and back-substitution.  Insertion order
+    determines nothing but performance; the RREF extracted at the end is
+    the canonical one for the row space.
     """
 
     def __init__(self, field, deadline=None):
@@ -233,124 +262,61 @@ class Echelon:
         self.by_pivot = {}
         self.deadline = deadline
         self._ops = 0
+        self._step = _step_q if self.rational else _step_mod(field.p)
 
     @property
     def rank(self):
         return len(self.by_pivot)
 
-    def _tick(self):
-        self._ops += 1
-        if self.deadline is not None and self._ops % 512 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceededError("elimination ran past its time budget")
+    def _check_deadline(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceededError("elimination ran past its time budget")
 
     def insert(self, vec):
         """Insert a field-scalar vector; returns its pivot column or None."""
         if self.rational:
             row = _int_rows(vec)
-            return self._insert_q(row)
-        p = self.field.p
-        row = {k: v % p for k, v in vec.items() if v % p}
-        return self._insert_p(row)
-
-    def _insert_q(self, row):
-        by_pivot = self.by_pivot
+        else:
+            p = self.field.p
+            row = {k: v % p for k, v in vec.items() if v % p}
+        by_pivot, step = self.by_pivot, self._step
         while row:
             c = min(row)
             piv = by_pivot.get(c)
             if piv is None:
-                by_pivot[c] = _normalize_int_row(row)
+                if not self.rational:
+                    lead_inv = pow(row[c], -1, p)
+                    row = {k: v * lead_inv % p for k, v in row.items()}
+                by_pivot[c] = row
                 return c
-            self._tick()
-            a = piv[c]
-            b = row.pop(c)
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            if fa != 1:
-                for k in row:
-                    row[k] *= fa
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                nv = row.get(k, 0) - fb * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-            row = _normalize_int_row(row)
-        return None
-
-    def _insert_p(self, row):
-        p = self.field.p
-        by_pivot = self.by_pivot
-        while row:
-            c = min(row)
-            piv = by_pivot.get(c)
-            if piv is None:
-                lead_inv = pow(row[c], -1, p)
-                by_pivot[c] = {k: v * lead_inv % p for k, v in row.items()}
-                return c
-            self._tick()
-            b = row.pop(c)
-            for k, v in piv.items():
-                if k == c:
-                    continue
-                nv = (row.get(k, 0) - b * v) % p
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
+            self._ops += 1
+            if not self._ops % 512:
+                self._check_deadline()
+            step(row, piv, c)
         return None
 
     def rref_rows(self):
         """Back-substituted, lead-1 rows sorted by pivot (the canonical RREF)."""
-        field = self.field
+        step = self._step
         pivots = sorted(self.by_pivot)
-        raw = [dict(self.by_pivot[p]) for p in pivots]
-        for i in range(len(raw) - 1, -1, -1):
-            row = raw[i]
-            for j in range(i + 1, len(raw)):
-                c = pivots[j]
-                if c not in row:
-                    continue
-                other = raw[j]
-                if self.rational:
-                    a = other[c]
-                    b = row.pop(c)
-                    g = gcd(a, b)
-                    fa, fb = a // g, b // g
-                    if fa != 1:
-                        for k in row:
-                            row[k] *= fa
-                    for k, v in other.items():
-                        if k == c:
-                            continue
-                        nv = row.get(k, 0) - fb * v
-                        if nv:
-                            row[k] = nv
-                        else:
-                            row.pop(k, None)
-                    row = _normalize_int_row(row)
-                    raw[i] = row
-                else:
-                    p = field.p
-                    b = row.pop(c)
-                    for k, v in other.items():
-                        if k == c:
-                            continue
-                        nv = (row.get(k, 0) - b * v) % p
-                        if nv:
-                            row[k] = nv
-                        else:
-                            row.pop(k, None)
-        out = []
-        for pcol, row in zip(pivots, raw):
-            if self.rational:
-                lead = row[pcol]
-                out.append({k: Fraction(v, lead) for k, v in row.items()})
-            else:
-                out.append(row)
-        return pivots, out
+        done = {}
+        for c in reversed(pivots):
+            # the later rows are reduced, so clearing one of their pivots
+            # from row brings in no other pivot column
+            row = dict(self.by_pivot[c])
+            for k in [k for k in row if k in done]:
+                self._ops += 1
+                if not self._ops % 512:
+                    self._check_deadline()
+                step(row, done[k], k)
+            done[c] = row
+        rows = [done[c] for c in pivots]
+        if self.rational:
+            rows = [
+                {k: Fraction(v, row[c]) for k, v in row.items()}
+                for c, row in zip(pivots, rows)
+            ]
+        return pivots, rows
 
 
 class Subspace:
@@ -365,8 +331,8 @@ class Subspace:
         self.pivots = tuple(pivots)
 
     @classmethod
-    def span(cls, field, ambient_dim, vectors):
-        ech = Echelon(field)
+    def span(cls, field, ambient_dim, vectors, deadline=None):
+        ech = Echelon(field, deadline=deadline)
         for v in vectors:
             for k in v:
                 if k < 0 or k >= ambient_dim:
@@ -440,9 +406,9 @@ def rank(m, deadline=None):
     return ech.rank
 
 
-def kernel_basis(m):
+def kernel_basis(m, deadline=None):
     """Null space of m as a canonical Subspace of k^cols."""
-    ech = Echelon(m.field)
+    ech = Echelon(m.field, deadline=deadline)
     for col in m.transpose().columns():
         ech.insert(col)
     pivots, rows = ech.rref_rows()
@@ -458,12 +424,12 @@ def kernel_basis(m):
             if coeff is not None:
                 v[p] = field.neg(coeff)
         vectors.append(v)
-    return Subspace.span(field, m.cols, vectors)
+    return Subspace.span(field, m.cols, vectors, deadline=deadline)
 
 
-def image_basis(m):
+def image_basis(m, deadline=None):
     """Column space of m as a canonical Subspace of k^rows."""
-    return Subspace.span(m.field, m.rows, m.columns())
+    return Subspace.span(m.field, m.rows, m.columns(), deadline=deadline)
 
 
 def subspace_leq(u, v):

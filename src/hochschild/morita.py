@@ -657,9 +657,9 @@ def _transfer(field, src, tgt, count, head, slot, b_images):
     n = src.degree
     strides = tgt.strides
     cols = []
-    for idx in range(src.total):
-        x, alphas, betas = src.decode(idx)
-        tail = [b_images[b] for b in betas]
+    for d in src.digits():
+        x, alphas = d[0], d[1 : n + 1]
+        tail = [b_images[b] for b in d[n + 1 :]]
         col = {}
         for jj in itertools.product(range(count), repeat=n + 1):
             nxt = jj[1:] + jj[:1]

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import time
 
 import pytest
 
+from hochschild import cli
 from hochschild.cli import main
 from hochschild.errors import InstanceFormatError
 from hochschild.fixtures import fix_dd
+from hochschild.morita import standard_matrix_morita
 from hochschild.serialize import Instance, parse_instance, serialize_instance
 
 
@@ -251,3 +254,27 @@ def test_matrix_context_guarded_before_it_is_built(fixture_dir, tmp_path, capsys
     assert main(["morita", str(p), "--guard-bytes", "1000000"]) == 3
     assert time.perf_counter() - start < 2
     assert "resource guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["homology", "exactseq", "kahler", "morita"])
+def test_invalid_instance_is_rejected_before_building(
+    fixture_dir, tmp_path, capsys, command
+):
+    data = json.loads((fixture_dir / "FIX-P3.json").read_text())
+    data["A"]["unit"] = ["2", "0", "0"]
+    p = tmp_path / "bad-unit.json"
+    p.write_text(json.dumps(data))
+    assert main([command, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "unit law" in err
+
+
+def test_morita_rejects_an_invalid_context(fixture_dir, monkeypatch, capsys):
+    def broken(t, n):  # f doubled: its dual-basis certificate no longer sums to 1
+        data = standard_matrix_morita(t, n)
+        doubled = tuple(tuple(2 * v for v in row) for row in data.f_mat)
+        return dataclasses.replace(data, f_mat=doubled)
+
+    monkeypatch.setattr(cli, "standard_matrix_morita", broken)
+    assert main(["morita", str(fixture_dir / "FIX-D.json")]) == 2
+    assert "morita context failed" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from hochschild.fixtures import (
     fix_p3,
     random_instances,
 )
-from hochschild.linalg import image_basis
+from hochschild.linalg import Echelon, image_basis
 
 F1009 = GF(1009)
 
@@ -271,6 +272,25 @@ class TestHomology:
         for rep in res.reps:
             assert not d1.apply(rep)
         assert res.dim == len(res.reps) == 2
+
+    def test_reps_eliminate_each_boundary_once(self, monkeypatch):
+        t, m = fix_dd()
+        c = build_secondary_complex(t, m, 3)
+        owner = {id(col): n for n in (1, 2, 3) for col in c.boundary(n).columns()}
+        assert len(owner) == sum(c.boundary(n).cols for n in (1, 2, 3))
+        inserted = Counter()
+        insert = Echelon.insert
+
+        def counting_insert(self, vec):
+            if id(vec) in owner:
+                inserted[owner[id(vec)]] += 1
+            return insert(self, vec)
+
+        monkeypatch.setattr(Echelon, "insert", counting_insert)
+        dims = [homology(c, n, with_reps=True).dim for n in range(3)]
+        assert inserted == {n: c.boundary(n).cols for n in (1, 2, 3)}
+        fresh = build_secondary_complex(t, m, 3)
+        assert dims == [homology(fresh, n).dim for n in range(3)]
 
     def test_degree_out_of_range(self):
         t, m = fix_k()

@@ -11,6 +11,7 @@ from hochschild.errors import (
 )
 from hochschild.fields import GF, QQ
 from hochschild.linalg import (
+    Echelon,
     SparseMatrix,
     Subspace,
     image_basis,
@@ -211,13 +212,35 @@ def test_solve_finds_solutions(data, draw):
     assert m.apply(sol) == rhs
 
 
-@given(dense_matrices(max_dim=4), st.randoms(use_true_random=False))
-@settings(max_examples=80, deadline=None)
-def test_echelon_canonicalization(data, rng):
-    vecs = [
-        {i: Fraction(v) for i, v in enumerate(row) if v} for row in data
+both_fields = st.sampled_from([QQ, F1009])
+
+
+def vectors(data, field):
+    return [
+        {i: field.from_rational(Fraction(v)) for i, v in enumerate(row) if v}
+        for row in data
     ]
+
+
+@given(dense_matrices(max_dim=4), st.randoms(use_true_random=False), both_fields)
+@settings(max_examples=120, deadline=None)
+def test_echelon_canonicalization(data, rng, field):
+    vecs = vectors(data, field)
     cols = len(data[0]) if data else 0
     shuffled = list(vecs)
     rng.shuffle(shuffled)
-    assert Subspace.span(QQ, cols, vecs) == Subspace.span(QQ, cols, shuffled)
+    assert Subspace.span(field, cols, vecs) == Subspace.span(field, cols, shuffled)
+
+
+@given(dense_matrices(), both_fields)
+@settings(max_examples=120, deadline=None)
+def test_rref_rows_have_lead_one_and_clear_pivot_columns(data, field):
+    ech = Echelon(field)
+    for v in vectors(data, field):
+        ech.insert(v)
+    pivots, rows = ech.rref_rows()
+    assert list(pivots) == sorted(pivots) and len(rows) == ech.rank
+    for p, row in zip(pivots, rows):
+        assert min(row) == p and row[p] == field.one
+        assert all(v != field.zero for v in row.values())
+        assert not any(q in row for q in pivots if q != p)
