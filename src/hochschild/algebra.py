@@ -49,22 +49,15 @@ class FiniteAlgebra:
     def mul(self, x, y):
         """Product of two coordinate vectors (dicts)."""
         field = self.field
-        table = self.table
+        zero = field.zero
         out = {}
         for i, xi in x.items():
             for j, yj in y.items():
                 coeff = field.mul(xi, yj)
-                if coeff == field.zero:
-                    continue
-                row = table[i][j]
-                for k in range(self.dim):
-                    c = row[k]
-                    if c != field.zero:
-                        nv = field.add(out.get(k, field.zero), field.mul(coeff, c))
-                        if nv == field.zero:
-                            out.pop(k, None)
-                        else:
-                            out[k] = nv
+                if coeff != zero:
+                    row = self.table[i][j]
+                    terms = {k: c for k, c in enumerate(row) if c != zero}
+                    vec_add_scaled(field, out, coeff, terms)
         return out
 
     def is_commutative(self):
@@ -342,6 +335,21 @@ def pullback_bimodule(phi, m):
 # validation
 
 
+def morphism_defects(phi):
+    """Whether phi preserves the unit, and the basis pairs (i, j) with
+    phi(e_i e_j) != phi(e_i) phi(e_j)."""
+    src, tgt = phi.source, phi.target
+    unit_ok = phi.apply(src.unit_vec()) == tgt.unit_vec()
+    bad_pairs = [
+        (i, j)
+        for i in range(src.dim)
+        for j in range(src.dim)
+        if phi.apply(src.mul(src.basis_vec(i), src.basis_vec(j)))
+        != tgt.mul(phi.apply_basis(i), phi.apply_basis(j))
+    ]
+    return unit_ok, bad_pairs
+
+
 def validate_algebra(a):
     report = Report(f"algebra({','.join(a.basis_labels)})")
     if len(a.table) != a.dim or any(
@@ -389,16 +397,8 @@ def validate_triple(t):
         raise FieldMismatchError("A and B over different fields")
     report.check("B commutative", t.B.is_commutative())
     eps = t.eps
-    report.check(
-        "eps preserves unit", eps.apply(t.B.unit_vec()) == t.A.unit_vec()
-    )
-    bad_mult = [
-        (i, j)
-        for i in range(t.B.dim)
-        for j in range(t.B.dim)
-        if eps.apply(t.B.mul(t.B.basis_vec(i), t.B.basis_vec(j)))
-        != t.A.mul(eps.apply_basis(i), eps.apply_basis(j))
-    ]
+    unit_ok, bad_mult = morphism_defects(eps)
+    report.check("eps preserves unit", unit_ok)
     report.check(
         "eps multiplicative",
         not bad_mult,

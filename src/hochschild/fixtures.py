@@ -194,7 +194,6 @@ def random_bimodule(rng, t):
         return regular_bimodule(a)
     if kind == "character":
         one, zero = field.one, field.zero
-        left = ((((one,),), ((zero,),)),)
         # tensors indexed [alg basis][module basis][module basis]
         left = (((one,),), ((zero,),))
         return Bimodule.from_data(field, 1, left, left)

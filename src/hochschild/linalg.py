@@ -11,6 +11,9 @@ visits only the pivot columns a row holds.  Subspaces are canonicalized
 to reduced row echelon form, so equality of subspaces is a syntactic
 check.  A chain complex eliminates the columns of each boundary once:
 the image it needs for representatives also gives the boundary's rank.
+Chain maps that act slot by slot are built with one primitive,
+`SparseMatrix.kron`, whose index order (first factor most significant)
+is the mixed-radix order of the chain index.
 
 Everything here is immutable after construction and all operations are
 pure, so concurrent use on distinct inputs is safe.
@@ -121,6 +124,18 @@ class SparseMatrix:
             for r, v in col.items():
                 cols[r][c] = v
         return SparseMatrix(self.field, self.cols, self.rows, cols)
+
+    def kron(self, other):
+        """Kronecker product self (x) other, the first index most
+        significant: entry (i*r + k, j*c + l) is self[i, j] * other[k, l]."""
+        _check_same_field(self, other)
+        mul, r = self.field.mul, other.rows
+        cols = [
+            {i * r + k: mul(a, b) for i, a in x.items() for k, b in y.items()}
+            for x in self._columns
+            for y in other._columns
+        ]
+        return SparseMatrix(self.field, self.rows * r, self.cols * other.cols, cols)
 
     def apply(self, vec):
         """Matrix @ sparse vector."""

@@ -50,10 +50,17 @@ def _parse_tensor(field, data, d0, d1, d2, what):
     )
 
 
+def _parse_dim(value, what):
+    """A dimension from the file: a non-negative int (JSON true is not one)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise InstanceFormatError(f"{what}: dim must be a non-negative integer")
+    return value
+
+
 def _parse_algebra(field, data, what):
     try:
         basis = data["basis"]
-        dim = data.get("dim", len(basis))
+        dim = _parse_dim(data.get("dim", len(basis)), what)
         table = data["table"]
         unit = data["unit"]
     except (KeyError, TypeError) as exc:
@@ -86,7 +93,7 @@ def parse_instance(text, field_override=None):
         eps_mat = _parse_matrix(field, data["epsilon"], a.dim, b.dim, "epsilon")
         eps = AlgebraMorphism.from_data(b, a, eps_mat)
         mod_data = data["module"]
-        dim = mod_data["dim"]
+        dim = _parse_dim(mod_data["dim"], "module")
         module = Bimodule.from_data(
             field,
             dim,

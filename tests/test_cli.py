@@ -206,6 +206,29 @@ def test_morphism_section_validated(fixture_dir, tmp_path):
     assert main(["validate", str(p)]) == 1
 
 
+@pytest.mark.parametrize("dim", [2.0, True, -1, "2"], ids=["float", "bool", "negative", "string"])
+@pytest.mark.parametrize("command", ["validate", "homology"])
+def test_module_dim_must_be_a_non_negative_int(
+    fixture_dir, tmp_path, capsys, command, dim
+):
+    data = json.loads((fixture_dir / "FIX-D.json").read_text())
+    data["module"]["dim"] = dim
+    with pytest.raises(InstanceFormatError):
+        parse_instance(json.dumps(data))
+    p = tmp_path / "bad-dim.json"
+    p.write_text(json.dumps(data))
+    assert main([command, str(p)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_algebra_dim_must_be_an_int(fixture_dir):
+    data = json.loads((fixture_dir / "FIX-D.json").read_text())
+    for dim in (2.0, True):
+        data["A"]["dim"] = dim
+        with pytest.raises(InstanceFormatError):
+            parse_instance(json.dumps(data))
+
+
 def test_instance_parse_rejects_bad_morita_section():
     t, m = fix_dd()
     inst = Instance(t.A.field, t, m, morita={"kind": "nonsense"})

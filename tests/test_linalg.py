@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -244,3 +245,42 @@ def test_rref_rows_have_lead_one_and_clear_pivot_columns(data, field):
         assert min(row) == p and row[p] == field.one
         assert all(v != field.zero for v in row.values())
         assert not any(q in row for q in pivots if q != p)
+
+
+@st.composite
+def kron_factors(draw):
+    """(field, A, C, B, D) with A C and B D defined, dims 0..3."""
+    field = draw(both_fields)
+    r1, c1, k1, r2, c2, k2 = (draw(st.integers(min_value=0, max_value=3)) for _ in range(6))
+
+    def shaped(rows, cols):
+        data = draw(
+            st.lists(
+                st.lists(small_entries, min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            )
+        )
+        entries = {
+            (r, c): field.from_rational(Fraction(v))
+            for r, row in enumerate(data)
+            for c, v in enumerate(row)
+        }
+        return SparseMatrix.from_entries(field, rows, cols, entries)
+
+    return field, shaped(r1, c1), shaped(c1, k1), shaped(r2, c2), shaped(c2, k2)
+
+
+@given(kron_factors())
+@settings(max_examples=120, deadline=None)
+def test_kron_entries_and_mixed_product(factors):
+    field, a, c, b, d = factors
+    ab = a.kron(b)
+    assert ab.shape == (a.rows * b.rows, a.cols * b.cols)
+    for i, j, k, l in itertools.product(
+        range(a.rows), range(a.cols), range(b.rows), range(b.cols)
+    ):
+        expected = field.mul(a.entry(i, j), b.entry(k, l))
+        assert ab.entry(i * b.rows + k, j * b.cols + l) == expected
+    assert all(v != field.zero for _, v in ab.entries())
+    assert (a @ c).kron(b @ d) == ab @ c.kron(d)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -67,6 +68,18 @@ class TestValidate:
         rep = validate_morita(broken)
         assert not rep.ok
         assert any("(ii)" in item.label for item in rep.violations)
+
+    def test_broken_eta_keeps_its_labels(self):
+        # eta(x) = 1 + x is unital and bijective but not multiplicative
+        t, _ = fix_dd()
+        d = standard_matrix_morita(t, 2)
+        bad_eta = AlgebraMorphism.from_data(
+            t.B, t.B, ((QQ.one, QQ.one), (QQ.zero, QQ.one))
+        )
+        rep = validate_morita(dataclasses.replace(d, eta=bad_eta))
+        labels = {item.label: item.ok for item in rep.items}
+        assert labels["(ii) eta unital"] and labels["(ii) eta bijective"]
+        assert labels["(ii) eta multiplicative"] is False
 
     def test_compatibility_relations_pinned(self):
         # both printed relations hold in the corrected form

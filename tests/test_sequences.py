@@ -1,5 +1,8 @@
+from collections import Counter
+
 import pytest
 
+from hochschild import sequences
 from hochschild.algebra import (
     AlgebraMorphism,
     BimoduleMorphism,
@@ -15,8 +18,16 @@ from hochschild.complexes import (
 )
 from hochschild.errors import PreconditionError
 from hochschild.fields import QQ
-from hochschild.fixtures import fix_d, fix_dd, fix_k, fix_kb, fix_p3, random_instances
-from hochschild.linalg import SparseMatrix, image_basis, subspace_leq
+from hochschild.fixtures import (
+    fix_d,
+    fix_dd,
+    fix_ext,
+    fix_k,
+    fix_kb,
+    fix_p3,
+    random_instances,
+)
+from hochschild.linalg import Echelon, SparseMatrix, image_basis, subspace_leq
 from hochschild.sequences import (
     TripleMorphism,
     epsilon_star_chain,
@@ -161,6 +172,43 @@ class TestExactSequence:
         assert rep.ok, rep.render()
 
 
+    def test_exactseq_eliminates_each_boundary_once(self, monkeypatch):
+        built, owner, inserted = [], {}, Counter()
+
+        def recording(build):
+            def wrapped(*args, **kwargs):
+                cx = build(*args, **kwargs)
+                for n in range(1, cx.max_degree + 1):
+                    for col in cx.boundary(n).columns():
+                        owner[id(col)] = (len(built), n)
+                built.append(cx)
+                return cx
+
+            return wrapped
+
+        insert = Echelon.insert
+
+        def counting_insert(self, vec):
+            if id(vec) in owner:
+                inserted[owner[id(vec)]] += 1
+            return insert(self, vec)
+
+        for name in ("build_secondary_complex", "build_classical_complex"):
+            monkeypatch.setattr(sequences, name, recording(getattr(sequences, name)))
+        monkeypatch.setattr(Echelon, "insert", counting_insert)
+        rep = verify_exact_sequence(*fix_ext())
+        assert rep.ok, rep.render()
+        cols = {
+            (i, n): cx.boundary(n).cols
+            for i, cx in enumerate(built)
+            for n in range(1, cx.max_degree + 1)
+        }
+        assert len(owner) == sum(cols.values())
+        assert all(inserted[key] <= cols[key] for key in cols)
+        assert built[0].kind == "secondary"
+        assert inserted[(0, 3)] == cols[(0, 3)] == 2048
+
+
 class TestTripleMorphism:
     def test_identity_pair(self):
         t, _ = fix_dd()
@@ -185,6 +233,26 @@ class TestTripleMorphism:
         tm = TripleMorphism(t, t, AlgebraMorphism.identity(t.A), bad_g)
         rep = validate_triple_morphism(tm)
         assert not rep.ok
+
+    def test_broken_g_keeps_its_labels(self):
+        # g(x) = 1 + x is unital but not multiplicative on the dual numbers
+        t, _ = fix_dd()
+        bad_g = AlgebraMorphism.from_data(
+            t.B, t.B, ((QQ.one, QQ.one), (QQ.zero, QQ.one))
+        )
+        tm = TripleMorphism(t, t, AlgebraMorphism.identity(t.A), bad_g)
+        rep = validate_triple_morphism(tm)
+        assert [item.label for item in rep.items] == [
+            "f preserves unit",
+            "f multiplicative",
+            "g preserves unit",
+            "g multiplicative",
+            "square f.eps = eps'.g",
+        ]
+        assert [item.label for item in rep.violations] == [
+            "g multiplicative",
+            "square f.eps = eps'.g",
+        ]
 
 
 class TestRestrictCoefficients:
