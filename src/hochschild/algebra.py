@@ -7,17 +7,30 @@ and a morphism eps: B -> A with central image.  A bimodule stores its
 two action tensors separately, mirroring left/right notation.
 
 All data is held in nested tuples, so these objects are immutable and
-hashable; structure-constant access in hot loops goes through the
-sparse_* helpers, which return plain list tables.
+hashable.  Each structure tensor also has one sparse form, a
+SparseMatrix built on first use and kept on its object: the products
+of an algebra (column i*dim + j is e_i e_j), the two actions of a
+bimodule (column i*dim + m is e_i . v_m, resp. v_m . e_i) and the
+matrix of a morphism.  Products and actions are `linalg.bilinear` on
+these forms, and the algebra and morphism axioms are checked as matrix
+identities between them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import FieldMismatchError, PreconditionError
-from .linalg import SparseMatrix, Subspace, kernel_basis, vec_add_scaled
+from .linalg import (
+    SparseMatrix,
+    Subspace,
+    bilinear,
+    kernel_basis,
+    solve,
+    vec_add_scaled,
+)
 from .report import Report
 
 
@@ -46,19 +59,16 @@ class FiniteAlgebra:
     def basis_vec(self, i):
         return {i: self.field.one}
 
+    @functools.cached_property
+    def products(self):
+        """dim x dim^2 matrix whose column i*dim + j is e_i e_j."""
+        return SparseMatrix.from_columns(
+            self.field, self.dim, [row for plane in self.table for row in plane]
+        )
+
     def mul(self, x, y):
         """Product of two coordinate vectors (dicts)."""
-        field = self.field
-        zero = field.zero
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                coeff = field.mul(xi, yj)
-                if coeff != zero:
-                    row = self.table[i][j]
-                    terms = {k: c for k, c in enumerate(row) if c != zero}
-                    vec_add_scaled(field, out, coeff, terms)
-        return out
+        return bilinear(self.products, self.dim, x, y)
 
     def is_commutative(self):
         return all(
@@ -77,24 +87,34 @@ class FiniteAlgebra:
         )
 
 
-def sparse_products(a):
-    """table[i][j] -> list of (k, coeff) with coeff nonzero."""
-    zero = a.field.zero
-    return [
-        [[(k, c) for k, c in enumerate(row) if c != zero] for row in plane]
-        for plane in a.table
-    ]
-
-
-@dataclass(frozen=True)
-class AlgebraMorphism:
-    source: FiniteAlgebra
-    target: FiniteAlgebra
-    matrix: tuple  # matrix[r][c], target_dim x source_dim
+class _LinearMap:
+    """A linear map from source to target (objects with `field` and
+    `dim`), held as its dense matrix[r][c], target_dim x source_dim."""
 
     @classmethod
     def from_data(cls, source, target, matrix):
         return cls(source, target, _freeze(matrix))
+
+    @functools.cached_property
+    def sparse(self):
+        return SparseMatrix.from_columns(
+            self.source.field,
+            self.target.dim,
+            [[row[c] for row in self.matrix] for c in range(self.source.dim)],
+        )
+
+    def apply_basis(self, j):
+        return self.sparse.column(j)
+
+    def apply(self, vec):
+        return self.sparse.apply(vec)
+
+
+@dataclass(frozen=True)
+class AlgebraMorphism(_LinearMap):
+    source: FiniteAlgebra
+    target: FiniteAlgebra
+    matrix: tuple  # matrix[r][c], target_dim x source_dim
 
     @classmethod
     def identity(cls, a):
@@ -104,49 +124,26 @@ class AlgebraMorphism:
         )
         return cls(a, a, mat)
 
-    def apply_basis(self, j):
-        zero = self.source.field.zero
-        return {r: row[j] for r, row in enumerate(self.matrix) if row[j] != zero}
-
-    def apply(self, vec):
-        field = self.source.field
-        out = {}
-        for j, coeff in vec.items():
-            vec_add_scaled(field, out, coeff, self.apply_basis(j))
-        return out
-
     def compose(self, other):
         """self after other."""
         if other.target.dim != self.source.dim:
             raise PreconditionError("morphism composition shape mismatch")
-        field = self.source.field
-        cols = []
-        for j in range(other.source.dim):
-            cols.append(self.apply(other.apply_basis(j)))
-        mat = tuple(
-            tuple(cols[j].get(r, field.zero) for j in range(other.source.dim))
-            for r in range(self.target.dim)
-        )
-        return AlgebraMorphism(other.source, self.target, mat)
+        product = self.sparse @ other.sparse
+        return AlgebraMorphism.from_data(other.source, self.target, product.to_dense())
 
     def inverse(self):
         field = self.source.field
-        m = SparseMatrix.from_dense(field, [list(r) for r in self.matrix])
         n = self.source.dim
         if self.target.dim != n:
             raise PreconditionError("only square morphisms can be inverted")
-        te_cols = []
-        from .linalg import solve
-
+        cols = []
         for j in range(n):
-            x = solve(m, {j: field.one})
+            x = solve(self.sparse, {j: field.one})
             if x is None:
                 raise PreconditionError("morphism is not invertible")
-            te_cols.append(x)
-        mat = tuple(
-            tuple(te_cols[j].get(r, field.zero) for j in range(n)) for r in range(n)
-        )
-        return AlgebraMorphism(self.target, self.source, mat)
+            cols.append(x)
+        inv = SparseMatrix(field, n, n, cols)
+        return AlgebraMorphism.from_data(self.target, self.source, inv.to_dense())
 
     def over(self, field):
         conv = field.from_rational
@@ -194,35 +191,32 @@ class Bimodule:
     def right_alg_dim(self):
         return len(self.right)
 
+    @functools.cached_property
+    def left_action(self):
+        """dim x (left_alg_dim * dim) matrix; column i*dim + m is e_i . v_m."""
+        return self._action_matrix(self.left)
+
+    @functools.cached_property
+    def right_action(self):
+        """dim x (right_alg_dim * dim) matrix; column i*dim + m is v_m . e_i."""
+        return self._action_matrix(self.right)
+
+    def _action_matrix(self, tensor):
+        return SparseMatrix.from_columns(
+            self.field, self.dim, [row for plane in tensor for row in plane]
+        )
+
     def act_left_basis(self, i, m):
-        zero = self.field.zero
-        row = self.left[i][m]
-        return {k: c for k, c in enumerate(row) if c != zero}
+        return self.left_action.column(i * self.dim + m)
 
     def act_right_basis(self, i, m):
-        zero = self.field.zero
-        row = self.right[i][m]
-        return {k: c for k, c in enumerate(row) if c != zero}
+        return self.right_action.column(i * self.dim + m)
 
     def act_left(self, avec, mvec):
-        field = self.field
-        out = {}
-        for i, ai in avec.items():
-            for m, mm in mvec.items():
-                coeff = field.mul(ai, mm)
-                if coeff != field.zero:
-                    vec_add_scaled(field, out, coeff, self.act_left_basis(i, m))
-        return out
+        return bilinear(self.left_action, self.dim, avec, mvec)
 
     def act_right(self, mvec, avec):
-        field = self.field
-        out = {}
-        for i, ai in avec.items():
-            for m, mm in mvec.items():
-                coeff = field.mul(ai, mm)
-                if coeff != field.zero:
-                    vec_add_scaled(field, out, coeff, self.act_right_basis(i, m))
-        return out
+        return bilinear(self.right_action, self.dim, avec, mvec)
 
     def over(self, field):
         conv = field.from_rational
@@ -233,18 +227,10 @@ class Bimodule:
 
 
 @dataclass(frozen=True)
-class BimoduleMorphism:
+class BimoduleMorphism(_LinearMap):
     source: Bimodule
     target: Bimodule
     matrix: tuple  # target_dim x source_dim
-
-    @classmethod
-    def from_data(cls, source, target, matrix):
-        return cls(source, target, _freeze(matrix))
-
-    def apply_basis(self, j):
-        zero = self.source.field.zero
-        return {r: row[j] for r, row in enumerate(self.matrix) if row[j] != zero}
 
 
 # ---------------------------------------------------------------------------
@@ -307,50 +293,56 @@ def regular_bimodule(a):
     return Bimodule(a.field, a.dim, left, right)
 
 
-def pullback_bimodule(phi, m):
-    """Actions of phi's source composed through phi; dimension unchanged."""
-    field = m.field
-    src = phi.source
+def action_tensor(field, count, dim, act):
+    """Action tensor [i][b][k]: the coefficient of basis k in act(i, b)."""
     zero = field.zero
+    return tuple(
+        tuple(
+            tuple(vec.get(k, zero) for k in range(dim))
+            for vec in (act(i, b) for b in range(dim))
+        )
+        for i in range(count)
+    )
 
-    def pulled(tensor_action):
-        planes = []
-        for i in range(src.dim):
-            img = phi.apply_basis(i)
-            plane = []
-            for mm in range(m.dim):
-                acc = {}
-                for u, cu in img.items():
-                    vec_add_scaled(field, acc, cu, {
-                        k: c for k, c in enumerate(tensor_action[u][mm]) if c != zero
-                    })
-                plane.append(tuple(acc.get(k, zero) for k in range(m.dim)))
-            planes.append(tuple(plane))
-        return tuple(planes)
 
-    return Bimodule(field, m.dim, pulled(m.left), pulled(m.right))
+def pullback_bimodule(phi, m):
+    """Actions of phi's source composed through phi; dimension unchanged:
+    each action matrix times phi (x) I_M."""
+    field = m.field
+    lift = phi.sparse.kron(SparseMatrix.identity(field, m.dim))
+
+    def pulled(action):
+        cols = (action @ lift).columns()
+        return action_tensor(
+            field, phi.source.dim, m.dim, lambda i, b: cols[i * m.dim + b]
+        )
+
+    return Bimodule(field, m.dim, pulled(m.left_action), pulled(m.right_action))
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
+def _differing_columns(lhs, rhs):
+    return [c for c, (x, y) in enumerate(zip(lhs.columns(), rhs.columns())) if x != y]
+
+
 def morphism_defects(phi):
     """Whether phi preserves the unit, and the basis pairs (i, j) with
-    phi(e_i e_j) != phi(e_i) phi(e_j)."""
+    phi(e_i e_j) != phi(e_i) phi(e_j): the columns where phi P and
+    P' (phi (x) phi) differ, P and P' the products of source and target."""
     src, tgt = phi.source, phi.target
     unit_ok = phi.apply(src.unit_vec()) == tgt.unit_vec()
-    bad_pairs = [
-        (i, j)
-        for i in range(src.dim)
-        for j in range(src.dim)
-        if phi.apply(src.mul(src.basis_vec(i), src.basis_vec(j)))
-        != tgt.mul(phi.apply_basis(i), phi.apply_basis(j))
-    ]
-    return unit_ok, bad_pairs
+    f = phi.sparse
+    bad = _differing_columns(f @ src.products, tgt.products @ f.kron(f))
+    return unit_ok, [divmod(c, src.dim) for c in bad]
 
 
 def validate_algebra(a):
+    """Shapes, then the unit law P(u (x) I) = I = P(I (x) u) and
+    associativity P(P (x) I) = P(I (x) P) for the products P of a; a
+    failure names the basis indices of the columns that differ."""
     report = Report(f"algebra({','.join(a.basis_labels)})")
     if len(a.table) != a.dim or any(
         len(plane) != a.dim or any(len(row) != a.dim for row in plane)
@@ -361,23 +353,22 @@ def validate_algebra(a):
     if len(a.unit) != a.dim:
         report.check("unit shape", False, "unit vector has wrong length")
         return report
-    unit = a.unit_vec()
-    bad_unit = []
-    for i in range(a.dim):
-        e = a.basis_vec(i)
-        if a.mul(unit, e) != e or a.mul(e, unit) != e:
-            bad_unit.append(i)
+    d, p = a.dim, a.products
+    ident = SparseMatrix.identity(a.field, d)
+    unit = SparseMatrix(a.field, d, 1, [a.unit_vec()])
+    bad_unit = sorted(
+        set(_differing_columns(p @ unit.kron(ident), ident))
+        | set(_differing_columns(p @ ident.kron(unit), ident))
+    )
     report.check(
         "unit law",
         not bad_unit,
         "" if not bad_unit else f"fails at basis indices {bad_unit}",
     )
-    bad_assoc = []
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        lhs = a.mul(a.mul(a.basis_vec(i), a.basis_vec(j)), a.basis_vec(k))
-        rhs = a.mul(a.basis_vec(i), a.mul(a.basis_vec(j), a.basis_vec(k)))
-        if lhs != rhs:
-            bad_assoc.append((i, j, k))
+    bad_assoc = [
+        (c // (d * d), c // d % d, c % d)
+        for c in _differing_columns(p @ p.kron(ident), p @ ident.kron(p))
+    ]
     report.check(
         "associativity",
         not bad_assoc,
@@ -466,12 +457,8 @@ def validate_bimodule(m, t):
 
 def is_a_symmetric(m, a):
     """Whether left and right actions of a agree on m entirely."""
-    return all(
-        m.act_left(a.basis_vec(i), {mm: m.field.one})
-        == m.act_right({mm: m.field.one}, a.basis_vec(i))
-        for i in range(a.dim)
-        for mm in range(m.dim)
-    )
+    shapes_ok = m.left_alg_dim == m.right_alg_dim == a.dim
+    return shapes_ok and m.left_action == m.right_action
 
 
 # ---------------------------------------------------------------------------
@@ -498,15 +485,9 @@ def center(a):
 
 def commutator_subspace(m, a):
     """span{ v.e_i - e_i.v } over all basis pairs, as a Subspace of M."""
-    vectors = []
-    field = m.field
-    for i in range(a.dim):
-        for mm in range(m.dim):
-            v = {mm: field.one}
-            diff = m.act_right(v, a.basis_vec(i))
-            vec_add_scaled(field, diff, field.neg(field.one), m.act_left(a.basis_vec(i), v))
-            vectors.append(diff)
-    return Subspace.span(field, m.dim, vectors)
+    if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
+        raise PreconditionError("bimodule actions do not match the algebra")
+    return Subspace.span(m.field, m.dim, (m.right_action - m.left_action).columns())
 
 
 # ---------------------------------------------------------------------------
@@ -543,15 +524,12 @@ def matrix_triple(t, n):
         if c != rp:
             continue
         for u, v in itertools.product(range(da), repeat=2):
-            row = a.table[u][v]
-            for k in range(da):
-                if row[k] != zero:
-                    table[idx(r, c, u)][idx(rp, cp, v)][idx(r, cp, k)] = row[k]
+            for k, cv in a.products.column(u * da + v).items():
+                table[idx(r, c, u)][idx(rp, cp, v)][idx(r, cp, k)] = cv
     unit = [zero] * dim
     for r in range(n):
-        for u in range(da):
-            if a.unit[u] != zero:
-                unit[idx(r, r, u)] = a.unit[u]
+        for u, cu in a.unit_vec().items():
+            unit[idx(r, r, u)] = cu
     big_a = FiniteAlgebra.from_data(field, labels, table, unit)
 
     eps_mat = [[zero] * b.dim for _ in range(dim)]
@@ -576,13 +554,11 @@ def matrix_triple(t, n):
             for u in range(da):
                 for mu in range(m.dim):
                     if c == rp:
-                        for k, cv in enumerate(m.left[u][mu]):
-                            if cv != zero:
-                                left[idx(r, c, u)][midx(rp, cp, mu)][midx(r, cp, k)] = cv
+                        for k, cv in m.act_left_basis(u, mu).items():
+                            left[idx(r, c, u)][midx(rp, cp, mu)][midx(r, cp, k)] = cv
                     if cp == r:
-                        for k, cv in enumerate(m.right[u][mu]):
-                            if cv != zero:
-                                right[idx(r, c, u)][midx(rp, cp, mu)][midx(rp, c, k)] = cv
+                        for k, cv in m.act_right_basis(u, mu).items():
+                            right[idx(r, c, u)][midx(rp, cp, mu)][midx(rp, c, k)] = cv
         return Bimodule(field, dim_m, left, right)
 
     return lifted, lift_bimodule

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .algebra import field_algebra, sparse_products
+from .algebra import field_algebra, unit_morphism
 from .errors import (
     ComplexInconsistencyError,
     PreconditionError,
@@ -33,7 +33,6 @@ from .linalg import (
     image_basis,
     kernel_basis,
     rank,
-    vec_add_scaled,
     vec_scale,
 )
 
@@ -143,9 +142,9 @@ def expand_slots(field, col, base, slots, strides):
             col[idx] = nv
 
 
-def _boundary(a, b, eps_images, m, n):
+def _boundary(a, b, eps, m, n):
     """d_n = sum (-1)^i d_i on the chains of (A, B, eps) with coefficients
-    in m, where eps_images[y] = eps(b_y).  A face is a table on the slots
+    in m, eps given by its matrix.  A face is a table on the slots
     it multiplies, built once per call, plus the B-pair merges of its
     layout; the slots it copies enter as a base offset."""
     if n < 1:
@@ -158,13 +157,11 @@ def _boundary(a, b, eps_images, m, n):
     tgt = ChainIndexScheme(n - 1, m.dim, a.dim, b.dim)
     strides = tgt.strides
     b_at = {pair: n + 1 + s for s, pair in enumerate(src.pairs)}  # digit position
-    merge = [[dict(row) for row in plane] for plane in sparse_products(b)]
+    products = b.products.columns()  # b_y b_z at y * dim B + z
+    merge = [products[y * b.dim : (y + 1) * b.dim] for y in range(b.dim)]
 
     def a_eps(x, beta):  # a_x eps(beta)
-        e = {}
-        for y, c in beta.items():
-            vec_add_scaled(field, e, c, eps_images[y])
-        return a.mul({x: one}, e)
+        return a.mul({x: one}, eps.apply(beta))
 
     # the products b_1 b_2 ... b_(n-1) that the outer faces push through eps
     folds = {(): b.unit_vec()} if n == 1 else {(y,): {y: one} for y in range(b.dim)}
@@ -231,13 +228,13 @@ def _boundary(a, b, eps_images, m, n):
 def classical_boundary(a, m, n):
     """Matrix of d_n: M (x) A^n -> M (x) A^(n-1), the secondary boundary
     with B the ground field and eps its unit."""
-    return _boundary(a, field_algebra(a.field), [a.unit_vec()], m, n)
+    k = field_algebra(a.field)
+    return _boundary(a, k, unit_morphism(k, a).sparse, m, n)
 
 
 def secondary_boundary(t, m, n):
     """Matrix of the degree-n secondary boundary under the index scheme."""
-    eps_images = [t.eps.apply_basis(y) for y in range(t.B.dim)]
-    return _boundary(t.A, t.B, eps_images, m, n)
+    return _boundary(t.A, t.B, t.eps.sparse, m, n)
 
 
 @dataclass(frozen=True)
@@ -355,38 +352,35 @@ def _verify_dd_zero(boundaries):
             )
 
 
-def build_classical_complex(
-    a,
-    m,
-    max_degree,
-    degree_cap=DEFAULT_DEGREE_CAP,
-    guard_bytes=DEFAULT_GUARD_BYTES,
-):
-    schemes = [classical_scheme(a, m, n) for n in range(max_degree + 1)]
+def _build(kind, field, scheme, boundary, args, max_degree, degree_cap, guard_bytes):
+    """The complex with degree-n chains scheme(*args, n) and boundaries
+    boundary(*args, n) up to max_degree, size-guarded before anything is
+    built; boundary-squared is verified."""
+    schemes = [scheme(*args, n) for n in range(max_degree + 1)]
     dims = [s.total for s in schemes]
     _check_guards(dims, max_degree, degree_cap, guard_bytes)
-    boundaries = [SparseMatrix.zero(a.field, 0, dims[0])]
-    for n in range(1, max_degree + 1):
-        boundaries.append(classical_boundary(a, m, n))
+    boundaries = [SparseMatrix.zero(field, 0, dims[0])]
+    boundaries += [boundary(*args, n) for n in range(1, max_degree + 1)]
     _verify_dd_zero(boundaries)
-    return ChainComplex("classical", a.field, dims, boundaries, schemes)
+    return ChainComplex(kind, field, dims, boundaries, schemes)
+
+
+def build_classical_complex(
+    a, m, max_degree, degree_cap=DEFAULT_DEGREE_CAP, guard_bytes=DEFAULT_GUARD_BYTES
+):
+    return _build(
+        "classical", a.field, classical_scheme, classical_boundary, (a, m),
+        max_degree, degree_cap, guard_bytes,
+    )
 
 
 def build_secondary_complex(
-    t,
-    m,
-    max_degree,
-    degree_cap=DEFAULT_DEGREE_CAP,
-    guard_bytes=DEFAULT_GUARD_BYTES,
+    t, m, max_degree, degree_cap=DEFAULT_DEGREE_CAP, guard_bytes=DEFAULT_GUARD_BYTES
 ):
-    schemes = [secondary_scheme(t, m, n) for n in range(max_degree + 1)]
-    dims = [s.total for s in schemes]
-    _check_guards(dims, max_degree, degree_cap, guard_bytes)
-    boundaries = [SparseMatrix.zero(t.A.field, 0, dims[0])]
-    for n in range(1, max_degree + 1):
-        boundaries.append(secondary_boundary(t, m, n))
-    _verify_dd_zero(boundaries)
-    return ChainComplex("secondary", t.A.field, dims, boundaries, schemes)
+    return _build(
+        "secondary", t.A.field, secondary_scheme, secondary_boundary, (t, m),
+        max_degree, degree_cap, guard_bytes,
+    )
 
 
 def build_complex(kind, t, m, max_degree, **kwargs):

@@ -21,11 +21,11 @@ def _parse_pair(text):
     text = text.strip()
     if not _SCALAR_RE.match(text):
         raise ScalarError(f"bad scalar literal {text!r}")
-    if "/" in text:
-        num, den = text.split("/")
-        num, den = int(num), int(den)
-    else:
-        num, den = int(text), 1
+    num, _, den = text.partition("/")
+    try:  # int() refuses literals above sys.get_int_max_str_digits()
+        num, den = int(num), int(den or 1)
+    except ValueError:
+        raise ScalarError(f"scalar literal too long: {len(text)} characters") from None
     if den == 0:
         raise ScalarError(f"zero denominator in {text!r}")
     return num, den

@@ -9,11 +9,13 @@ bookkeeping.  Each field has one row step, chosen when an `Echelon` is
 made, that serves both insertion and back-substitution; back-substitution
 visits only the pivot columns a row holds.  Subspaces are canonicalized
 to reduced row echelon form, so equality of subspaces is a syntactic
-check.  A chain complex eliminates the columns of each boundary once:
-the image it needs for representatives also gives the boundary's rank.
-Chain maps that act slot by slot are built with one primitive,
+check, and reducing a vector visits only the pivots in its support.  A
+chain complex eliminates the columns of each boundary once: the image
+it needs for representatives also gives the boundary's rank.  Chain
+maps that act slot by slot are built with one primitive,
 `SparseMatrix.kron`, whose index order (first factor most significant)
-is the mixed-radix order of the chain index.
+is the mixed-radix order of the chain index; the same order indexes
+the columns of a structure tensor, which `bilinear` contracts.
 
 Everything here is immutable after construction and all operations are
 pure, so concurrent use on distinct inputs is safe.
@@ -43,6 +45,19 @@ def vec_add_scaled(field, acc, scale, vec):
             acc.pop(k, None)
         else:
             acc[k] = nv
+
+
+def bilinear(m, y_dim, x, y):
+    """m applied to x (x) y, the tensor whose basis vector e_i (x) e_j is
+    column i * y_dim + j of m.  Every product, action and pairing given
+    by structure constants is this contraction of its sparse form."""
+    field = m.field
+    mul, columns = field.mul, m.columns()
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            vec_add_scaled(field, out, mul(xi, yj), columns[i * y_dim + j])
+    return out
 
 
 def vec_scale(field, scale, vec):
@@ -88,6 +103,15 @@ class SparseMatrix:
                 if v != field.zero:
                     entries[(r, c)] = v
         return cls.from_entries(field, rows, cols, entries)
+
+    @classmethod
+    def from_columns(cls, field, rows, dense_columns):
+        """Matrix whose columns are the given dense vectors, zeros dropped."""
+        zero = field.zero
+        columns = [
+            {r: v for r, v in enumerate(col) if v != zero} for col in dense_columns
+        ]
+        return cls(field, rows, len(columns), columns)
 
     @classmethod
     def identity(cls, field, n):
@@ -337,13 +361,14 @@ class Echelon:
 class Subspace:
     """Subspace of k^n held as its canonical RREF basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_row_at")
 
     def __init__(self, field, ambient_dim, basis, pivots):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = tuple(basis)
         self.pivots = tuple(pivots)
+        self._row_at = dict(zip(self.pivots, self.basis))
 
     @classmethod
     def span(cls, field, ambient_dim, vectors, deadline=None):
@@ -370,13 +395,15 @@ class Subspace:
         return len(self.basis)
 
     def reduce(self, vec):
-        """Residue of vec modulo this subspace (single pass; basis is RREF)."""
+        """Residue of vec modulo this subspace.  The basis is RREF, so a
+        row is zero at every other pivot: the coefficient of each pivot
+        is vec's own entry, and only the pivots in vec's support are
+        visited."""
         field = self.field
         r = {k: v for k, v in vec.items() if v != field.zero}
-        for p, row in zip(self.pivots, self.basis):
-            coeff = r.get(p)
-            if coeff is not None:
-                vec_add_scaled(field, r, field.neg(coeff), row)
+        row_at = self._row_at
+        for p in [p for p in r if p in row_at]:
+            vec_add_scaled(field, r, field.neg(r[p]), row_at[p])
         return r
 
     def contains(self, vec):

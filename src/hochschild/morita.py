@@ -26,6 +26,7 @@ are one routine on the two sides, and l is h on the target side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -34,6 +35,7 @@ from .algebra import (
     AlgebraMorphism,
     Bimodule,
     Triple,
+    action_tensor,
     corner_triple,
     matrix_triple,
     morphism_defects,
@@ -51,6 +53,7 @@ from .linalg import (
     QuotientSpace,
     SparseMatrix,
     Subspace,
+    bilinear,
     rank,
     solve,
     vec_add_scaled,
@@ -66,19 +69,6 @@ def _vec(tup, field):
     return {i: v for i, v in enumerate(tup) if v != field.zero}
 
 
-def _pairing(field, mat, right_dim):
-    """x, y -> mat applied to x (x) y, whose column is x * right_dim + y."""
-    columns = SparseMatrix.from_dense(field, mat).columns()
-
-    def pair(xvec, yvec):
-        out = {}
-        for (x, cx), (y, cy) in itertools.product(xvec.items(), yvec.items()):
-            vec_add_scaled(field, out, field.mul(cx, cy), columns[x * right_dim + y])
-        return out
-
-    return pair
-
-
 def _bilinear_matrix(field, rows, x_dim, y_dim, pair):
     """Dense rows of the matrix whose column x * y_dim + y is pair(x, y)."""
     mat = [[field.zero] * (x_dim * y_dim) for _ in range(rows)]
@@ -87,18 +77,6 @@ def _bilinear_matrix(field, rows, x_dim, y_dim, pair):
             for k, c in pair(x, y).items():
                 mat[k][x * y_dim + y] = c
     return tuple(tuple(r) for r in mat)
-
-
-def _planes(field, count, dim, act):
-    """Action tensor [i][b][k]: the coefficient of basis k in act(i, b)."""
-    zero = field.zero
-    return tuple(
-        tuple(
-            tuple(vec.get(k, zero) for k in range(dim))
-            for vec in (act(i, b) for b in range(dim))
-        )
-        for i in range(count)
-    )
 
 
 @dataclass(frozen=True)
@@ -127,12 +105,23 @@ class MoritaData:
     def t(self):
         return len(self.pprime_dual)
 
+    @functools.cached_property
+    def pairing_matrices(self):
+        """f and g as sparse matrices on the plain tensor products."""
+        cols = self.p_mod.dim * self.q_mod.dim
+        return tuple(
+            SparseMatrix.from_columns(
+                self.field, len(mat), [[row[c] for row in mat] for c in range(cols)]
+            )
+            for mat in (self.f_mat, self.g_mat)
+        )
+
     def pairings(self):
         """f on P (x) Q and g on Q (x) P, as functions of two sparse vectors."""
-        field = self.field
+        f, g = self.pairing_matrices
         return (
-            _pairing(field, self.f_mat, self.q_mod.dim),
-            _pairing(field, self.g_mat, self.p_mod.dim),
+            functools.partial(bilinear, f, self.q_mod.dim),
+            functools.partial(bilinear, g, self.p_mod.dim),
         )
 
     def dual_vecs(self):
@@ -209,13 +198,13 @@ class BalancedTensor:
         self.module = Bimodule(
             field,
             self.dim,
-            _planes(
+            action_tensor(
                 field,
                 first.left_alg_dim,
                 self.dim,
                 lambda i, b: self._act(0, first.act_left_basis, i, b),
             ),
-            _planes(
+            action_tensor(
                 field,
                 last.right_alg_dim,
                 self.dim,
@@ -351,12 +340,16 @@ def standard_matrix_morita(t, n):
     def q_right(i, b):
         return at_slot(b // da, mul(b % da, i))
 
-    p_mod = Bimodule(
-        field, dp, _planes(field, da, dp, p_left), _planes(field, dbig, dp, p_right)
-    )
-    q_mod = Bimodule(
-        field, dp, _planes(field, dbig, dp, q_left), _planes(field, da, dp, q_right)
-    )
+    def module(left_count, left, right_count, right):
+        return Bimodule(
+            field,
+            dp,
+            action_tensor(field, left_count, dp, left),
+            action_tensor(field, right_count, dp, right),
+        )
+
+    p_mod = module(da, p_left, dbig, p_right)
+    q_mod = module(dbig, q_left, da, q_right)
     f_mat = _bilinear_matrix(
         field,
         da,
@@ -411,7 +404,7 @@ def corner_morita(t, e):
         return dict(enumerate(c))
 
     def action(space, name, count, product):
-        return _planes(
+        return action_tensor(
             field, count, space.dim, lambda i, j: coords(space, name, product(i, j))
         )
 

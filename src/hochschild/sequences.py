@@ -62,14 +62,8 @@ def validate_triple_morphism(tm):
         unit_ok, bad_pairs = morphism_defects(phi)
         report.check(f"{name} preserves unit", unit_ok)
         report.check(f"{name} multiplicative", not bad_pairs)
-    report.check(
-        "square f.eps = eps'.g",
-        all(
-            f.apply(tm.source.eps.apply_basis(j))
-            == tm.target.eps.apply(g.apply_basis(j))
-            for j in range(tm.source.B.dim)
-        ),
-    )
+    square = f.sparse @ tm.source.eps.sparse == tm.target.eps.sparse @ g.sparse
+    report.check("square f.eps = eps'.g", square)
     return report
 
 
@@ -97,9 +91,7 @@ def psi_seq_chain(t, m):
 
 def epsilon_star_chain(t, m):
     """C_1(B,M) -> C_1(A,M): apply eps on the algebra slot."""
-    field = t.A.field
-    eps = SparseMatrix.from_dense(field, t.eps.matrix)
-    return SparseMatrix.identity(field, m.dim).kron(eps)
+    return SparseMatrix.identity(t.A.field, m.dim).kron(t.eps.sparse)
 
 
 def phi1_chain(t, m):
@@ -242,7 +234,7 @@ def pushforward_m(fm, t, n):
     """
     m_src, m_tgt = fm.source, fm.target
     field = m_src.field
-    f = SparseMatrix.from_dense(field, fm.matrix)
+    f = fm.sparse
     for i, mu in itertools.product(range(m_src.left_alg_dim), range(m_src.dim)):
         a_i, v = {i: field.one}, {mu: field.one}
         if f.apply(m_src.act_left(a_i, v)) != m_tgt.act_left(a_i, f.column(mu)):
@@ -260,9 +252,6 @@ def pushforward_fg(tm, mprime, n):
     if not rep.ok:
         raise PreconditionError("invalid triple morphism")
     restricted = restrict_coefficients(tm, mprime)
-    field = mprime.field
-    f, g = (SparseMatrix.from_dense(field, phi.matrix) for phi in (tm.f, tm.g))
-    ident = SparseMatrix.identity(field, mprime.dim)
-    return _slotwise_chain_map(
-        ident, f, g, n, (tm.source, restricted), (tm.target, mprime)
-    )
+    ident = SparseMatrix.identity(mprime.field, mprime.dim)
+    src, tgt = (tm.source, restricted), (tm.target, mprime)
+    return _slotwise_chain_map(ident, tm.f.sparse, tm.g.sparse, n, src, tgt)

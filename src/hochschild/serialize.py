@@ -33,15 +33,20 @@ def _parse_scalar(field, s):
     return field.parse(s)
 
 
+def _is_list(data, length):
+    """Whether data is a JSON list (not a string) of the given length."""
+    return isinstance(data, list) and len(data) == length
+
+
 def _parse_matrix(field, data, rows, cols, what):
-    if len(data) != rows or any(len(r) != cols for r in data):
+    if not _is_list(data, rows) or not all(_is_list(r, cols) for r in data):
         raise InstanceFormatError(f"{what}: expected {rows}x{cols} matrix")
     return tuple(tuple(_parse_scalar(field, v) for v in row) for row in data)
 
 
 def _parse_tensor(field, data, d0, d1, d2, what):
-    if len(data) != d0 or any(
-        len(p) != d1 or any(len(r) != d2 for r in p) for p in data
+    if not _is_list(data, d0) or not all(
+        _is_list(p, d1) and all(_is_list(r, d2) for r in p) for p in data
     ):
         raise InstanceFormatError(f"{what}: expected {d0}x{d1}x{d2} tensor")
     return tuple(
@@ -65,6 +70,8 @@ def _parse_algebra(field, data, what):
         unit = data["unit"]
     except (KeyError, TypeError) as exc:
         raise InstanceFormatError(f"{what}: missing field {exc}") from None
+    if not isinstance(basis, list) or not isinstance(unit, list):
+        raise InstanceFormatError(f"{what}: basis and unit must be lists")
     if dim != len(basis):
         raise InstanceFormatError(f"{what}: dim does not match basis length")
     if len(unit) != dim:
@@ -84,6 +91,8 @@ def parse_instance(text, field_override=None):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise InstanceFormatError("not valid JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise InstanceFormatError("top level must be an object")
     try:
@@ -113,7 +122,10 @@ def parse_instance(text, field_override=None):
             raise InstanceFormatError(
                 "morita section must be {'kind': 'matrix'|'corner', ...}"
             )
-        if morita["kind"] == "matrix" and not isinstance(morita.get("n", 2), int):
+        n = morita.get("n", 2)
+        if morita["kind"] == "matrix" and (
+            isinstance(n, bool) or not isinstance(n, int)
+        ):
             raise InstanceFormatError("morita.n must be an integer")
         if morita["kind"] == "corner":
             idem = morita.get("idempotent")

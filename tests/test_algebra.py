@@ -14,6 +14,7 @@ from hochschild.algebra import (
     field_algebra,
     matrix_algebra,
     matrix_triple,
+    morphism_defects,
     pullback_bimodule,
     regular_bimodule,
     trivial_triple,
@@ -49,6 +50,40 @@ def test_unit_law_violation_reported():
     rep = validate_algebra(a)
     assert not rep.ok
     assert any("unit" in item.label for item in rep.violations)
+
+
+class TestFailureDetails:
+    """The axioms are checked as matrix identities; a failure names the
+    basis tuples of the columns that differ, in index order."""
+
+    def test_associativity_names_its_triples(self):
+        a = truncated_polynomial_algebra(QQ, 3)
+        table = [[list(row) for row in plane] for plane in a.table]
+        table[1][2] = [QQ.zero, QQ.one, QQ.zero]  # x * x^2 = x
+        broken = FiniteAlgebra.from_data(QQ, a.basis_labels, table, a.unit)
+        triples = "[(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]"
+        assert [(v.label, v.detail) for v in validate_algebra(broken).violations] == [
+            ("associativity", f"fails at triples {triples}")
+        ]
+
+    def test_unit_law_names_its_basis_indices(self):
+        a = truncated_polynomial_algebra(QQ, 3)
+        unit = (QQ.from_rational(2), QQ.zero, QQ.zero)
+        broken = FiniteAlgebra.from_data(QQ, a.basis_labels, a.table, unit)
+        assert [(v.label, v.detail) for v in validate_algebra(broken).violations] == [
+            ("unit law", "fails at basis indices [0, 1, 2]")
+        ]
+
+    def test_non_multiplicative_eps_names_its_pairs(self):
+        a = truncated_polynomial_algebra(QQ, 2)
+        two = QQ.from_rational(2)
+        eps = AlgebraMorphism.from_data(a, a, ((two, QQ.zero), (QQ.zero, QQ.one)))
+        assert morphism_defects(eps) == (False, [(0, 0), (0, 1), (1, 0)])
+        rep = validate_triple(Triple(a, a, eps))
+        assert [(v.label, v.detail) for v in rep.violations] == [
+            ("eps preserves unit", ""),
+            ("eps multiplicative", "fails at pairs [(0, 0), (0, 1), (1, 0)]"),
+        ]
 
 
 def test_random_perturbation_fails_validation():

@@ -1,12 +1,15 @@
+import copy
 import dataclasses
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hochschild import cli
 from hochschild.cli import main
-from hochschild.errors import InstanceFormatError
+from hochschild.errors import InstanceFormatError, ScalarError
 from hochschild.fixtures import fix_dd
 from hochschild.morita import standard_matrix_morita
 from hochschild.serialize import Instance, parse_instance, serialize_instance
@@ -301,3 +304,123 @@ def test_morita_rejects_an_invalid_context(fixture_dir, monkeypatch, capsys):
     monkeypatch.setattr(cli, "standard_matrix_morita", broken)
     assert main(["morita", str(fixture_dir / "FIX-D.json")]) == 2
     assert "morita context failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, path, value",
+    [
+        ("FIX-D", ("A", "unit"), "10"),
+        ("FIX-D", ("A", "basis"), "ab"),
+        ("FIX-K", ("B", "table"), "1"),
+        ("FIX-D", ("epsilon",), ["1", "0"]),
+        ("FIX-K", ("module", "left"), [["1"]]),
+        ("FIX-K", ("module", "right"), [["1"]]),
+        ("FIX-K", ("morphism",), {"f": ["1"], "g": [["1"]]}),
+        ("FIX-K", ("morphism",), {"f": [["1"]], "g": ["1"]}),
+        ("FIX-D", ("morita",), {"kind": "matrix", "n": True}),
+    ],
+    ids=[
+        "unit-string",
+        "basis-string",
+        "table-string",
+        "epsilon-row-strings",
+        "left-row-strings",
+        "right-row-strings",
+        "morphism-f-row-strings",
+        "morphism-g-row-strings",
+        "morita-n-bool",
+    ],
+)
+def test_lists_and_ints_are_required(fixture_dir, tmp_path, capsys, name, path, value):
+    """A JSON string is not a list of one-character scalars, and true is
+    not the integer 1."""
+    data = json.loads((fixture_dir / f"{name}.json").read_text())
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    with pytest.raises(InstanceFormatError):
+        parse_instance(json.dumps(data))
+    p = tmp_path / "malformed.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", str(p)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000], ids=["unclosed", "closed"]
+)
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, text):
+    p = tmp_path / "deep.json"
+    p.write_text(text)
+    assert main(["validate", str(p)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_scalar_too_long_for_int_is_input_error(fixture_dir, tmp_path, capsys):
+    data = json.loads((fixture_dir / "FIX-D.json").read_text())
+    data["A"]["unit"][0] = "9" * 5000
+    p = tmp_path / "long.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", str(p)]) == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def _fuzz_base():
+    t, m = fix_dd()
+    inst = Instance(
+        t.A.field,
+        t,
+        m,
+        morita={"kind": "matrix", "n": 2},
+        morphism=(t.A.table[0], t.B.table[0]),  # identity matrices
+    )
+    return json.loads(serialize_instance(inst))
+
+
+FUZZ_BASE = _fuzz_base()
+FUZZ_PATHS = [(key,) for key in FUZZ_BASE] + [
+    (section, key)
+    for section in ("A", "B", "module", "morphism", "morita")
+    for key in FUZZ_BASE[section]
+] + [
+    ("A", "table", 1),
+    ("A", "table", 1, 0),
+    ("A", "unit", 0),
+    ("epsilon", 0),
+    ("epsilon", 1, 1),
+    ("module", "left", 0, 1),
+    ("module", "right", 1, 1, 0),
+    ("morphism", "f", 0),
+    ("morita", "idempotent"),
+]
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.sampled_from(
+        ["0", "1", "-1", "1/2", "1/0", "Q", "Fp:2", "Fp:4", "matrix", "corner"]
+    ),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@given(st.sampled_from(FUZZ_PATHS), json_values)
+@settings(max_examples=400, deadline=None)
+def test_parse_instance_fuzz(path, value):
+    """Any JSON value in any section ends in an Instance or an input
+    error, never another exception."""
+    data = copy.deepcopy(FUZZ_BASE)
+    section = data
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    try:
+        inst = parse_instance(json.dumps(data))
+    except (InstanceFormatError, ScalarError):
+        return
+    assert isinstance(inst, Instance)

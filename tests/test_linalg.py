@@ -21,6 +21,7 @@ from hochschild.linalg import (
     rank,
     solve,
     subspace_leq,
+    vec_add_scaled,
 )
 
 F1009 = GF(1009)
@@ -245,6 +246,27 @@ def test_rref_rows_have_lead_one_and_clear_pivot_columns(data, field):
         assert min(row) == p and row[p] == field.one
         assert all(v != field.zero for v in row.values())
         assert not any(q in row for q in pivots if q != p)
+
+
+@given(dense_matrices(), st.data(), both_fields)
+@settings(max_examples=120, deadline=None)
+def test_reduce_clears_the_pivots_and_stays_in_the_coset(data, draw, field):
+    """reduce(v) has no pivot entries, v - reduce(v) lies in the span, and
+    the residue equals a pass over every pivot in order."""
+    cols = len(data[0]) if data else 0
+    space = Subspace.span(field, cols, vectors(data, field))
+    entries = draw.draw(st.lists(small_entries, min_size=cols, max_size=cols))
+    (vec,) = vectors([entries], field)
+    residue = space.reduce(vec)
+    assert not any(p in residue for p in space.pivots)
+    moved = dict(vec)
+    vec_add_scaled(field, moved, field.neg(field.one), residue)
+    assert Subspace.span(field, cols, list(space.basis) + [moved]) == space
+    expected = dict(vec)  # one pass over every pivot in order
+    for p, row in zip(space.pivots, space.basis):
+        if p in expected:
+            vec_add_scaled(field, expected, field.neg(expected[p]), row)
+    assert residue == expected
 
 
 @st.composite
