@@ -12,8 +12,10 @@ SparseMatrix built on first use and kept on its object: the products
 of an algebra (column i*dim + j is e_i e_j), the two actions of a
 bimodule (column i*dim + m is e_i . v_m, resp. v_m . e_i) and the
 matrix of a morphism.  Products and actions are `linalg.bilinear` on
-these forms, and the algebra and morphism axioms are checked as matrix
-identities between them.
+these forms, and every axiom (algebra, morphism, triple, bimodule) is
+checked as a matrix identity between them, with `linalg.commutation`
+where the two sides take their arguments in different orders; a
+failure names the basis tuples of the columns that differ.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .linalg import (
     SparseMatrix,
     Subspace,
     bilinear,
+    commutation,
     kernel_basis,
     solve,
     vec_add_scaled,
@@ -379,13 +382,16 @@ def validate_algebra(a):
 
 
 def validate_triple(t):
+    """Algebra reports, eps a morphism, and centrality P(E (x) I) =
+    P(I (x) E)K, E the matrix of eps and K the factor swap.  A table or
+    unit of the wrong shape ends the report: the later checks use them."""
     report = Report("triple")
-    rep_a = validate_algebra(t.A)
-    rep_b = validate_algebra(t.B)
-    report.extend(rep_a)
-    report.extend(rep_b)
+    report.extend(validate_algebra(t.A))
+    report.extend(validate_algebra(t.B))
     if t.A.field != t.B.field:
         raise FieldMismatchError("A and B over different fields")
+    if any(v.label.endswith("shape") for v in report.violations):
+        return report
     report.check("B commutative", t.B.is_commutative())
     eps = t.eps
     unit_ok, bad_mult = morphism_defects(eps)
@@ -395,12 +401,14 @@ def validate_triple(t):
         not bad_mult,
         "" if not bad_mult else f"fails at pairs {bad_mult[:8]}",
     )
+    a, e = t.A, eps.sparse
+    ident = SparseMatrix.identity(a.field, a.dim)
+    swap = commutation(a.field, t.B.dim, a.dim)
     bad_central = [
-        (j, i)
-        for j in range(t.B.dim)
-        for i in range(t.A.dim)
-        if t.A.mul(eps.apply_basis(j), t.A.basis_vec(i))
-        != t.A.mul(t.A.basis_vec(i), eps.apply_basis(j))
+        divmod(c, a.dim)
+        for c in _differing_columns(
+            a.products @ e.kron(ident), a.products @ ident.kron(e) @ swap
+        )
     ]
     report.check(
         "centrality eps(B) in Z(A)",
@@ -411,42 +419,40 @@ def validate_triple(t):
 
 
 def validate_bimodule(m, t):
+    """For the actions L, R of m: L(u (x) I) = I = R(u (x) I), the action
+    identities left, right and commute below (P the products of A, K the
+    swap of two A-factors), and B-symmetry L(E (x) I) = R(E (x) I).
+    Failures are listed by column, and by kind within a column."""
     report = Report("bimodule")
     a = t.A
     if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
         report.check("action shape", False, "action tensors do not match dim A")
         return report
-    unit = a.unit_vec()
-    ok_unital = all(
-        m.act_left(unit, m_basis) == m_basis and m.act_right(m_basis, unit) == m_basis
-        for m_basis in ({i: m.field.one} for i in range(m.dim))
+    field, dm = m.field, m.dim
+    left, right = m.left_action, m.right_action
+    ident = SparseMatrix.identity(field, dm)
+    ident_a = SparseMatrix.identity(field, a.dim)
+    unit = SparseMatrix(field, a.dim, 1, [a.unit_vec()]).kron(ident)
+    report.check("actions unital", left @ unit == ident and right @ unit == ident)
+    swap = commutation(field, a.dim, a.dim).kron(ident)
+    identities = (
+        ("left", left @ a.products.kron(ident), left @ ident_a.kron(left)),
+        ("right", right @ a.products.kron(ident), right @ ident_a.kron(right) @ swap),
+        ("commute", right @ ident_a.kron(left) @ swap, left @ ident_a.kron(right)),
     )
-    report.check("actions unital", ok_unital)
-    bad = []
-    for i, j in itertools.product(range(a.dim), repeat=2):
-        prod = a.mul(a.basis_vec(i), a.basis_vec(j))
-        for mm in range(m.dim):
-            v = {mm: m.field.one}
-            if m.act_left(prod, v) != m.act_left(a.basis_vec(i), m.act_left(a.basis_vec(j), v)):
-                bad.append(("left", i, j, mm))
-            if m.act_right(v, prod) != m.act_right(m.act_right(v, a.basis_vec(i)), a.basis_vec(j)):
-                bad.append(("right", i, j, mm))
-            if m.act_right(m.act_left(a.basis_vec(i), v), a.basis_vec(j)) != m.act_left(
-                a.basis_vec(i), m.act_right(v, a.basis_vec(j))
-            ):
-                bad.append(("commute", i, j, mm))
+    failures = sorted(
+        (c, k, kind)
+        for k, (kind, lhs, rhs) in enumerate(identities)
+        for c in _differing_columns(lhs, rhs)
+    )
+    bad = [(kind, *divmod(c // dm, a.dim), c % dm) for c, _, kind in failures]
     report.check(
         "associativity of actions",
         not bad,
         "" if not bad else f"fails at {bad[:8]}",
     )
-    bad_sym = []
-    for j in range(t.B.dim):
-        eb = t.eps.apply_basis(j)
-        for mm in range(m.dim):
-            v = {mm: m.field.one}
-            if m.act_left(eb, v) != m.act_right(v, eb):
-                bad_sym.append((j, mm))
+    eps = t.eps.sparse.kron(ident)
+    bad_sym = [divmod(c, dm) for c in _differing_columns(left @ eps, right @ eps)]
     report.check(
         "B-symmetry",
         not bad_sym,
@@ -559,7 +565,7 @@ def matrix_triple(t, n):
                     if cp == r:
                         for k, cv in m.act_right_basis(u, mu).items():
                             right[idx(r, c, u)][midx(rp, cp, mu)][midx(rp, c, k)] = cv
-        return Bimodule(field, dim_m, left, right)
+        return Bimodule.from_data(field, dim_m, left, right)
 
     return lifted, lift_bimodule
 

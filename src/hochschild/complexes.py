@@ -10,7 +10,10 @@ One builder makes both boundaries.  Each face is a table on the slots
 it multiplies (mu a_1 eps(b..), a_i eps(b) a_(i+1), a_n eps(b..) mu),
 built once per call; `pair_layout` says which b-slots it copies and
 which it merges, and `expand_slots` writes the terms, with the copied
-digits entering as a base offset through the target's strides.
+digits entering as a base offset through the target's strides.  Only
+the boundary uses `expand_slots`: chain maps that act slot by slot (the
+Morita and sequence maps) are Kronecker products, and `pair_layout`
+gives a homotopy its b-slot factors.
 boundary-squared is verified exactly at build time.
 """
 

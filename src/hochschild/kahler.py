@@ -61,21 +61,21 @@ def _act_free(a, vec, gen_count, basis_idx):
 
 
 def module_closure(a, vectors, gen_count):
-    """A-module closure of a vector family in A^gen_count, as a Subspace."""
-    field = a.field
-    current = Subspace.span(field, gen_count * a.dim, vectors)
-    while True:
-        extra = []
-        for b in current.basis:
-            for i in range(a.dim):
-                img = _act_free(a, b, gen_count, i)
-                if not current.contains(img):
-                    extra.append(img)
-        if not extra:
-            return current
-        current = Subspace.span(
-            field, gen_count * a.dim, list(current.basis) + extra
-        )
+    """A-module closure of a vector family in A^gen_count, as a Subspace:
+    the span of the family and its images under the basis of A.  A is
+    unital and associative, so e_k (e_i r) = (e_k e_i) r lies in that
+    span again and one pass suffices."""
+    ambient = gen_count * a.dim
+    current = Subspace.span(a.field, ambient, vectors)
+    extra = [
+        img
+        for b in current.basis
+        for i in range(a.dim)
+        if not current.contains(img := _act_free(a, b, gen_count, i))
+    ]
+    if not extra:
+        return current
+    return Subspace.span(a.field, ambient, [*current.basis, *extra])
 
 
 def kahler_module(t):

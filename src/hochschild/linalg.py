@@ -16,6 +16,9 @@ maps that act slot by slot are built with one primitive,
 `SparseMatrix.kron`, whose index order (first factor most significant)
 is the mixed-radix order of the chain index; the same order indexes
 the columns of a structure tensor, which `bilinear` contracts.
+`commutation` swaps two neighbouring factors of such a product, so an
+axiom that takes its arguments in another order is still one matrix
+identity.
 
 Everything here is immutable after construction and all operations are
 pure, so concurrent use on distinct inputs is safe.
@@ -58,6 +61,15 @@ def bilinear(m, y_dim, x, y):
         for j, yj in y.items():
             vec_add_scaled(field, out, mul(xi, yj), columns[i * y_dim + j])
     return out
+
+
+def commutation(field, m, n):
+    """The (n*m) x (m*n) matrix of k^m (x) k^n -> k^n (x) k^m,
+    e_i (x) e_j -> e_j (x) e_i: it moves a factor past its neighbour in
+    a Kronecker product."""
+    one = field.one
+    cols = [{j * m + i: one} for i in range(m) for j in range(n)]
+    return SparseMatrix(field, n * m, m * n, cols)
 
 
 def vec_scale(field, scale, vec):

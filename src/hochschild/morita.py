@@ -18,16 +18,21 @@ id - psi.phi on the primed side).
 Two primitives carry the constructions.  `BalancedTensor` is the tensor
 product of bimodules over algebras with its outer actions: P (x)_A' Q,
 the induced coefficients Q (x)_A M (x)_A P, and the modules of a
-composed context.  Each chain map and homotopy is a head table and
-per-slot tables, built once per call from f, g and the dual bases and
-expanded column by column through `complexes.expand_slots`; psi and phi
-are one routine on the two sides, and l is h on the target side.
+composed context.  Each chain map and homotopy is a sum of Kronecker
+chains (`SparseMatrix.kron`) of small per-slot matrices built once per
+call from f, g and the dual bases: a head matrix on the module slot,
+slot matrices on the A-slots, and eta, eta^-1, I_B or the unit of B on
+the b-slots; the Kronecker order is the chain index order, so no index
+is decoded here.  psi and phi are one routine on the two sides, and l
+is h on the target side.  The axioms of a context are matrix identities
+between the pairings, the actions and the products.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from math import prod
 
@@ -41,19 +46,14 @@ from .algebra import (
     morphism_defects,
     regular_bimodule,
 )
-from .complexes import (
-    build_secondary_complex,
-    expand_slots,
-    homology,
-    pair_layout,
-    secondary_scheme,
-)
+from .complexes import build_secondary_complex, homology, pair_layout
 from .errors import PreconditionError
 from .linalg import (
     QuotientSpace,
     SparseMatrix,
     Subspace,
     bilinear,
+    commutation,
     rank,
     solve,
     vec_add_scaled,
@@ -276,12 +276,8 @@ def induced_coefficients(d, m):
 def identity_morita(t):
     """The reflexive context: P = Q = A, f = g = multiplication."""
     a = t.A
-    field = a.field
-    da = a.dim
-    mult = _bilinear_matrix(
-        field, da, da, da, lambda i, j: a.mul(a.basis_vec(i), a.basis_vec(j))
-    )
-    unit = _freeze_vec(a.unit_vec(), da, field)
+    mult = tuple(map(tuple, a.products.to_dense()))
+    unit = _freeze_vec(a.unit_vec(), a.dim, a.field)
     reg = regular_bimodule(a)
     return MoritaData(
         source=t,
@@ -511,6 +507,8 @@ def compose_morita(d1, d2):
 
 
 def validate_morita(d):
+    """The context axioms (i)-(iii), the dual-basis certificates and the
+    compatibility of f and g, each a matrix identity or a rank."""
     report = Report("morita context")
     field = d.field
     a, aprime = d.source.A, d.target.A
@@ -519,58 +517,49 @@ def validate_morita(d):
     f, g = d.pairings()
 
     # (ii) eta is an isomorphism of algebras B -> B'
-    b, bprime = d.source.B, d.target.B
     eta = d.eta
     ok_eta_unit, bad_eta_pairs = morphism_defects(eta)
-    ok_eta_bij = False
-    if b.dim == bprime.dim:
-        try:
-            eta.inverse()
-            ok_eta_bij = True
-        except PreconditionError:
-            ok_eta_bij = False
     report.check("(ii) eta unital", ok_eta_unit)
     report.check("(ii) eta multiplicative", not bad_eta_pairs)
-    report.check("(ii) eta bijective", ok_eta_bij)
-
-    # each pairing X (x) Y -> outer: f on P (x)_A' Q -> A, g on Q (x)_A P -> A'
-    sides = (
-        ("f", "P(x)Q", "A", "A'", p, q, f, a, aprime),
-        ("g", "Q(x)P", "A'", "A", q, p, g, aprime, a),
+    report.check(
+        "(ii) eta bijective",
+        d.source.B.dim == d.target.B.dim == rank(eta.sparse),
     )
 
-    # the pairings kill the balancing relations and are bimodule maps
+    # each pairing X (x) Y -> outer: f on P (x)_A' Q -> A, g on Q (x)_A P -> A',
+    # as its matrix M on the plain tensor product
+    fm, gm = d.pairing_matrices
+    sides = (
+        ("f", "P(x)Q", "A", "A'", p, q, fm, a, aprime),
+        ("g", "Q(x)P", "A'", "A", q, p, gm, aprime, a),
+    )
+
+    def ident(n):
+        return SparseMatrix.identity(field, n)
+
+    def right_first(x_mod, alg):  # x (x) e_k -> x . e_k
+        return x_mod.right_action @ commutation(field, x_mod.dim, alg.dim)
+
+    # M kills the balancing relations: M(R_X (x) I) = M(I (x) L_Y) on
+    # X (x) inner (x) Y, and is a bimodule map: M(L_X (x) I) = P(I (x) M)
+    # and M(I (x) R_Y) = P(M (x) I), P the products of the outer algebra
     for name, _, _, inner_name, x_mod, y_mod, pair, _, inner in sides:
-        ok = all(
-            pair(x_mod.act_right({xi: one}, inner.basis_vec(k)), {yi: one})
-            == pair({xi: one}, y_mod.act_left(inner.basis_vec(k), {yi: one}))
-            for xi in range(x_mod.dim)
-            for k in range(inner.dim)
-            for yi in range(y_mod.dim)
-        )
+        ix, iy = ident(x_mod.dim), ident(y_mod.dim)
+        moved = pair @ right_first(x_mod, inner).kron(iy)
+        ok = moved == pair @ ix.kron(y_mod.left_action)
         report.check(f"(i) {name} balanced over {inner_name}", ok)
     for name, _, outer_name, _, x_mod, y_mod, pair, outer, _ in sides:
-        ok = all(
-            pair(x_mod.act_left(outer.basis_vec(k), {xi: one}), {yi: one})
-            == outer.mul(outer.basis_vec(k), pair({xi: one}, {yi: one}))
-            and pair({xi: one}, y_mod.act_right({yi: one}, outer.basis_vec(k)))
-            == outer.mul(pair({xi: one}, {yi: one}), outer.basis_vec(k))
-            for xi in range(x_mod.dim)
-            for yi in range(y_mod.dim)
-            for k in range(outer.dim)
+        ix, iy, io = ident(x_mod.dim), ident(y_mod.dim), ident(outer.dim)
+        ok = pair @ x_mod.left_action.kron(iy) == outer.products @ io.kron(pair) and (
+            pair @ ix.kron(right_first(y_mod, outer)) == outer.products @ pair.kron(io)
         )
         report.check(f"(i) {name} is an {outer_name}-bimodule map", ok)
 
-    # bijectivity through the quotients
+    # bijectivity through the quotients: M on the lifts of their bases
     for name, tensor_name, outer_name, _, x_mod, y_mod, pair, outer, inner in sides:
         tensor = tensor_over_algebra(x_mod, y_mod, inner)
-        cols = []
-        for nb in range(tensor.dim):
-            out = {}
-            for (xi, yi), c in tensor.lift_terms({nb: one}):
-                vec_add_scaled(field, out, c, pair({xi: one}, {yi: one}))
-            cols.append(out)
-        r = rank(SparseMatrix(field, outer.dim, tensor.dim, cols))
+        lift = [{k: one} for k in tensor.quotient.free]  # basis classes
+        r = rank(pair @ SparseMatrix(field, pair.cols, tensor.dim, lift))
         report.check(
             f"(i) {name} bijective",
             tensor.dim == outer.dim and r == outer.dim,
@@ -590,37 +579,27 @@ def validate_morita(d):
             vec_add_scaled(field, total, one, pair(x, y))
         report.check(f"dual certificate {label}", total == outer.unit_vec())
 
-    # compatibility relations between f and g
+    # compatibility relations between f and g, on Y (x) X (x) Y:
+    # R_Y(I (x) M) = L_Y(M' (x) I)
     compatibilities = (
-        ("q1 f(p1 (x) q2) = g(q1 (x) p1) q2", p, q, f, g),
-        ("p1 g(q1 (x) p2) = f(p1 (x) q1) p2", q, p, g, f),
+        ("q1 f(p1 (x) q2) = g(q1 (x) p1) q2", q, fm, gm, a),
+        ("p1 g(q1 (x) p2) = f(p1 (x) q1) p2", p, gm, fm, aprime),
     )
-    for label, x_mod, y_mod, pair, other in compatibilities:
-        ok = all(
-            y_mod.act_right({y1: one}, pair({x1: one}, {y2: one}))
-            == y_mod.act_left(other({y1: one}, {x1: one}), {y2: one})
-            for y1 in range(y_mod.dim)
-            for x1 in range(x_mod.dim)
-            for y2 in range(y_mod.dim)
+    for label, y_mod, pair, other, outer in compatibilities:
+        ok = right_first(y_mod, outer) @ ident(y_mod.dim).kron(pair) == (
+            y_mod.left_action @ other.kron(ident(y_mod.dim))
         )
         report.check(f"compatibility {label}", ok)
 
-    # (iii) B-symmetry of P and Q through eta
-    eps, epsp = d.source.eps, d.target.eps
-    ok_iii_p = all(
-        p.act_left(eps.apply_basis(j), {pi: one})
-        == p.act_right({pi: one}, epsp.apply(eta.apply_basis(j)))
-        for j in range(b.dim)
-        for pi in range(p.dim)
-    )
-    ok_iii_q = all(
-        q.act_right({qi: one}, eps.apply_basis(j))
-        == q.act_left(epsp.apply(eta.apply_basis(j)), {qi: one})
-        for j in range(b.dim)
-        for qi in range(q.dim)
-    )
-    report.check("(iii) eps(b) p = p eps'(eta(b))", ok_iii_p)
-    report.check("(iii) q eps(b) = eps'(eta(b)) q", ok_iii_q)
+    # (iii) B-symmetry of P and Q through eta: X(E (x) I) = Y(E' (x) I),
+    # E the matrix of eps and E' that of eps' eta
+    e, e_prime = d.source.eps.sparse, d.target.eps.sparse @ eta.sparse
+    for label, mod, x, y in (
+        ("eps(b) p = p eps'(eta(b))", p, p.left_action, p.right_action),
+        ("q eps(b) = eps'(eta(b)) q", q, q.right_action, q.left_action),
+    ):
+        ok = x @ e.kron(ident(mod.dim)) == y @ e_prime.kron(ident(mod.dim))
+        report.check(f"(iii) {label}", ok)
     return report
 
 
@@ -628,34 +607,46 @@ def validate_morita(d):
 # chain maps and homotopies
 
 
-def _slot_table(pair, xs, y_mod, ys, alg):
-    """[alpha][j][j']: pair(x_j (x) e_alpha . y_j')."""
+def _dual_families(d):
+    """p_j, q_j, p'_m, q'_m.  An empty family reads as one zero vector:
+    every term of a chain map or homotopy is multilinear in the dual
+    vectors, so each sum over dual indices stays nonempty and keeps its
+    value."""
+    return tuple(family or [{}] for family in d.dual_vecs())
+
+
+def _kron_sum(chains, tail):
+    """(sum over chains of the Kronecker product of each chain's factors)
+    (x) tail[0] (x) tail[1] (x) ...: the chains act on the leading slots
+    of a chain index, the tail on the rest, slot by slot."""
+    terms = (functools.reduce(SparseMatrix.kron, chain) for chain in chains)
+    total = functools.reduce(operator.add, terms)
+    return functools.reduce(SparseMatrix.kron, tail, total)
+
+
+def _transfer(head, slot, b_map, n):
+    """Degree-n chain map from per-slot matrices: the sum over dual
+    indices j_0..j_n, read cyclically, of head[j_0][j_1] (x)
+    slot[j_1][j_2] (x) ... (x) slot[j_n][j_0], then b_map on each b-slot."""
+    chains = []
+    for jj in itertools.product(range(len(head)), repeat=n + 1):
+        first, *rest = zip(jj, jj[1:] + jj[:1])
+        chains.append([head[first[0]][first[1]]] + [slot[j][k] for j, k in rest])
+    return _kron_sum(chains, [b_map] * (n * (n - 1) // 2))
+
+
+def _slot_matrices(pair, xs, y_mod, ys, alg, rows):
+    """[j][j']: the matrix whose column alpha is pair(x_j (x) e_alpha . y_j')."""
+    basis = [alg.basis_vec(al) for al in range(alg.dim)]
     return [
-        [[pair(x, y_mod.act_left(alg.basis_vec(al), y)) for y in ys] for x in xs]
-        for al in range(alg.dim)
+        [
+            SparseMatrix(
+                alg.field, rows, alg.dim, [pair(x, y_mod.act_left(e, y)) for e in basis]
+            )
+            for y in ys
+        ]
+        for x in xs
     ]
-
-
-def _transfer(field, src, tgt, count, head, slot, b_images):
-    """Chain map src -> tgt from its tables.  The column of
-    (x; a_1..a_n; b) sums, over dual indices j_0..j_n in range(count)
-    read cyclically, the expansion of head[x][j_0][j_1] (x)
-    slot[a_1][j_1][j_2] (x) ... (x) slot[a_n][j_n][j_0] (x) the b_images
-    of the b-slots."""
-    n = src.degree
-    strides = tgt.strides
-    cols = []
-    for d in src.digits():
-        x, alphas = d[0], d[1 : n + 1]
-        tail = [b_images[b] for b in d[n + 1 :]]
-        col = {}
-        for jj in itertools.product(range(count), repeat=n + 1):
-            nxt = jj[1:] + jj[:1]
-            slots = [head[x][jj[0]][nxt[0]]]
-            slots += [slot[al][jj[i]][nxt[i]] for i, al in enumerate(alphas, 1)]
-            expand_slots(field, col, 0, slots + tail, strides)
-        cols.append(col)
-    return SparseMatrix(field, tgt.total, src.total, cols)
 
 
 def psi_chain_map(d, m, n, *, induced=None):
@@ -666,22 +657,20 @@ def psi_chain_map(d, m, n, *, induced=None):
     if n < 0:
         raise PreconditionError("negative degree")
     ind = induced_module(d, m) if induced is None else induced
-    one = d.field.one
+    field = d.field
+    one = field.one
     _, g = d.pairings()
-    p_vecs, q_vecs, _, _ = d.dual_vecs()
+    p_vecs, q_vecs, _, _ = _dual_families(d)
+    basis = [{mu: one} for mu in range(m.dim)]
     head = [
-        [[ind.embed(q, {mu: one}, p) for p in p_vecs] for q in q_vecs]
-        for mu in range(m.dim)
+        [
+            SparseMatrix(field, ind.dim, m.dim, [ind.embed(q, e, p) for e in basis])
+            for p in p_vecs
+        ]
+        for q in q_vecs
     ]
-    return _transfer(
-        d.field,
-        secondary_scheme(d.source, m, n),
-        secondary_scheme(d.target, ind.module, n),
-        d.s,
-        head,
-        _slot_table(g, q_vecs, d.p_mod, p_vecs, d.source.A),
-        [d.eta.apply_basis(b) for b in range(d.source.B.dim)],
-    )
+    slot = _slot_matrices(g, q_vecs, d.p_mod, p_vecs, d.source.A, d.target.A.dim)
+    return _transfer(head, slot, d.eta.sparse, n)
 
 
 def phi_chain_map(d, m, n, *, induced=None):
@@ -695,7 +684,7 @@ def phi_chain_map(d, m, n, *, induced=None):
     field = d.field
     one = field.one
     f, _ = d.pairings()
-    _, _, pp_vecs, qp_vecs = d.dual_vecs()
+    _, _, pp_vecs, qp_vecs = _dual_families(d)
 
     def head(nu, pp, qp):
         out = {}
@@ -704,69 +693,72 @@ def phi_chain_map(d, m, n, *, induced=None):
             vec_add_scaled(field, out, c, m.act_right(moved, f({pi: one}, qp)))
         return out
 
-    eta_inv = d.eta.inverse()
-    return _transfer(
-        field,
-        secondary_scheme(d.target, ind.module, n),
-        secondary_scheme(d.source, m, n),
-        d.t,
-        [[[head(nu, pp, qp) for qp in qp_vecs] for pp in pp_vecs] for nu in range(ind.dim)],
-        _slot_table(f, pp_vecs, d.q_mod, qp_vecs, d.target.A),
-        [eta_inv.apply_basis(b) for b in range(d.target.B.dim)],
-    )
+    heads = [
+        [
+            SparseMatrix(
+                field, m.dim, ind.dim, [head(nu, pp, qp) for nu in range(ind.dim)]
+            )
+            for qp in qp_vecs
+        ]
+        for pp in pp_vecs
+    ]
+    slot = _slot_matrices(f, pp_vecs, d.q_mod, qp_vecs, d.target.A, d.source.A.dim)
+    return _transfer(heads, slot, d.eta.inverse().sparse, n)
 
 
 def _homotopy(field, triple, mod, pair, first, second, n, i):
     """h_i: C_n -> C_(n+1) on the complex of (triple, mod), from a pairing
     X (x) Y -> A and two dual families first = (x_j, y_j), second =
     (x'_m, y'_m).  With c = (j, m), v_c = pair(x_j (x) y'_m) and
-    u_c = pair(x'_m (x) y_j), the column of (mu; a_1..a_n; b) sums over
-    c_0..c_i the expansion of mu v_c0 (x) u_c0 a_1 v_c1 (x) ... (x)
-    u_c(i-1) a_i v_ci (x) u_ci (x) a_(i+1) (x) ... (x) a_n, with units of
-    B inserted into the b-slots."""
+    u_c = pair(x'_m (x) y_j), h_i sums over c_0..c_i the Kronecker chain
+    H_c0 (x) S_c0c1 (x) ... (x) S_c(i-1)ci (x) [u_ci] (H_c the matrix of
+    mu -> mu v_c, S_cc' that of a -> u_c a v_c', [u] the one column u),
+    then applies I_A to a_(i+1)..a_n and, on each target b-slot, I_B
+    where it copies a source b-slot or the unit of B where it is new."""
     if not 0 <= i <= n:
         raise PreconditionError("homotopy index out of range")
     one = field.one
-    a = triple.A
-    src = secondary_scheme(triple, mod, n)
-    tgt = secondary_scheme(triple, mod, n + 1)
+    a, b = triple.A, triple.B
     (xs, ys), (xps, yps) = first, second
     duals = list(itertools.product(range(len(xs)), range(len(xps))))
     v = [pair(xs[j], yps[k]) for j, k in duals]
     u = [pair(xps[k], ys[j]) for j, k in duals]
-    head = [[mod.act_right({mu: one}, vc) for vc in v] for mu in range(mod.dim)]
-    slot = [
-        [[a.mul(a.mul(uc, {al: one}), vc) for vc in v] for uc in u]
-        for al in range(a.dim)
+    mod_basis = [{mu: one} for mu in range(mod.dim)]
+    a_basis = [a.basis_vec(al) for al in range(a.dim)]
+    head = [
+        SparseMatrix(field, mod.dim, mod.dim, [mod.act_right(e, vc) for e in mod_basis])
+        for vc in v
     ]
-    # a_(i+1)..a_n move up one place and the b-slots follow the insertion
-    # of a unit at position i+1; copied digits enter as a base offset
-    strides = tgt.strides
-    sources = [[k] for k in range(1, i + 1)] + [[]]
-    sources += [[k] for k in range(i + 1, n + 1)]
-    layout = list(enumerate(pair_layout(sources, n), n + 2))
-    copies = [(k, strides[k + 1]) for k in range(i + 1, n + 1)]
-    copies += [(n + 1 + ps[0], strides[s]) for s, ps in layout if ps]
-    unit_strides = [strides[s] for s, ps in layout if not ps]
-    units = [triple.B.unit_vec()] * len(unit_strides)
-    slot_strides = strides[: i + 2] + unit_strides
-    cols = []
-    for d in src.digits():
-        mu, alphas = d[0], d[1 : i + 1]
-        base = sum([d[p] * s for p, s in copies])
-        col = {}
-        for cc in itertools.product(range(len(duals)), repeat=i + 1):
-            slots = [head[mu][cc[0]]]
-            slots += [slot[al][c0][c1] for al, c0, c1 in zip(alphas, cc, cc[1:])]
-            expand_slots(field, col, base, slots + [u[cc[-1]]] + units, slot_strides)
-        cols.append(col)
-    return SparseMatrix(field, tgt.total, src.total, cols)
+    slot = [
+        [
+            SparseMatrix(
+                field, a.dim, a.dim, [a.mul(a.mul(uc, e), vc) for e in a_basis]
+            )
+            for vc in v
+        ]
+        for uc in u
+    ]
+    chains = [
+        [head[cc[0]]]
+        + [slot[c0][c1] for c0, c1 in zip(cc, cc[1:])]
+        + [SparseMatrix(field, a.dim, 1, [u[cc[-1]]])]
+        for cc in itertools.product(range(len(duals)), repeat=i + 1)
+    ]
+    # a unit enters at A-position i+1; the source b-slots keep their order
+    # among the target's, so the copies are plain I_B factors
+    sources = [[k] for k in range(1, i + 1)] + [[]] + [[k] for k in range(i + 1, n + 1)]
+    unit_b = SparseMatrix(field, b.dim, 1, [b.unit_vec()])
+    b_slots = [
+        SparseMatrix.identity(field, b.dim) if ps else unit_b
+        for ps in pair_layout(sources, n)
+    ]
+    return _kron_sum(chains, [SparseMatrix.identity(field, a.dim)] * (n - i) + b_slots)
 
 
 def homotopy_h(d, m, n, i):
     """Matrix of h_i: C_n -> C_(n+1) on the source complex."""
     f, _ = d.pairings()
-    p_vecs, q_vecs, pp_vecs, qp_vecs = d.dual_vecs()
+    p_vecs, q_vecs, pp_vecs, qp_vecs = _dual_families(d)
     return _homotopy(d.field, d.source, m, f, (p_vecs, q_vecs), (pp_vecs, qp_vecs), n, i)
 
 
@@ -775,7 +767,7 @@ def homotopy_l(d, m, n, i, *, induced=None):
     target triple, the induced module and g, with the duals swapped."""
     ind = induced_module(d, m) if induced is None else induced
     _, g = d.pairings()
-    p_vecs, q_vecs, pp_vecs, qp_vecs = d.dual_vecs()
+    p_vecs, q_vecs, pp_vecs, qp_vecs = _dual_families(d)
     return _homotopy(
         d.field, d.target, ind.module, g, (qp_vecs, pp_vecs), (q_vecs, p_vecs), n, i
     )
@@ -822,36 +814,29 @@ def verify_morita_invariance(d, m, max_n, field=None, guard_bytes=None, deadline
     )
     psis = [psi_chain_map(d, m, k, induced=ind) for k in range(max_n + 1)]
     phis = [phi_chain_map(d, m, k, induced=ind) for k in range(max_n + 1)]
+    # per side: name, homotopy identity, its complex, the other complex,
+    # the maps out of and back into its complex, and its homotopies
+    sides = (
+        ("psi", "dH + Hd = id - phi.psi", src_complex, tgt_complex, psis, phis,
+         lambda k, i: homotopy_h(d, m, k, i)),
+        ("phi", "dL + Ld = id - psi.phi", tgt_complex, src_complex, phis, psis,
+         lambda k, i: homotopy_l(d, m, k, i, induced=ind)),
+    )
     for k in range(1, max_n + 1):
-        lhs = psis[k - 1] @ src_complex.boundary(k)
-        rhs = tgt_complex.boundary(k) @ psis[k]
-        report.check(f"psi chain map at degree {k}", lhs == rhs)
-        lhs = phis[k - 1] @ tgt_complex.boundary(k)
-        rhs = src_complex.boundary(k) @ phis[k]
-        report.check(f"phi chain map at degree {k}", lhs == rhs)
-    h_prev = l_prev = None
+        for name, _, cx, other, out, _, _ in sides:
+            ok = out[k - 1] @ cx.boundary(k) == other.boundary(k) @ out[k]
+            report.check(f"{name} chain map at degree {k}", ok)
+    prev = {}
     for k in range(max_n):
-        ident = SparseMatrix.identity(d.field, src_complex.dims[k])
-        target_diff = ident - phis[k] @ psis[k]
-        h_k = alternating_homotopy([homotopy_h(d, m, k, i) for i in range(k + 1)])
-        lhs = src_complex.boundary(k + 1) @ h_k
-        if h_prev is not None:
-            lhs = lhs + h_prev @ src_complex.boundary(k)
-        report.check(
-            f"homotopy dH + Hd = id - phi.psi at degree {k}", lhs == target_diff
-        )
-        identp = SparseMatrix.identity(d.field, tgt_complex.dims[k])
-        target_diff_p = identp - psis[k] @ phis[k]
-        l_k = alternating_homotopy(
-            [homotopy_l(d, m, k, i, induced=ind) for i in range(k + 1)]
-        )
-        lhsp = tgt_complex.boundary(k + 1) @ l_k
-        if l_prev is not None:
-            lhsp = lhsp + l_prev @ tgt_complex.boundary(k)
-        report.check(
-            f"homotopy dL + Ld = id - psi.phi at degree {k}", lhsp == target_diff_p
-        )
-        h_prev, l_prev = h_k, l_k
+        for name, label, cx, _, out, back, part in sides:
+            homotopy = alternating_homotopy([part(k, i) for i in range(k + 1)])
+            lhs = cx.boundary(k + 1) @ homotopy
+            if name in prev:
+                lhs = lhs + prev[name] @ cx.boundary(k)
+            ident = SparseMatrix.identity(d.field, cx.dims[k])
+            ok = lhs == ident - back[k] @ out[k]
+            report.check(f"homotopy {label} at degree {k}", ok)
+            prev[name] = homotopy
     report.info("source dims", str(list(src_complex.dims)))
     report.info("target dims", str(list(tgt_complex.dims)))
     return report

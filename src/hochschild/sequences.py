@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from .algebra import (
     AlgebraMorphism,
     Triple,
+    _differing_columns,
     morphism_defects,
     pullback_bimodule,
     validate_bimodule,
@@ -131,57 +132,37 @@ def verify_exact_sequence(t, m, guard_bytes=None):
         report.info(label, str(value))
 
     try:
-        f2 = induced_quotient_map(
-            phi2_chain(t, m),
-            ca.cycle_space(2),
-            ca.boundary_image(3),
-            sec.cycle_space(2),
-            sec.boundary_image(3),
-        )
-        ps = induced_quotient_map(
-            psi_seq_chain(t, m),
-            sec.cycle_space(2),
-            sec.boundary_image(3),
-            cb.cycle_space(1),
-            cb.boundary_image(2),
-        )
-        es = induced_quotient_map(
-            epsilon_star_chain(t, m),
-            cb.cycle_space(1),
-            cb.boundary_image(2),
-            ca.cycle_space(1),
-            ca.boundary_image(2),
-        )
-        f1 = induced_quotient_map(
-            phi1_chain(t, m),
-            ca.cycle_space(1),
-            ca.boundary_image(2),
-            sec.cycle_space(1),
-            sec.boundary_image(2),
-        )
+        f2, ps, es, f1 = [
+            induced_quotient_map(
+                chain(t, m),
+                src.cycle_space(i),
+                src.boundary_image(i + 1),
+                tgt.cycle_space(j),
+                tgt.boundary_image(j + 1),
+            )
+            for chain, src, i, tgt, j in (
+                (phi2_chain, ca, 2, sec, 2),
+                (psi_seq_chain, sec, 2, cb, 1),
+                (epsilon_star_chain, cb, 1, ca, 1),
+                (phi1_chain, ca, 1, sec, 1),
+            )
+        ]
     except NotAChainMapError as exc:
         report.check("chain-level descent", False, str(exc))
         return report
     report.check("chain-level descent", True)
 
-    im_f2, ker_ps = image_basis(f2), kernel_basis(ps)
-    report.check(
-        "im Phi2 = ker Psi",
-        im_f2 == ker_ps,
-        f"dims {im_f2.dim} vs {ker_ps.dim} in H2(sec) of dim {dims['H2(sec)']}",
-    )
-    im_ps, ker_es = image_basis(ps), kernel_basis(es)
-    report.check(
-        "im Psi = ker eps_*",
-        im_ps == ker_es,
-        f"dims {im_ps.dim} vs {ker_es.dim} in H1(B,M) of dim {dims['H1(B,M)']}",
-    )
-    im_es, ker_f1 = image_basis(es), kernel_basis(f1)
-    report.check(
-        "im eps_* = ker Phi1",
-        im_es == ker_f1,
-        f"dims {im_es.dim} vs {ker_f1.dim} in H1(A,M) of dim {dims['H1(A,M)']}",
-    )
+    for label, into, out_of, space in (
+        ("im Phi2 = ker Psi", f2, ps, "H2(sec)"),
+        ("im Psi = ker eps_*", ps, es, "H1(B,M)"),
+        ("im eps_* = ker Phi1", es, f1, "H1(A,M)"),
+    ):
+        im, ker = image_basis(into), kernel_basis(out_of)
+        report.check(
+            label,
+            im == ker,
+            f"dims {im.dim} vs {ker.dim} in {space} of dim {dims[space]}",
+        )
     report.check(
         "Phi1 surjective",
         rank(f1) == dims["H1(sec)"],
@@ -229,18 +210,25 @@ def _slotwise_chain_map(mu, a, b, n, src, tgt):
 def pushforward_m(fm, t, n):
     """Matrix of f_* on degree-n secondary chains (f applied to the M slot).
 
-    Requires fm to commute with both actions; the chain-map identity
-    with the degree-n boundaries is asserted.
+    Requires fm to commute with both actions, F L = L'(I (x) F) and
+    F R = R'(I (x) F); the side whose first differing column comes first
+    is named, the left on a tie.  The chain-map identity with the
+    degree-n boundaries is asserted.
     """
     m_src, m_tgt = fm.source, fm.target
     field = m_src.field
     f = fm.sparse
-    for i, mu in itertools.product(range(m_src.left_alg_dim), range(m_src.dim)):
-        a_i, v = {i: field.one}, {mu: field.one}
-        if f.apply(m_src.act_left(a_i, v)) != m_tgt.act_left(a_i, f.column(mu)):
-            raise PreconditionError("not a bimodule morphism (left action)")
-        if f.apply(m_src.act_right(v, a_i)) != m_tgt.act_right(f.column(mu), a_i):
-            raise PreconditionError("not a bimodule morphism (right action)")
+    bad = []
+    for side, src, tgt, count in (
+        ("left", m_src.left_action, m_tgt.left_action, m_src.left_alg_dim),
+        ("right", m_src.right_action, m_tgt.right_action, m_src.right_alg_dim),
+    ):
+        lift = SparseMatrix.identity(field, count).kron(f)
+        cols = _differing_columns(f @ src, tgt @ lift)
+        if cols:
+            bad.append((cols[0], side))
+    if bad:
+        raise PreconditionError(f"not a bimodule morphism ({min(bad)[1]} action)")
     a, b = (SparseMatrix.identity(field, x.dim) for x in (t.A, t.B))
     return _slotwise_chain_map(f, a, b, n, (t, m_src), (t, m_tgt))
 

@@ -29,6 +29,12 @@ from hochschild.fields import QQ
 from hochschild.fixtures import fix_d, fix_dd, random_instances
 
 
+def _frac(data):
+    if isinstance(data, list):
+        return tuple(_frac(x) for x in data)
+    return Fraction(data)
+
+
 def test_validate_ground_field():
     assert validate_algebra(field_algebra(QQ)).ok
 
@@ -120,6 +126,33 @@ class TestValidateTriple:
         assert not rep.ok
         assert any("centrality" in item.label for item in rep.violations)
 
+    def test_centrality_names_its_pairs(self):
+        # the triple above: eps(y) = e01 fails to commute with e00, e10, e11
+        a = matrix_algebra(QQ, 2)
+        b = truncated_polynomial_algebra(QQ, 2, var="y")
+        zero, one = QQ.zero, QQ.one
+        eps_mat = [[zero] * 2 for _ in range(4)]
+        eps_mat[0][0] = eps_mat[3][0] = eps_mat[1][1] = one
+        eps = AlgebraMorphism.from_data(b, a, eps_mat)
+        rep = validate_triple(Triple(a, b, eps))
+        assert [(v.label, v.detail) for v in rep.violations] == [
+            ("centrality eps(B) in Z(A)", "fails at (beta, a) pairs [(1, 0), (1, 2), (1, 3)]")
+        ]
+
+    @pytest.mark.parametrize(
+        "table, unit, label",
+        [
+            ([[[1, 0], [0, 1]]], [1, 0], "table shape"),  # one plane for dim 2
+            ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1], "unit shape"),
+        ],
+    )
+    def test_shape_failure_ends_the_report(self, table, unit, label):
+        # built through the API: instance files cannot carry these shapes
+        a = FiniteAlgebra(QQ, 2, ("1", "x"), _frac(table), _frac(unit))
+        rep = validate_triple(trivial_triple(a))
+        assert [v.label for v in rep.violations] == [f"algebra(1,x): {label}"]
+        assert rep.items[-1].label.startswith("algebra(1): ")
+
 
 class TestValidateBimodule:
     def test_regular_module(self):
@@ -172,6 +205,27 @@ class TestValidateBimodule:
         rep = validate_bimodule(twisted, t)
         assert not rep.ok
         assert any("B-symmetry" in item.label for item in rep.violations)
+
+    def test_failures_of_all_kinds_in_column_order(self):
+        # dual numbers whose left x . 1 and right x . x each gain a 1: the
+        # failures are listed by column, and within a column in the order
+        # left, right, commute
+        a = truncated_polynomial_algebra(QQ, 2)
+        t = Triple(a, a, AlgebraMorphism.identity(a))
+        reg = regular_bimodule(a)
+        left = [[list(row) for row in plane] for plane in reg.left]
+        right = [[list(row) for row in plane] for plane in reg.right]
+        left[1][0][0] += 1
+        right[1][1][0] += 1
+        m = Bimodule.from_data(QQ, 2, left, right)
+        bad = (
+            "[('left', 1, 1, 0), ('right', 1, 1, 0), ('commute', 1, 1, 0), "
+            "('right', 1, 1, 1), ('commute', 1, 1, 1)]"
+        )
+        assert [(v.label, v.detail) for v in validate_bimodule(m, t).violations] == [
+            ("associativity of actions", f"fails at {bad}"),
+            ("B-symmetry", "fails at (beta, m) pairs [(1, 0), (1, 1)]"),
+        ]
 
 
 class TestCenter:
@@ -236,6 +290,14 @@ class TestMatrixTriple:
         lifted, lift = matrix_triple(t, 2)
         assert validate_triple(lifted).ok
         assert validate_bimodule(lift(m), lifted).ok
+
+    def test_lifted_module_is_frozen_and_hashable(self):
+        t, m = fix_d()
+        _, lift = matrix_triple(t, 2)
+        lifted = lift(m)
+        assert isinstance(lifted.left[0][0], tuple)
+        assert isinstance(lifted.right[0][0], tuple)
+        assert hash(lifted) == hash(lift(m))
 
     def test_rejects_n0(self):
         t, _ = fix_d()

@@ -15,6 +15,7 @@ from hochschild.linalg import (
     Echelon,
     SparseMatrix,
     Subspace,
+    commutation,
     image_basis,
     induced_quotient_map,
     kernel_basis,
@@ -306,3 +307,27 @@ def test_kron_entries_and_mixed_product(factors):
         assert ab.entry(i * b.rows + k, j * b.cols + l) == expected
     assert all(v != field.zero for _, v in ab.entries())
     assert (a @ c).kron(b @ d) == ab @ c.kron(d)
+
+
+@given(
+    both_fields,
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=4),
+    st.data(),
+)
+@settings(max_examples=100, deadline=None)
+def test_commutation_swaps_the_factors(field, m, n, draw):
+    """K(x (x) y) = y (x) x, and K_(n,m) K_(m,n) = I."""
+    x, y = (
+        vectors([draw.draw(st.lists(small_entries, min_size=k, max_size=k))], field)[0]
+        for k in (m, n)
+    )
+
+    def tensor(u, u_dim, v, v_dim):
+        column = SparseMatrix(field, u_dim, 1, [u]).kron(SparseMatrix(field, v_dim, 1, [v]))
+        return column.column(0)
+
+    k = commutation(field, m, n)
+    assert k.shape == (m * n, m * n)
+    assert k.apply(tensor(x, m, y, n)) == tensor(y, n, x, m)
+    assert commutation(field, n, m) @ k == SparseMatrix.identity(field, m * n)

@@ -6,6 +6,8 @@ import pytest
 
 from hochschild.algebra import (
     AlgebraMorphism,
+    Bimodule,
+    FiniteAlgebra,
     field_algebra,
     matrix_algebra,
     regular_bimodule,
@@ -379,6 +381,15 @@ class TestInvariance:
         t = trivial_triple(a)
         d = corner_morita(t, {0: QQ.one})
         rep = verify_morita_invariance(d, regular_bimodule(a), 2)
+        assert rep.ok, rep.render()
+
+    def test_zero_algebra_has_empty_duals(self):
+        # a file may carry dim A = 0 with a corner section: the f-duals are
+        # empty, and every map is the zero map of its shape
+        a = FiniteAlgebra.from_data(QQ, (), (), ())
+        d = corner_morita(trivial_triple(a), {})
+        assert (d.s, d.t) == (0, 1)
+        rep = verify_morita_invariance(d, Bimodule.from_data(QQ, 0, (), ()), 1)
         assert rep.ok, rep.render()
 
     def test_endpoint_mismatch_in_compose(self):

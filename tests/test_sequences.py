@@ -6,7 +6,10 @@ from hochschild import sequences
 from hochschild.algebra import (
     AlgebraMorphism,
     BimoduleMorphism,
+    matrix_algebra,
     pullback_bimodule,
+    regular_bimodule,
+    trivial_triple,
     validate_bimodule,
 )
 from hochschild.complexes import (
@@ -313,6 +316,21 @@ class TestPushforwardM:
         bad = ((QQ.zero, QQ.one), (QQ.zero, QQ.zero))  # projection onto x-line
         fm = BimoduleMorphism(m, m, bad)
         with pytest.raises(PreconditionError):
+            pushforward_m(fm, t, 1)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_names_the_action_it_breaks(self, side):
+        # on the regular M_2(Q), x -> e01 x commutes with the right action
+        # only and x -> x e01 with the left action only
+        a = matrix_algebra(QQ, 2)
+        t, m = trivial_triple(a), regular_bimodule(a)
+        e01 = a.basis_vec(1)
+        cols = [
+            a.mul(e01, a.basis_vec(mu)) if side == "left" else a.mul(a.basis_vec(mu), e01)
+            for mu in range(a.dim)
+        ]
+        fm = BimoduleMorphism.from_data(m, m, SparseMatrix(QQ, 4, 4, cols).to_dense())
+        with pytest.raises(PreconditionError, match=rf"^not a bimodule morphism \({side} action\)$"):
             pushforward_m(fm, t, 1)
 
 
