@@ -16,6 +16,13 @@ these forms, and every axiom (algebra, morphism, triple, bimodule) is
 checked as a matrix identity between them, with `linalg.commutation`
 where the two sides take their arguments in different orders; a
 failure names the basis tuples of the columns that differ.
+
+Tensor products over the ground field are built from these forms by
+`linalg.tensor_bilinear`: `tensor_algebra` and `tensor_bimodule`, and
+through them the matrix triple M_n(A) = M_n(k) (x) A with its lift
+M -> M_n(k) (x) M.  A bimodule whose actions are computed as matrices
+is made by `Bimodule.from_actions`; the corner triple reads its
+products back from A through `column_coordinates`.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from .linalg import (
     commutation,
     kernel_basis,
     solve,
+    tensor_bilinear,
     vec_add_scaled,
 )
 from .report import Report
@@ -186,6 +194,20 @@ class Bimodule:
     def from_data(cls, field, dim, left, right):
         return cls(field, dim, _freeze(left), _freeze(right))
 
+    @classmethod
+    def from_actions(cls, left, right, left_alg_dim, right_alg_dim):
+        """The bimodule whose action matrices are left and right (the
+        forms `left_action` and `right_action` have) for acting algebras
+        of the given dimensions."""
+        field, dim = left.field, left.rows
+
+        def tensor(action, count):
+            return action_tensor(
+                field, count, dim, lambda i, m: action.column(i * dim + m)
+            )
+
+        return cls(field, dim, tensor(left, left_alg_dim), tensor(right, right_alg_dim))
+
     @property
     def left_alg_dim(self):
         return len(self.left)
@@ -311,16 +333,43 @@ def action_tensor(field, count, dim, act):
 def pullback_bimodule(phi, m):
     """Actions of phi's source composed through phi; dimension unchanged:
     each action matrix times phi (x) I_M."""
-    field = m.field
-    lift = phi.sparse.kron(SparseMatrix.identity(field, m.dim))
+    lift = phi.sparse.kron(SparseMatrix.identity(m.field, m.dim))
+    count = phi.source.dim
+    return Bimodule.from_actions(
+        m.left_action @ lift, m.right_action @ lift, count, count
+    )
 
-    def pulled(action):
-        cols = (action @ lift).columns()
-        return action_tensor(
-            field, phi.source.dim, m.dim, lambda i, b: cols[i * m.dim + b]
-        )
 
-    return Bimodule(field, m.dim, pulled(m.left_action), pulled(m.right_action))
+def tensor_algebra(x, y):
+    """X (x) Y on the basis pairs (index i*dim Y + j, labels "p*q"): its
+    products are `tensor_bilinear` of the products of X and Y, its unit
+    u_X (x) u_Y."""
+    field, dim = x.field, x.dim * y.dim
+    prods = tensor_bilinear(x.products, x.dim, x.dim, y.products, y.dim, y.dim)
+    ux, uy = (SparseMatrix(field, z.dim, 1, [z.unit_vec()]) for z in (x, y))
+    unit = ux.kron(uy).column(0)
+    return FiniteAlgebra(
+        field,
+        dim,
+        tuple(f"{p}*{q}" for p in x.basis_labels for q in y.basis_labels),
+        action_tensor(field, dim, dim, lambda i, j: prods.column(i * dim + j)),
+        tuple(unit.get(k, field.zero) for k in range(dim)),
+    )
+
+
+def tensor_bimodule(x, y):
+    """X (x) Y on the basis pairs (index i*dim Y + j), a bimodule over the
+    tensor algebras of the algebras acting on X and Y: each action is
+    `tensor_bilinear` of the two factors' actions."""
+    left = tensor_bilinear(
+        x.left_action, x.left_alg_dim, x.dim, y.left_action, y.left_alg_dim, y.dim
+    )
+    right = tensor_bilinear(
+        x.right_action, x.right_alg_dim, x.dim, y.right_action, y.right_alg_dim, y.dim
+    )
+    return Bimodule.from_actions(
+        left, right, x.left_alg_dim * y.left_alg_dim, x.right_alg_dim * y.right_alg_dim
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -501,119 +550,68 @@ def commutator_subspace(m, a):
 
 
 def matrix_triple(t, n):
-    """(M_n(A), I_n(B), eps_*), plus a lift taking M to M_n(M).
+    """(M_n(A), I_n(B), eps_*), plus a lift taking M to M_n(M), each a
+    tensor product with M_n(k): M_n(A) = M_n(k) (x) A, eps_* = [sum E_rr]
+    (x) eps and M_n(M) = M_n(k) (x) M as bimodules.
 
-    The basis of M_n(A) is (matrix unit, A-basis) pairs ordered with the
-    matrix unit major: index (r*n + c)*dim_A + u.  I_n(B) is identified
-    with B itself (the identification is the eta of the standard Morita
+    The matrix unit is major: the basis index of M_n(A) is
+    (r*n + c)*dim_A + u, with label "erc*u".  I_n(B) is identified with
+    B itself (the identification is the eta of the standard Morita
     data), so the returned triple reuses B.
     """
     if n < 1:
         raise PreconditionError("matrix triple needs n >= 1")
-    a, b, eps = t.A, t.B, t.eps
-    field = a.field
-    zero = field.zero
-    da = a.dim
-    dim = n * n * da
-
-    def idx(r, c, u):
-        return (r * n + c) * da + u
-
-    labels = tuple(
-        f"e{r}{c}*{a.basis_labels[u]}"
-        for r in range(n)
-        for c in range(n)
-        for u in range(da)
-    )
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for r, c, rp, cp in itertools.product(range(n), repeat=4):
-        if c != rp:
-            continue
-        for u, v in itertools.product(range(da), repeat=2):
-            for k, cv in a.products.column(u * da + v).items():
-                table[idx(r, c, u)][idx(rp, cp, v)][idx(r, cp, k)] = cv
-    unit = [zero] * dim
-    for r in range(n):
-        for u, cu in a.unit_vec().items():
-            unit[idx(r, r, u)] = cu
-    big_a = FiniteAlgebra.from_data(field, labels, table, unit)
-
-    eps_mat = [[zero] * b.dim for _ in range(dim)]
-    for j in range(b.dim):
-        img = eps.apply_basis(j)
-        for u, cu in img.items():
-            for r in range(n):
-                eps_mat[idx(r, r, u)][j] = cu
-    eps_star = AlgebraMorphism.from_data(b, big_a, eps_mat)
-    lifted = Triple(big_a, b, eps_star)
-
-    def lift_bimodule(m):
-        dm = m.dim
-        dim_m = n * n * dm
-
-        def midx(r, c, mu):
-            return (r * n + c) * dm + mu
-
-        left = [[[zero] * dim_m for _ in range(dim_m)] for _ in range(dim)]
-        right = [[[zero] * dim_m for _ in range(dim_m)] for _ in range(dim)]
-        for r, c, rp, cp in itertools.product(range(n), repeat=4):
-            for u in range(da):
-                for mu in range(m.dim):
-                    if c == rp:
-                        for k, cv in m.act_left_basis(u, mu).items():
-                            left[idx(r, c, u)][midx(rp, cp, mu)][midx(r, cp, k)] = cv
-                    if cp == r:
-                        for k, cv in m.act_right_basis(u, mu).items():
-                            right[idx(r, c, u)][midx(rp, cp, mu)][midx(rp, c, k)] = cv
-        return Bimodule.from_data(field, dim_m, left, right)
-
-    return lifted, lift_bimodule
+    field = t.A.field
+    mn = matrix_algebra(field, n)
+    big_a = tensor_algebra(mn, t.A)
+    eps_star = SparseMatrix(field, n * n, 1, [mn.unit_vec()]).kron(t.eps.sparse)
+    eps_star = AlgebraMorphism.from_data(t.B, big_a, eps_star.to_dense())
+    lift = functools.partial(tensor_bimodule, regular_bimodule(mn))
+    return Triple(big_a, t.B, eps_star), lift
 
 
-def _left_right_products(a, e):
-    """span{ a_i e a_j } and the maps needed around a corner idempotent."""
-    vectors = []
-    for i in range(a.dim):
-        for j in range(a.dim):
-            vectors.append(a.mul(a.mul(a.basis_vec(i), e), a.basis_vec(j)))
-    return Subspace.span(a.field, a.dim, vectors)
+def column_coordinates(space, m):
+    """The matrix whose column j holds the coordinates of column j of m on
+    the basis of the Subspace space, which must contain it."""
+    zero = space.field.zero
+    cols = []
+    for col in m.columns():
+        coords = space.coordinates(col)
+        if coords is None:
+            raise PreconditionError("an element left its subspace")
+        cols.append({k: v for k, v in enumerate(coords) if v != zero})
+    return SparseMatrix(space.field, space.dim, m.cols, cols)
 
 
 def corner_triple(t, e):
-    """(eAe, B, eps_e) for a full idempotent e, eAe on its echelon basis."""
+    """(eAe, B, eps_e) for a full idempotent e, eAe on its echelon basis:
+    products and eps_e = e eps e are products of A on Kronecker products
+    of the basis matrix C of eAe, read back in coordinates on C."""
     a = t.A
     field = a.field
     if a.mul(e, e) != e:
         raise PreconditionError("not idempotent")
-    if _left_right_products(a, e).dim != a.dim:
+    ident = SparseMatrix.identity(field, a.dim)
+    e_col = SparseMatrix(field, a.dim, 1, [e])
+
+    def mul(x, y):  # column i*y.cols + j is x_i y_j
+        return a.products @ x.kron(y)
+
+    aea = Subspace.span(field, a.dim, mul(mul(ident, e_col), ident).columns())
+    if aea.dim != a.dim:
         raise PreconditionError("AeA != A: corner data would be invalid")
-    corner = Subspace.span(
-        field,
-        a.dim,
-        [a.mul(a.mul(e, a.basis_vec(i)), e) for i in range(a.dim)],
-    )
+    corner = Subspace.span(field, a.dim, mul(mul(e_col, ident), e_col).columns())
     d = corner.dim
-    zero = field.zero
-
-    def coords(vec):
-        c = corner.coordinates(vec)
-        if c is None:
-            raise PreconditionError("product left the corner subalgebra")
-        return c
-
-    table = [[[zero] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            prod = a.mul(dict(corner.basis[i]), dict(corner.basis[j]))
-            for k, cv in enumerate(coords(prod)):
-                table[i][j][k] = cv
-    labels = tuple(f"c{i}" for i in range(d))
-    unit = tuple(coords(e))
-    corner_alg = FiniteAlgebra.from_data(field, labels, table, unit)
-    eps_mat = [[zero] * t.B.dim for _ in range(d)]
-    for j in range(t.B.dim):
-        img = a.mul(a.mul(e, t.eps.apply_basis(j)), e)
-        for k, cv in enumerate(coords(img)):
-            eps_mat[k][j] = cv
-    eps_e = AlgebraMorphism.from_data(t.B, corner_alg, eps_mat)
+    cb = SparseMatrix(field, a.dim, d, corner.basis)
+    prods = column_coordinates(corner, mul(cb, cb))
+    unit = column_coordinates(corner, e_col).column(0)
+    corner_alg = FiniteAlgebra(
+        field,
+        d,
+        tuple(f"c{i}" for i in range(d)),
+        action_tensor(field, d, d, lambda i, j: prods.column(i * d + j)),
+        tuple(unit.get(k, field.zero) for k in range(d)),
+    )
+    eps_e = column_coordinates(corner, mul(mul(e_col, t.eps.sparse), e_col))
+    eps_e = AlgebraMorphism.from_data(t.B, corner_alg, eps_e.to_dense())
     return Triple(corner_alg, t.B, eps_e)

@@ -195,7 +195,9 @@ def cmd_morita(args):
 def cmd_kahler(args):
     inst = _read_valid_instance(args)
     report = Report("kahler differentials")
-    report.extend(verify_h1_kahler(inst.triple, inst.module))
+    report.extend(
+        verify_h1_kahler(inst.triple, inst.module, guard_bytes=args.guard_bytes)
+    )
     report.extend(verify_fundamental_sequence(inst.triple))
     return _emit(report, args)
 

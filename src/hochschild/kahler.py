@@ -4,8 +4,11 @@ For a commutative triple, Omega^1_{A|B} is presented on generators
 d(e_i), one per basis element of A, modulo the A-module closure of the
 Leibniz relations d(e_i e_j) - e_i d(e_j) - e_j d(e_i) and the
 B-linearity relations d(eps(b) e_i) - eps(b) d(e_i).  An element of
-the free module A^g is stored flat: coordinate g_i*dimA + u is the
-u-th component of the A-coefficient of generator g_i.
+the free module A^g = k^g (x) A is stored flat: coordinate g_i*dimA + u
+is the u-th component of the A-coefficient of generator g_i.  The
+relations, the action of A on A^g (`linalg.tensor_bilinear` of I_g and
+the products) and M (x)_A Omega^1 are matrix expressions in the
+products, eps and the actions of M.
 
 The degree-one homology of both complexes is tied to these modules:
 H_1(A, M) = M (x)_A Omega^1_{A|k} and, for the secondary theory,
@@ -20,14 +23,14 @@ from .algebra import is_a_symmetric, trivial_triple
 from .complexes import build_classical_complex, build_secondary_complex, homology
 from .errors import PreconditionError
 from .linalg import (
-    Echelon,
     QuotientSpace,
     SparseMatrix,
     Subspace,
+    commutation,
     image_basis,
     kernel_basis,
     rank,
-    vec_add_scaled,
+    tensor_bilinear,
 )
 from .report import Report
 
@@ -48,96 +51,65 @@ class PresentedModule:
         return self.free_rank * self.over.dim - self.relation_space.dim
 
 
-def _act_free(a, vec, gen_count, basis_idx):
-    """e_i . vec inside A^gen_count (blockwise algebra product)."""
-    field = a.field
-    da = a.dim
-    out = {}
-    for flat, c in vec.items():
-        gi, u = divmod(flat, da)
-        moved = a.mul(a.basis_vec(basis_idx), {u: c})
-        vec_add_scaled(field, out, field.one, {gi * da + k: cv for k, cv in moved.items()})
-    return out
-
-
 def module_closure(a, vectors, gen_count):
     """A-module closure of a vector family in A^gen_count, as a Subspace:
     the span of the family and its images under the basis of A.  A is
     unital and associative, so e_k (e_i r) = (e_k e_i) r lies in that
     span again and one pass suffices."""
-    ambient = gen_count * a.dim
-    current = Subspace.span(a.field, ambient, vectors)
-    extra = [
-        img
-        for b in current.basis
-        for i in range(a.dim)
-        if not current.contains(img := _act_free(a, b, gen_count, i))
-    ]
+    field, ambient = a.field, gen_count * a.dim
+    current = Subspace.span(field, ambient, vectors)
+    ident = SparseMatrix.identity
+    # e_i . r on A^g = k^g (x) A: (I_g (x) P)(K (x) I_A), P the products
+    g, da = gen_count, a.dim
+    act = tensor_bilinear(ident(field, g), 1, g, a.products, da, da)
+    basis = SparseMatrix(field, ambient, current.dim, current.basis)
+    images = act @ ident(field, da).kron(basis)
+    extra = [img for img in images.columns() if not current.contains(img)]
     if not extra:
         return current
-    return Subspace.span(a.field, ambient, [*current.basis, *extra])
+    return Subspace.span(field, ambient, [*current.basis, *extra])
 
 
 def kahler_module(t):
-    """Omega^1_{A|B} for a commutative triple, as a PresentedModule."""
+    """Omega^1_{A|B} for a commutative triple, as a PresentedModule.
+    With D = I_A (x) [1_A] (x -> d(x)), P the products, E the matrix of
+    eps and K the factor swap, the Leibniz relations are the columns of
+    DP - K - I and the B-linearity relations those of DP(E (x) I) -
+    (I (x) E)K."""
     a, b, eps = t.A, t.B, t.eps
     if not a.is_commutative():
         raise PreconditionError("A not commutative")
-    field = a.field
-    da = a.dim
+    field, da = a.field, a.dim
     gens = tuple(f"d({label})" for label in a.basis_labels)
-    g = len(gens)
-    relations = []
-    # Leibniz: d(e_i e_j) - e_i d(e_j) - e_j d(e_i)
-    unit = a.unit_vec()
-    minus = field.neg(field.one)
-    for i in range(da):
-        for j in range(da):
-            rel = {}
-            for k, c in a.mul(a.basis_vec(i), a.basis_vec(j)).items():
-                vec_add_scaled(field, rel, c, {k * da + u: cu for u, cu in unit.items()})
-            vec_add_scaled(field, rel, minus, {j * da + i: field.one})
-            vec_add_scaled(field, rel, minus, {i * da + j: field.one})
-            if rel:
-                relations.append(rel)
-    # B-linearity: d(eps(b) e_i) - eps(b) d(e_i)
-    for v in range(b.dim):
-        ev = eps.apply_basis(v)
-        for i in range(da):
-            rel = {}
-            prod = a.mul(ev, a.basis_vec(i))
-            for u, cu in prod.items():
-                vec_add_scaled(field, rel, cu, {u * da + uu: cuu for uu, cuu in unit.items()})
-            vec_add_scaled(field, rel, minus, {i * da + u: cu for u, cu in ev.items()})
-            if rel:
-                relations.append(rel)
-    closure = module_closure(a, relations, g)
-    return PresentedModule(a, gens, closure)
+    ident = SparseMatrix.identity(field, da)
+    d_of = ident.kron(SparseMatrix(field, da, 1, [a.unit_vec()])) @ a.products
+    e = eps.sparse
+    # d(e_i e_j) - e_i d(e_j) - e_j d(e_i) at column i*dA + j
+    leibniz = d_of - commutation(field, da, da) - ident.kron(ident)
+    # d(eps(b) e_i) - eps(b) d(e_i) at column b*dA + i
+    b_linear = d_of @ e.kron(ident) - ident.kron(e) @ commutation(field, b.dim, da)
+    relations = [col for rel in (leibniz, b_linear) for col in rel.columns() if col]
+    return PresentedModule(a, gens, module_closure(a, relations, len(gens)))
 
 
 def tensor_m_kahler(m, omega):
-    """Dimension of M (x)_A Omega^1 for an A-symmetric bimodule M."""
+    """Dimension of M (x)_A Omega^1 for an A-symmetric bimodule M: g dim M
+    minus the rank of (I_g (x) R_M)(Rel (x) I_M), Rel the basis matrix of
+    the relations in A^g."""
     a = omega.over
     if not is_a_symmetric(m, a):
         raise PreconditionError("M not A-symmetric")
-    field = m.field
-    g = omega.free_rank
-    da = a.dim
-    dm = m.dim
-    ech = Echelon(field)
-    for rel in omega.relation_space.basis:
-        for mu in range(dm):
-            vec = {}
-            for flat, c in rel.items():
-                gi, u = divmod(flat, da)
-                moved = m.act_right({mu: c}, a.basis_vec(u))
-                vec_add_scaled(field, vec, field.one, {gi * dm + k: cv for k, cv in moved.items()})
-            ech.insert(vec)
-    return g * dm - ech.rank
+    field, g = m.field, omega.free_rank
+    rel = omega.relation_space
+    rel = SparseMatrix(field, g * a.dim, rel.dim, rel.basis)
+    ident = SparseMatrix.identity
+    moved = ident(field, g).kron(m.right_action) @ rel.kron(ident(field, m.dim))
+    return g * m.dim - rank(moved)
 
 
-def verify_h1_kahler(t, m):
-    """H_1 in both theories against the differential-module dimensions."""
+def verify_h1_kahler(t, m, guard_bytes=None):
+    """H_1 in both theories against the differential-module dimensions.
+    guard_bytes, when given, is the memory guard of the two complexes."""
     if not t.A.is_commutative():
         raise PreconditionError("A not commutative")
     if not is_a_symmetric(m, t.A):
@@ -147,8 +119,9 @@ def verify_h1_kahler(t, m):
     omega_ak = kahler_module(trivial_triple(t.A))
     t_ab = tensor_m_kahler(m, omega_ab)
     t_ak = tensor_m_kahler(m, omega_ak)
-    sec = build_secondary_complex(t, m, 2)
-    ca = build_classical_complex(t.A, m, 2)
+    kwargs = {"guard_bytes": guard_bytes} if guard_bytes is not None else {}
+    sec = build_secondary_complex(t, m, 2, **kwargs)
+    ca = build_classical_complex(t.A, m, 2, **kwargs)
     h1_sec = homology(sec, 1).dim
     h1_cl = homology(ca, 1).dim
     report.info("dim H1((A,B,eps);M)", str(h1_sec))
@@ -172,32 +145,23 @@ def verify_fundamental_sequence(t):
     omega_ab = kahler_module(t)
     da = a.dim
     g_b = omega_b.free_rank
-    g_a = omega_ak.free_rank
     q1 = QuotientSpace(omega_ak.relation_space)
     q2 = QuotientSpace(omega_ab.relation_space)
 
-    # domain A (x)_B Omega^1_{B|k}: A^g_b modulo A . eps(relations of Omega_B)
-    dom_rel = []
-    for rel in omega_b.relation_space.basis:
-        # move B-coefficients into A through eps
-        base = {}
-        for flat, c in rel.items():
-            gi, v = divmod(flat, b.dim)
-            moved = {gi * da + u: cu for u, cu in eps.apply_basis(v).items()}
-            vec_add_scaled(field, base, c, moved)
-        for i in range(da):
-            moved = _act_free(a, base, g_b, i)
-            if moved:
-                dom_rel.append(moved)
+    # domain A (x)_B Omega^1_{B|k}: A^g_b modulo the images under the basis
+    # of A of the relations of Omega_B, moved into A through eps
+    rel_b = omega_b.relation_space
+    rel_b = SparseMatrix(field, g_b * b.dim, rel_b.dim, rel_b.basis)
+    ident = SparseMatrix.identity
+    base = ident(field, g_b).kron(eps.sparse) @ rel_b
+    act = tensor_bilinear(ident(field, g_b), 1, g_b, a.products, da, da)
+    moved = act @ ident(field, da).kron(base)
+    dom_rel = [col for col in moved.columns() if col]
     dom_space = QuotientSpace(Subspace.span(field, g_b * da, dom_rel))
 
     # first map: a (x) d(b_v) -> a . d(eps(b_v)), on the unquotiented domain
-    first_cols = []
-    for flat in range(g_b * da):
-        gi, x = divmod(flat, da)
-        # d(eps(b_gi)) = sum_u eps[u][gi] d(e_u), with A-coefficient e_x
-        out = {u * da + x: cu for u, cu in eps.apply_basis(gi).items()}
-        first_cols.append(q1.project(out))
+    first = eps.sparse.kron(ident(field, da))
+    first_cols = [q1.project(col) for col in first.columns()]
     first = SparseMatrix(field, q1.dim, g_b * da, first_cols)
 
     # second map: identity on generators, finer quotient

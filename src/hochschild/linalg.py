@@ -18,7 +18,9 @@ is the mixed-radix order of the chain index; the same order indexes
 the columns of a structure tensor, which `bilinear` contracts.
 `commutation` swaps two neighbouring factors of such a product, so an
 axiom that takes its arguments in another order is still one matrix
-identity.
+identity, and `tensor_bilinear` is the structure tensor that two of
+them make on tensor products, the one primitive behind tensor algebras,
+tensor bimodules and the pairings of the matrix Morita context.
 
 Everything here is immutable after construction and all operations are
 pure, so concurrent use on distinct inputs is safe.
@@ -70,6 +72,17 @@ def commutation(field, m, n):
     one = field.one
     cols = [{j * m + i: one} for i in range(m) for j in range(n)]
     return SparseMatrix(field, n * m, m * n, cols)
+
+
+def tensor_bilinear(m1, x1, y1, m2, x2, y2):
+    """(m1 (x) m2)(I_x1 (x) K(x2, y1) (x) I_y2): the bilinear map on
+    (k^x1 (x) k^x2) (x) (k^y1 (x) k^y2) that two structure tensors m1 on
+    k^x1 (x) k^y1 and m2 on k^x2 (x) k^y2 make, in `bilinear`'s column
+    order."""
+    field = m1.field
+    ident = SparseMatrix.identity
+    shuffle = ident(field, x1).kron(commutation(field, x2, y1)).kron(ident(field, y2))
+    return m1.kron(m2) @ shuffle
 
 
 def vec_scale(field, scale, vec):
@@ -163,11 +176,17 @@ class SparseMatrix:
 
     def kron(self, other):
         """Kronecker product self (x) other, the first index most
-        significant: entry (i*r + k, j*c + l) is self[i, j] * other[k, l]."""
+        significant: entry (i*r + k, j*c + l) is self[i, j] * other[k, l].
+        An entry that is the field's one object (as in identities and
+        permutations) is not multiplied."""
         _check_same_field(self, other)
-        mul, r = self.field.mul, other.rows
+        mul, one, r = self.field.mul, self.field.one, other.rows
         cols = [
-            {i * r + k: mul(a, b) for i, a in x.items() for k, b in y.items()}
+            {
+                i * r + k: b if a is one else a if b is one else mul(a, b)
+                for i, a in x.items()
+                for k, b in y.items()
+            }
             for x in self._columns
             for y in other._columns
         ]

@@ -18,14 +18,21 @@ id - psi.phi on the primed side).
 Two primitives carry the constructions.  `BalancedTensor` is the tensor
 product of bimodules over algebras with its outer actions: P (x)_A' Q,
 the induced coefficients Q (x)_A M (x)_A P, and the modules of a
-composed context.  Each chain map and homotopy is a sum of Kronecker
-chains (`SparseMatrix.kron`) of small per-slot matrices built once per
-call from f, g and the dual bases: a head matrix on the module slot,
-slot matrices on the A-slots, and eta, eta^-1, I_B or the unit of B on
-the b-slots; the Kronecker order is the chain index order, so no index
-is decoded here.  psi and phi are one routine on the two sides, and l
-is h on the target side.  The axioms of a context are matrix identities
-between the pairings, the actions and the products.
+composed context.  Its balancing relations, its outer actions and the
+maps through it (the pairings of a composed context, the module-slot
+heads of psi and phi) are matrix expressions in the sparse actions and
+pairings, with a `lift` matrix of basis tensors and `project` back to
+classes.  The standard matrix context is made of tensor products over
+the ground field (`algebra.tensor_bimodule`, `linalg.tensor_bilinear`):
+P = k^n rows (x) A and Q = k^n columns (x) A.  Each chain map and
+homotopy is a sum of Kronecker chains (`SparseMatrix.kron`) of small
+per-slot matrices built once per call from f, g and the dual bases: a
+head matrix on the module slot, slot matrices on the A-slots, and eta,
+eta^-1, I_B or the unit of B on the b-slots; the Kronecker order is the
+chain index order, so no index is decoded here.  psi and phi are one
+routine on the two sides, and l is h on the target side.  The axioms of
+a context are matrix identities between the pairings, the actions and
+the products.
 """
 
 from __future__ import annotations
@@ -40,11 +47,13 @@ from .algebra import (
     AlgebraMorphism,
     Bimodule,
     Triple,
-    action_tensor,
+    column_coordinates,
     corner_triple,
+    matrix_algebra,
     matrix_triple,
     morphism_defects,
     regular_bimodule,
+    tensor_bimodule,
 )
 from .complexes import build_secondary_complex, homology, pair_layout
 from .errors import PreconditionError
@@ -56,6 +65,7 @@ from .linalg import (
     commutation,
     rank,
     solve,
+    tensor_bilinear,
     vec_add_scaled,
 )
 from .report import Report
@@ -67,16 +77,6 @@ def _freeze_vec(vec, dim, field):
 
 def _vec(tup, field):
     return {i: v for i, v in enumerate(tup) if v != field.zero}
-
-
-def _bilinear_matrix(field, rows, x_dim, y_dim, pair):
-    """Dense rows of the matrix whose column x * y_dim + y is pair(x, y)."""
-    mat = [[field.zero] * (x_dim * y_dim) for _ in range(rows)]
-    for x in range(x_dim):
-        for y in range(y_dim):
-            for k, c in pair(x, y).items():
-                mat[k][x * y_dim + y] = c
-    return tuple(tuple(r) for r in mat)
 
 
 @dataclass(frozen=True)
@@ -163,97 +163,71 @@ class MoritaData:
 class BalancedTensor:
     """X_1 (x)_(A_1) X_2 (x)_(A_2) ... (x)_(A_(k-1)) X_k for bimodules X_i.
 
-    The plain tensor product is indexed mixed-radix with X_1 most
-    significant.  The quotient is by the balancing relations
-    x.a (x) y - x (x) a.y between neighbouring factors (a a basis element
-    of the algebra between them, every other factor a basis vector); its
-    canonical RREF fixes the quotient basis.  `module` is the outer
-    bimodule: the left action on the first factor, the right action on
-    the last.
+    The plain tensor product is the Kronecker product, X_1 most
+    significant.  The quotient is by the balancing relations x.a (x) y -
+    x (x) a.y between neighbouring factors X, Y and the algebra between
+    them: the nonzero columns of I (x) ((R_X K) (x) I_Y - I_X (x) L_Y)
+    (x) I, K the factor swap.  Their canonical RREF fixes the quotient
+    basis.  `lift` is the matrix of the free basis tensors, one per
+    class, and `project` maps plain tensors to classes.  `module` is the
+    outer bimodule: the left action on the first factor, the right
+    action on the last.
     """
 
     def __init__(self, factors, algebras):
         field = factors[0].field
-        minus_one = field.neg(field.one)
         self.field = field
         self.dims = dims = tuple(x.dim for x in factors)
-        self.strides = tuple(prod(dims[pos + 1 :]) for pos in range(len(dims)))
-        ambient = prod(dims)
+
+        def ident(n):
+            return SparseMatrix.identity(field, n)
+
         relations = []
         for pos, alg in enumerate(algebras):
-            left, right = factors[pos], factors[pos + 1]
-            for k in range(alg.dim):
-                xa = [left.act_right_basis(k, x) for x in range(dims[pos])]
-                ay = [right.act_left_basis(k, y) for y in range(dims[pos + 1])]
-                for flat in range(ambient):
-                    rel = self._replace(flat, pos, xa[self._digit(flat, pos)])
-                    moved = ay[self._digit(flat, pos + 1)]
-                    vec_add_scaled(
-                        field, rel, minus_one, self._replace(flat, pos + 1, moved)
-                    )
-                    if rel:
-                        relations.append(rel)
+            x, y = factors[pos], factors[pos + 1]
+            right_first = x.right_action @ commutation(field, x.dim, alg.dim)
+            moved = right_first.kron(ident(y.dim)) - ident(x.dim).kron(y.left_action)
+            rel = ident(prod(dims[:pos])).kron(moved).kron(ident(prod(dims[pos + 2 :])))
+            relations += [col for col in rel.columns() if col]
+        ambient = prod(dims)
         self.quotient = QuotientSpace(Subspace.span(field, ambient, relations))
+        one = field.one
+        self.lift = SparseMatrix(
+            field, ambient, self.dim, [{k: one} for k in self.quotient.free]
+        )
         first, last = factors[0], factors[-1]
-        self.module = Bimodule(
-            field,
-            self.dim,
-            action_tensor(
-                field,
-                first.left_alg_dim,
-                self.dim,
-                lambda i, b: self._act(0, first.act_left_basis, i, b),
-            ),
-            action_tensor(
-                field,
-                last.right_alg_dim,
-                self.dim,
-                lambda i, b: self._act(len(dims) - 1, last.act_right_basis, i, b),
-            ),
+        a_left, a_right = first.left_alg_dim, last.right_alg_dim
+        init = prod(dims[:-1])
+        # on e_i (x) lift: e_i acts on the first factor, or moves past all
+        # but the last and acts on it from the right
+        left = first.left_action.kron(ident(prod(dims[1:])))
+        move_a = commutation(field, a_right, init).kron(ident(last.dim))
+        right = ident(init).kron(last.right_action) @ move_a
+        self.module = Bimodule.from_actions(
+            self.project(left @ ident(a_left).kron(self.lift)),
+            self.project(right @ ident(a_right).kron(self.lift)),
+            a_left,
+            a_right,
         )
 
     @property
     def dim(self):
         return self.quotient.dim
 
-    def _digit(self, flat, pos):
-        return flat // self.strides[pos] % self.dims[pos]
-
-    def _replace(self, flat, pos, vec):
-        """Ambient vector: basis tensor `flat` with factor pos replaced by vec."""
-        stride = self.strides[pos]
-        base = flat - self._digit(flat, pos) * stride
-        return {base + k * stride: c for k, c in vec.items()}
-
-    def _act(self, pos, action, i, b):
-        """Class of basis class b acted on at factor pos by action(i, .);
-        the lift of a basis class is a single basis tensor."""
-        flat = self.quotient.free[b]
-        moved = action(i, self._digit(flat, pos))
-        return self.quotient.project(self._replace(flat, pos, moved))
+    def project(self, m):
+        """The classes of the columns of m, a matrix on the plain tensor
+        product."""
+        cols = [self.quotient.project(col) for col in m.columns()]
+        return SparseMatrix(self.field, self.dim, m.cols, cols)
 
     def embed(self, *vecs):
         """Class of vecs[0] (x) vecs[1] (x) ..., one sparse vector per factor."""
-        field = self.field
-        amb = {}
-        for combo in itertools.product(*(v.items() for v in vecs)):
-            flat, coeff = 0, field.one
-            for (k, c), stride in zip(combo, self.strides):
-                flat += k * stride
-                coeff = field.mul(coeff, c)
-            amb[flat] = coeff
-        return self.quotient.project(amb)
-
-    def lift_terms(self, vec):
-        """Ambient representative of a class, as (factor indices, coeff) pairs."""
-        return [
-            (tuple(self._digit(flat, pos) for pos in range(len(self.dims))), c)
-            for flat, c in self.quotient.lift(vec).items()
-        ]
+        cols = (SparseMatrix(self.field, d, 1, [v]) for d, v in zip(self.dims, vecs))
+        return self.project(functools.reduce(SparseMatrix.kron, cols)).column(0)
 
 
 def tensor_over_algebra(x_mod, y_mod, a):
-    """x (x)_a y as a BalancedTensor (dim, embed, lift_terms, module)."""
+    """x (x)_a y as a BalancedTensor (dim, embed, lift, project, module)."""
     return BalancedTensor((x_mod, y_mod), (a,))
 
 
@@ -295,82 +269,51 @@ def identity_morita(t):
 
 
 def standard_matrix_morita(t, n):
-    """Context between t and its n-by-n matrix triple.
+    """Context between t and its n-by-n matrix triple, every part a
+    tensor product with A over the ground field.
 
-    P is the row space A^n (basis (slot, A-basis), index c*dimA + u), Q
-    the column space; f multiplies a row into a column, g a column into
-    a row.  The f-certificate uses the single pair (unit row at slot 0,
-    unit column at slot 0); the g-certificate is the n standard pairs
-    summing to the identity matrix.
+    P = k^n rows (x) A (basis (slot, A-basis), index c*dimA + u) and
+    Q = k^n columns (x) A, with the actions of M_n(k) on rows and columns
+    read off its products through the first row and column.  f pairs a
+    row with a column (their dot product) and g sends a column and a row
+    to their matrix unit, each tensored with the products of A.  The
+    f-certificate uses the single pair (unit row at slot 0, unit column
+    at slot 0); the g-certificate is the n standard pairs summing to the
+    identity matrix.
     """
     if n < 1:
         raise PreconditionError("matrix context needs n >= 1")
     target, _ = matrix_triple(t, n)
     a = t.A
-    field = a.field
-    da = a.dim
-    dp = n * da  # rows and columns alike
-    dbig = target.A.dim
-
-    def mul(u, v):
-        return a.mul(a.basis_vec(u), a.basis_vec(v))
-
-    def at_slot(slot, vec):
-        return {slot * da + k: c for k, c in vec.items()}
-
-    def split(big):  # M_n(A) basis index -> (row, column, A-basis)
-        rc, u = divmod(big, da)
-        return (*divmod(rc, n), u)
-
-    def p_right(big, b):
-        r, c, v = split(big)
-        return at_slot(c, mul(b % da, v)) if b // da == r else {}
-
-    def q_left(big, b):
-        r, c, v = split(big)
-        return at_slot(r, mul(v, b % da)) if b // da == c else {}
-
-    def p_left(i, b):
-        return at_slot(b // da, mul(i, b % da))
-
-    def q_right(i, b):
-        return at_slot(b // da, mul(b % da, i))
-
-    def module(left_count, left, right_count, right):
-        return Bimodule(
-            field,
-            dp,
-            action_tensor(field, left_count, dp, left),
-            action_tensor(field, right_count, dp, right),
-        )
-
-    p_mod = module(da, p_left, dbig, p_right)
-    q_mod = module(dbig, q_left, da, q_right)
-    f_mat = _bilinear_matrix(
-        field,
-        da,
-        dp,
-        dp,
-        lambda x, y: mul(x % da, y % da) if x // da == y // da else {},
+    field, one, da = a.field, a.field.one, a.dim
+    mn = matrix_algebra(field, n)
+    ident_n, ident_nn = (SparseMatrix.identity(field, k) for k in (n, n * n))
+    row = SparseMatrix(field, n * n, n, [{c: one} for c in range(n)])  # e_c -> E_0c
+    col = SparseMatrix(field, n * n, n, [{r * n: one} for r in range(n)])  # e_r -> E_r0
+    swap = commutation(field, n * n, n)
+    rows = Bimodule.from_actions(
+        ident_n, row.transpose() @ mn.products @ row.kron(ident_nn) @ swap, 1, n * n
     )
-    g_mat = _bilinear_matrix(
-        field,
-        dbig,
-        dp,
-        dp,
-        lambda x, y: {
-            (x // da * n + y // da) * da + k: c
-            for k, c in mul(x % da, y % da).items()
-        },
+    cols = Bimodule.from_actions(
+        col.transpose() @ mn.products @ ident_nn.kron(col), ident_n, n * n, 1
     )
-    units = tuple(_freeze_vec(at_slot(c, a.unit_vec()), dp, field) for c in range(n))
+    reg = regular_bimodule(a)
+    unit_mn = SparseMatrix(field, n * n, 1, [mn.unit_vec()])
+    # a row times a column is their dot product, the transposed unit of
+    # M_n(k); a column e_r times a row e_c is E_rc, index r*n + c
+    f, g = (
+        tensor_bilinear(pair, n, n, a.products, da, da)
+        for pair in (unit_mn.transpose(), ident_nn)
+    )
+    units = ident_n.kron(SparseMatrix(field, da, 1, [a.unit_vec()]))
+    units = tuple(_freeze_vec(u, n * da, field) for u in units.columns())
     return MoritaData(
         source=t,
         target=target,
-        p_mod=p_mod,
-        q_mod=q_mod,
-        f_mat=f_mat,
-        g_mat=g_mat,
+        p_mod=tensor_bimodule(rows, reg),
+        q_mod=tensor_bimodule(cols, reg),
+        f_mat=tuple(map(tuple, f.to_dense())),
+        g_mat=tuple(map(tuple, g.to_dense())),
         eta=AlgebraMorphism.identity(t.B),
         p_dual=units[:1],
         q_dual=units[:1],
@@ -381,49 +324,46 @@ def standard_matrix_morita(t, n):
 
 def corner_morita(t, e):
     """Context between t and its corner triple at a full idempotent e,
-    with P = Ae, Q = eA and dual bases found by a linear solve."""
+    with P = Ae, Q = eA and dual bases found by a linear solve.  With
+    the basis matrices of Ae, eA and eAe, each action and pairing is the
+    products of A on a Kronecker product of two of them (or of one and
+    the identity), read back in coordinates on the receiving basis."""
     target = corner_triple(t, e)
     a = t.A
     field = a.field
     zero = field.zero
-    basis = [a.basis_vec(i) for i in range(a.dim)]
-    p_space = Subspace.span(field, a.dim, [a.mul(x, e) for x in basis])
-    q_space = Subspace.span(field, a.dim, [a.mul(e, x) for x in basis])
-    corner = Subspace.span(field, a.dim, [a.mul(a.mul(e, x), e) for x in basis])
-    pb, qb, cb = p_space.basis, q_space.basis, corner.basis
+    ident = SparseMatrix.identity(field, a.dim)
+    e_col = SparseMatrix(field, a.dim, 1, [e])
+
+    def mul(x, y):  # column i*y.cols + j is x_i y_j
+        return a.products @ x.kron(y)
+
+    def span(m):
+        return Subspace.span(field, a.dim, m.columns())
+
+    p_space, q_space = span(mul(ident, e_col)), span(mul(e_col, ident))
+    corner = span(mul(mul(e_col, ident), e_col))
+    pb, qb, cb = (
+        SparseMatrix(field, a.dim, s.dim, s.basis) for s in (p_space, q_space, corner)
+    )
     dp, dq, dc = p_space.dim, q_space.dim, corner.dim
-
-    def coords(space, name, vec):
-        c = space.coordinates(vec)
-        if c is None:
-            raise PreconditionError(f"element left {name}")
-        return dict(enumerate(c))
-
-    def action(space, name, count, product):
-        return action_tensor(
-            field, count, space.dim, lambda i, j: coords(space, name, product(i, j))
-        )
-
     # P = Ae: left action of A, right action of eAe; Q = eA the other way
-    p_mod = Bimodule(
-        field,
-        dp,
-        action(p_space, "Ae", a.dim, lambda i, j: a.mul(basis[i], pb[j])),
-        action(p_space, "Ae", dc, lambda i, j: a.mul(pb[j], cb[i])),
+    p_mod = Bimodule.from_actions(
+        column_coordinates(p_space, mul(ident, pb)),
+        column_coordinates(p_space, mul(pb, cb) @ commutation(field, dc, dp)),
+        a.dim,
+        dc,
     )
-    q_mod = Bimodule(
-        field,
-        dq,
-        action(q_space, "eA", dc, lambda i, j: a.mul(cb[i], qb[j])),
-        action(q_space, "eA", a.dim, lambda i, j: a.mul(qb[j], basis[i])),
+    q_mod = Bimodule.from_actions(
+        column_coordinates(q_space, mul(cb, qb)),
+        column_coordinates(q_space, mul(qb, ident) @ commutation(field, a.dim, dq)),
+        dc,
+        a.dim,
     )
-    f_mat = _bilinear_matrix(field, a.dim, dp, dq, lambda j, l: a.mul(pb[j], qb[l]))
-    g_mat = _bilinear_matrix(
-        field, dc, dq, dp, lambda l, j: coords(corner, "eAe", a.mul(qb[l], pb[j]))
-    )
+    f, g = mul(pb, qb), column_coordinates(corner, mul(qb, pb))
 
     # dual basis for f: write 1_A = sum_j rho_j * w_j, rho_j the P basis
-    x = solve(SparseMatrix.from_dense(field, f_mat), a.unit_vec())
+    x = solve(f, a.unit_vec())
     if x is None:
         raise PreconditionError("AeA != A: dual-basis solve infeasible")
     w = [[zero] * dq for _ in range(dp)]
@@ -435,51 +375,46 @@ def corner_morita(t, e):
         if any(v != zero for v in w[j]):
             p_dual.append(_freeze_vec({j: field.one}, dp, field))
             q_dual.append(tuple(w[j]))
+    pprime, qprime = (
+        _freeze_vec(column_coordinates(s, e_col).column(0), s.dim, field)
+        for s in (p_space, q_space)
+    )
     return MoritaData(
         source=t,
         target=target,
         p_mod=p_mod,
         q_mod=q_mod,
-        f_mat=f_mat,
-        g_mat=g_mat,
+        f_mat=tuple(map(tuple, f.to_dense())),
+        g_mat=tuple(map(tuple, g.to_dense())),
         eta=AlgebraMorphism.identity(t.B),
         p_dual=tuple(p_dual),
         q_dual=tuple(q_dual),
-        pprime_dual=(tuple(coords(p_space, "Ae", e).values()),),
-        qprime_dual=(tuple(coords(q_space, "eA", e).values()),),
+        pprime_dual=(pprime,),
+        qprime_dual=(qprime,),
     )
 
 
 def compose_morita(d1, d2):
     """Transitive composition: P = P1 (x)_A' P2, Q = Q2 (x)_A' Q1,
-    eta = eta2 . eta1, dual bases the pairwise tensors."""
+    eta = eta2 . eta1, dual bases the pairwise tensors.  On the lifts of
+    the classes, f = f1(I (x) L_Q1(f2 (x) I)) and g = g2(I (x) L_P2(g1 (x) I))."""
     if d1.target != d2.source:
         raise PreconditionError("contexts do not share the middle triple")
     field = d1.field
-    one = field.one
     aprime = d1.target.A
     p_t = BalancedTensor((d1.p_mod, d2.p_mod), (aprime,))
     q_t = BalancedTensor((d2.q_mod, d1.q_mod), (aprime,))
-    f1, g1 = d1.pairings()
-    f2, g2 = d2.pairings()
+    f1, g1 = d1.pairing_matrices
+    f2, g2 = d2.pairing_matrices
 
-    def f_of(pb, qb):  # f1(p1 (x) f2(p2 (x) q2) q1)
-        out = {}
-        for (i1, i2), cp in p_t.lift_terms({pb: one}):
-            for (j2, j1), cq in q_t.lift_terms({qb: one}):
-                mid = f2({i2: one}, {j2: one})
-                inner = f1({i1: one}, d1.q_mod.act_left(mid, {j1: one}))
-                vec_add_scaled(field, out, field.mul(cp, cq), inner)
-        return out
+    def ident(mod):
+        return SparseMatrix.identity(field, mod.dim)
 
-    def g_of(qb, pb):  # g2(q2 (x) g1(q1 (x) p1) p2)
-        out = {}
-        for (j2, j1), cq in q_t.lift_terms({qb: one}):
-            for (i1, i2), cp in p_t.lift_terms({pb: one}):
-                mid = g1({j1: one}, {i1: one})
-                inner = g2({j2: one}, d2.p_mod.act_left(mid, {i2: one}))
-                vec_add_scaled(field, out, field.mul(cq, cp), inner)
-        return out
+    # f1(p1 (x) f2(p2 (x) q2) q1) and g2(q2 (x) g1(q1 (x) p1) p2)
+    inner_f = d1.q_mod.left_action @ f2.kron(ident(d1.q_mod))
+    inner_g = d2.p_mod.left_action @ g1.kron(ident(d2.p_mod))
+    f = f1 @ ident(d1.p_mod).kron(inner_f) @ p_t.lift.kron(q_t.lift)
+    g = g2 @ ident(d2.q_mod).kron(inner_g) @ q_t.lift.kron(p_t.lift)
 
     p1, q1, pp1, qp1 = d1.dual_vecs()
     p2, q2, pp2, qp2 = d2.dual_vecs()
@@ -492,8 +427,8 @@ def compose_morita(d1, d2):
         target=d2.target,
         p_mod=p_t.module,
         q_mod=q_t.module,
-        f_mat=_bilinear_matrix(field, d1.source.A.dim, p_t.dim, q_t.dim, f_of),
-        g_mat=_bilinear_matrix(field, d2.target.A.dim, q_t.dim, p_t.dim, g_of),
+        f_mat=tuple(map(tuple, f.to_dense())),
+        g_mat=tuple(map(tuple, g.to_dense())),
         eta=d2.eta.compose(d1.eta),
         p_dual=frozen(p_t, [(x, y) for x in p1 for y in p2]),
         q_dual=frozen(q_t, [(y, x) for x in q1 for y in q2]),
@@ -558,8 +493,7 @@ def validate_morita(d):
     # bijectivity through the quotients: M on the lifts of their bases
     for name, tensor_name, outer_name, _, x_mod, y_mod, pair, outer, inner in sides:
         tensor = tensor_over_algebra(x_mod, y_mod, inner)
-        lift = [{k: one} for k in tensor.quotient.free]  # basis classes
-        r = rank(pair @ SparseMatrix(field, pair.cols, tensor.dim, lift))
+        r = rank(pair @ tensor.lift)
         report.check(
             f"(i) {name} bijective",
             tensor.dim == outer.dim and r == outer.dim,
@@ -658,17 +592,12 @@ def psi_chain_map(d, m, n, *, induced=None):
         raise PreconditionError("negative degree")
     ind = induced_module(d, m) if induced is None else induced
     field = d.field
-    one = field.one
     _, g = d.pairings()
     p_vecs, q_vecs, _, _ = _dual_families(d)
-    basis = [{mu: one} for mu in range(m.dim)]
-    head = [
-        [
-            SparseMatrix(field, ind.dim, m.dim, [ind.embed(q, e, p) for e in basis])
-            for p in p_vecs
-        ]
-        for q in q_vecs
-    ]
+    ident = SparseMatrix.identity(field, m.dim)
+    p_cols = [SparseMatrix(field, d.p_mod.dim, 1, [p]) for p in p_vecs]
+    q_cols = [SparseMatrix(field, d.q_mod.dim, 1, [q]) for q in q_vecs]
+    head = [[ind.project(q.kron(ident).kron(p)) for p in p_cols] for q in q_cols]
     slot = _slot_matrices(g, q_vecs, d.p_mod, p_vecs, d.source.A, d.target.A.dim)
     return _transfer(head, slot, d.eta.sparse, n)
 
@@ -682,26 +611,23 @@ def phi_chain_map(d, m, n, *, induced=None):
         raise PreconditionError("negative degree")
     ind = induced_module(d, m) if induced is None else induced
     field = d.field
-    one = field.one
+    a = d.source.A
     f, _ = d.pairings()
+    fm, _ = d.pairing_matrices
     _, _, pp_vecs, qp_vecs = _dual_families(d)
+    dp, dq = d.p_mod.dim, d.q_mod.dim
 
-    def head(nu, pp, qp):
-        out = {}
-        for (qi, mi, pi), c in ind.lift_terms({nu: one}):
-            moved = m.act_left(f(pp, {qi: one}), {mi: one})
-            vec_add_scaled(field, out, c, m.act_right(moved, f({pi: one}, qp)))
-        return out
+    def ident(k):
+        return SparseMatrix.identity(field, k)
 
-    heads = [
-        [
-            SparseMatrix(
-                field, m.dim, ind.dim, [head(nu, pp, qp) for nu in range(ind.dim)]
-            )
-            for qp in qp_vecs
-        ]
-        for pp in pp_vecs
-    ]
+    # the maps q -> f(p'_m (x) q) and p -> f(p (x) q'_m), and
+    # R_M K (L_M (x) I_A): a (x) mu (x) a' -> a.mu.a'
+    f_pp = [fm @ SparseMatrix(field, dp, 1, [x]).kron(ident(dq)) for x in pp_vecs]
+    f_qp = [fm @ ident(dp).kron(SparseMatrix(field, dq, 1, [y])) for y in qp_vecs]
+    act = m.left_action.kron(ident(a.dim))
+    act = m.right_action @ commutation(field, m.dim, a.dim) @ act
+    lift = ind.lift
+    heads = [[act @ (x.kron(ident(m.dim)).kron(y) @ lift) for y in f_qp] for x in f_pp]
     slot = _slot_matrices(f, pp_vecs, d.q_mod, qp_vecs, d.target.A, d.source.A.dim)
     return _transfer(heads, slot, d.eta.inverse().sparse, n)
 
@@ -791,6 +717,8 @@ def alternating_homotopy(parts):
 def verify_morita_invariance(d, m, max_n, field=None, guard_bytes=None, deadline=None):
     """Check homology dims on both sides, the chain-map identities for
     psi/phi, and the homotopy identities for h/l, up to degree max_n."""
+    if max_n < 0:
+        raise PreconditionError("negative degree")
     if field is not None and field != d.field:
         d = d.over(field)
         m = m.over(field)

@@ -12,14 +12,14 @@ exactness is reported junction by junction as subspace equalities.
 
 No map here permutes slots, so each is a Kronecker product of small
 per-slot matrices in the slot order of the chain index (module slot,
-A-slots, b-slots): Phi2 = I (x) [1_B], Psi = W (x) I_B, eps_* = I_M (x) eps,
-f_* = F (x) I and (f,g)_* = I_M (x) f^(x)n (x) g^(x)n(n-1)/2.
+A-slots, b-slots): Phi2 = I (x) [1_B], Psi = W (x) I_B (W the two
+actions of M with factor swaps), eps_* = I_M (x) eps, f_* = F (x) I
+and (f,g)_* = I_M (x) f^(x)n (x) g^(x)n(n-1)/2.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .algebra import (
@@ -40,6 +40,7 @@ from .complexes import (
 from .errors import NotAChainMapError, PreconditionError
 from .linalg import (
     SparseMatrix,
+    commutation,
     image_basis,
     induced_quotient_map,
     kernel_basis,
@@ -80,14 +81,17 @@ def phi2_chain(t, m):
 
 
 def psi_seq_chain(t, m):
-    """C_2((A,B,eps);M) -> C_1(B,M): (m; a1,a2; b) -> a2.m.a1 (x) b."""
-    a = t.A
-    cols = [
-        m.act_right(m.act_left_basis(a2, mu), a.basis_vec(a1))
-        for mu, a1, a2 in itertools.product(range(m.dim), range(a.dim), range(a.dim))
-    ]
-    w = SparseMatrix(a.field, m.dim, len(cols), cols)
-    return w.kron(SparseMatrix.identity(a.field, t.B.dim))
+    """C_2((A,B,eps);M) -> C_1(B,M): (m; a1,a2; b) -> a2.m.a1 (x) b, so
+    W = R_M K (L_M (x) I_A) K on M (x) A (x) A, K the factor swaps."""
+    field, da, dm = t.A.field, t.A.dim, m.dim
+    ident = SparseMatrix.identity
+    w = (
+        m.right_action
+        @ commutation(field, dm, da)
+        @ m.left_action.kron(ident(field, da))
+        @ commutation(field, dm * da, da)
+    )
+    return w.kron(ident(field, t.B.dim))
 
 
 def epsilon_star_chain(t, m):

@@ -72,13 +72,15 @@ def _parse_algebra(field, data, what):
         raise InstanceFormatError(f"{what}: missing field {exc}") from None
     if not isinstance(basis, list) or not isinstance(unit, list):
         raise InstanceFormatError(f"{what}: basis and unit must be lists")
+    if not all(isinstance(label, str) for label in basis):
+        raise InstanceFormatError(f"{what}: basis labels must be strings")
     if dim != len(basis):
         raise InstanceFormatError(f"{what}: dim does not match basis length")
     if len(unit) != dim:
         raise InstanceFormatError(f"{what}: unit length does not match dim")
     return FiniteAlgebra.from_data(
         field,
-        tuple(str(b) for b in basis),
+        tuple(basis),
         _parse_tensor(field, table, dim, dim, dim, f"{what}.table"),
         tuple(_parse_scalar(field, v) for v in unit),
     )

@@ -304,6 +304,17 @@ class TestMatrixTriple:
         with pytest.raises(PreconditionError):
             matrix_triple(t, 0)
 
+    def test_matrix_unit_is_major(self):
+        """Index (r*n + c)*dim + u, the order of the emitted -M2 fixture
+        files: in FIX-D lifted to 2x2, (e01*x)(e10*1) = e00*x, in the
+        algebra and in the lifted module alike."""
+        t, m = fix_d()
+        lifted, lift = matrix_triple(t, 2)
+        labels = lifted.A.basis_labels
+        assert (labels[1], labels[3], labels[4]) == ("e00*x", "e01*x", "e10*1")
+        assert lifted.A.mul({3: QQ.one}, {4: QQ.one}) == {1: QQ.one}
+        assert lift(m).act_left_basis(3, 4) == {1: QQ.one}
+
 
 class TestCornerTriple:
     def test_identity_idempotent(self):

@@ -136,6 +136,18 @@ def test_morita(fixture_dir, capsys):
     assert "homology dims agree" in out
 
 
+def test_morita_negative_degree_is_input_error(fixture_dir, capsys):
+    assert main(["morita", str(fixture_dir / "FIX-D.json"), "--max-degree", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "negative degree" in captured.err
+
+
+def test_kahler_honours_guard_bytes(fixture_dir, capsys):
+    assert main(["kahler", str(fixture_dir / "FIX-D.json"), "--guard-bytes", "10"]) == 3
+    assert "resource guard" in capsys.readouterr().err
+
+
 def test_morita_corner_section(fixture_dir, tmp_path, capsys):
     # corner of the 2x2 lift at the (0,0)-block idempotent undoes the lift
     data = json.loads((fixture_dir / "FIX-DD-M2.json").read_text())
@@ -345,6 +357,18 @@ def test_lists_and_ints_are_required(fixture_dir, tmp_path, capsys, name, path, 
     p.write_text(json.dumps(data))
     assert main(["validate", str(p)]) == 2
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", [2, None, ["x"]], ids=["number", "null", "list"])
+def test_basis_labels_must_be_strings(fixture_dir, tmp_path, capsys, label):
+    data = json.loads((fixture_dir / "FIX-D.json").read_text())
+    data["A"]["basis"] = ["1", label]
+    with pytest.raises(InstanceFormatError):
+        parse_instance(json.dumps(data))
+    p = tmp_path / "label.json"
+    p.write_text(json.dumps(data))
+    assert main(["validate", str(p)]) == 2
+    assert "basis labels must be strings" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hochschild.algebra import (
     trivial_triple,
     truncated_polynomial_algebra,
 )
-from hochschild.errors import PreconditionError
+from hochschild.errors import PreconditionError, SizeGuardError
 from hochschild.fields import QQ
 from hochschild.fixtures import fix_d, fix_dd, fix_ext, fix_p3, random_instances
 from hochschild.kahler import (
@@ -122,6 +122,11 @@ class TestH1Identification:
                 continue
             rep = verify_h1_kahler(t, m)
             assert rep.ok, rep.render()
+
+    def test_guard_bytes_caps_the_complexes(self):
+        t, m = fix_d()
+        with pytest.raises(SizeGuardError):
+            verify_h1_kahler(t, m, guard_bytes=10)
 
 
 class TestFundamentalSequence:

@@ -15,6 +15,7 @@ from hochschild.linalg import (
     Echelon,
     SparseMatrix,
     Subspace,
+    bilinear,
     commutation,
     image_basis,
     induced_quotient_map,
@@ -22,6 +23,7 @@ from hochschild.linalg import (
     rank,
     solve,
     subspace_leq,
+    tensor_bilinear,
     vec_add_scaled,
 )
 
@@ -331,3 +333,36 @@ def test_commutation_swaps_the_factors(field, m, n, draw):
     assert k.shape == (m * n, m * n)
     assert k.apply(tensor(x, m, y, n)) == tensor(y, n, x, m)
     assert commutation(field, n, m) @ k == SparseMatrix.identity(field, m * n)
+
+
+@given(both_fields, st.data())
+@settings(max_examples=100, deadline=None)
+def test_tensor_bilinear_is_the_product_of_the_two_maps(field, draw):
+    """T(u1 (x) u2, v1 (x) v2) = m1(u1, v1) (x) m2(u2, v2) for
+    T = tensor_bilinear(m1, x1, y1, m2, x2, y2), each map applied by
+    `bilinear`."""
+    x1, y1, x2, y2, r1, r2 = (
+        draw.draw(st.integers(min_value=0, max_value=3)) for _ in range(6)
+    )
+
+    def vector(k):
+        return vectors([draw.draw(st.lists(small_entries, min_size=k, max_size=k))], field)[0]
+
+    def column(vec, dim):
+        return SparseMatrix(field, dim, 1, [vec])
+
+    def matrix(rows, cols):
+        return SparseMatrix(field, rows, cols, [vector(rows) for _ in range(cols)])
+
+    m1, m2 = matrix(r1, x1 * y1), matrix(r2, x2 * y2)
+    u1, v1, u2, v2 = vector(x1), vector(y1), vector(x2), vector(y2)
+    t = tensor_bilinear(m1, x1, y1, m2, x2, y2)
+    assert t.shape == (r1 * r2, x1 * x2 * y1 * y2)
+    lhs = bilinear(
+        t,
+        y1 * y2,
+        column(u1, x1).kron(column(u2, x2)).column(0),
+        column(v1, y1).kron(column(v2, y2)).column(0),
+    )
+    rhs = column(bilinear(m1, y1, u1, v1), r1).kron(column(bilinear(m2, y2, u2, v2), r2))
+    assert lhs == rhs.column(0)

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from hochschild import morita
 from hochschild.algebra import (
     AlgebraMorphism,
     Bimodule,
@@ -391,6 +392,17 @@ class TestInvariance:
         assert (d.s, d.t) == (0, 1)
         rep = verify_morita_invariance(d, Bimodule.from_data(QQ, 0, (), ()), 1)
         assert rep.ok, rep.render()
+
+    def test_negative_degree_rejected_before_building(self, monkeypatch):
+        t, m = fix_d()
+        d = standard_matrix_morita(t, 2)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("a complex was built")
+
+        monkeypatch.setattr(morita, "build_secondary_complex", no_build)
+        with pytest.raises(PreconditionError, match="negative degree"):
+            verify_morita_invariance(d, m, -1)
 
     def test_endpoint_mismatch_in_compose(self):
         t, m = fix_d()
