@@ -234,9 +234,6 @@ class Bimodule:
     def act_left_basis(self, i, m):
         return self.left_action.column(i * self.dim + m)
 
-    def act_right_basis(self, i, m):
-        return self.right_action.column(i * self.dim + m)
-
     def act_left(self, avec, mvec):
         return bilinear(self.left_action, self.dim, avec, mvec)
 

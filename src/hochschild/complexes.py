@@ -14,13 +14,19 @@ digits entering as a base offset through the target's strides.  Only
 the boundary uses `expand_slots`: chain maps that act slot by slot (the
 Morita and sequence maps) are Kronecker products, and `pair_layout`
 gives a homotopy its b-slot factors.
-boundary-squared is verified exactly at build time.
+
+Boundary-squared is verified exactly at build time.  Over the rationals
+the check is (R d_n)(d_(n+1) S) = 0, with R and S the positive integer
+diagonal matrices that clear the denominators of each row of d_n and of
+each column of d_(n+1): both are invertible, so this holds exactly when
+d_n d_(n+1) = 0, and the product runs in `int` arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import lcm
 from operator import itemgetter
 
 from .algebra import field_algebra, unit_morphism
@@ -29,6 +35,7 @@ from .errors import (
     PreconditionError,
     SizeGuardError,
 )
+from .fields import Rationals
 from .linalg import (
     HomologyBasis,
     SparseMatrix,
@@ -347,9 +354,35 @@ def check_size_guard(dims, guard_bytes):
         )
 
 
+def _cleared(m, by_row):
+    """m scaled by the positive integer diagonal that clears the
+    denominators of each row (R m) or each column (m S), so that every
+    entry is an int; m itself when it has no denominator."""
+    scale = {}
+    for c, col in enumerate(m.columns()):
+        for r, v in col.items():
+            if v.denominator != 1:
+                k = r if by_row else c
+                scale[k] = lcm(scale.get(k, 1), v.denominator)
+    if not scale:
+        return m
+    cols = [
+        {
+            r: v.numerator * (scale.get(r if by_row else c, 1) // v.denominator)
+            for r, v in col.items()
+        }
+        for c, col in enumerate(m.columns())
+    ]
+    return SparseMatrix(m.field, m.rows, m.cols, cols)
+
+
 def _verify_dd_zero(boundaries):
+    rational = isinstance(boundaries[0].field, Rationals)
     for n in range(1, len(boundaries) - 1):
-        if not (boundaries[n] @ boundaries[n + 1]).is_zero():
+        left, right = boundaries[n], boundaries[n + 1]
+        if rational:  # R d_n d_(n+1) S = 0 iff d_n d_(n+1) = 0
+            left, right = _cleared(left, True), _cleared(right, False)
+        if not (left @ right).is_zero():
             raise ComplexInconsistencyError(
                 f"complex inconsistency: boundary composite nonzero at degree {n + 1}"
             )

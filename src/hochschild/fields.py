@@ -1,16 +1,22 @@
 """Exact scalar arithmetic: the rationals and prime fields.
 
-Scalars are plain Python values: `fractions.Fraction` over the
-rationals, ints in [0, p) over GF(p).  All arithmetic is routed through
-a Field object so every algorithm in the package runs unchanged over
-either field.  Scalar literals follow the grammar
-``[+-] integer [/ positive-integer]``.
+Scalars are plain Python values.  Over the rationals a scalar whose
+value is an integer is an `int`, and only a proper fraction is a
+`fractions.Fraction`: `int` arithmetic is several times cheaper, and
+the two forms compare and hash alike, so a vector or matrix built from
+either is `==` to one built from the other.  Over GF(p) scalars are ints
+in [0, p).  All arithmetic is routed through a Field object so every
+algorithm in the package runs unchanged over either field.  Scalar
+literals follow the grammar ``[+-] integer [/ positive-integer]``; they
+are read as a reduced integer pair, with no `Fraction` built for an
+integer literal.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from .errors import ScalarError
 
@@ -18,6 +24,7 @@ _SCALAR_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
 
 def _parse_pair(text):
+    """The literal as a coprime pair (num, den), den > 0."""
     text = text.strip()
     if not _SCALAR_RE.match(text):
         raise ScalarError(f"bad scalar literal {text!r}")
@@ -28,7 +35,13 @@ def _parse_pair(text):
         raise ScalarError(f"scalar literal too long: {len(text)} characters") from None
     if den == 0:
         raise ScalarError(f"zero denominator in {text!r}")
-    return num, den
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _integral(x):
+    """A rational scalar in its one form: an int when its value is one."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 class Field:
@@ -52,30 +65,33 @@ class Field:
     def inv(self, a):
         raise NotImplementedError
 
-    def from_rational(self, fr):
-        """Image of an exact rational in this field."""
+    def _from_pair(self, num, den):
+        """Image of num/den, a coprime pair with den > 0, in this field."""
         raise NotImplementedError
 
+    def from_rational(self, fr):
+        """Image of an exact rational (an int or a Fraction) in this field."""
+        return self._from_pair(fr.numerator, fr.denominator)
+
     def parse(self, text):
-        num, den = _parse_pair(text)
-        return self.from_rational(Fraction(num, den))
+        return self._from_pair(*_parse_pair(text))
 
     def format(self, a):
         return str(a)
 
 
 class Rationals(Field):
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
@@ -83,10 +99,10 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / a
+        return _integral(Fraction(1, a))
 
-    def from_rational(self, fr):
-        return Fraction(fr)
+    def _from_pair(self, num, den):
+        return num if den == 1 else Fraction(num, den)
 
     def __repr__(self):
         return "QQ"
@@ -155,11 +171,10 @@ class PrimeField(Field):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def from_rational(self, fr):
-        den = fr.denominator % self.p
-        if den == 0:
-            raise ScalarError(f"{fr} has no image in GF({self.p})")
-        return fr.numerator * pow(den, -1, self.p) % self.p
+    def _from_pair(self, num, den):
+        if den % self.p == 0:
+            raise ScalarError(f"{num}/{den} has no image in GF({self.p})")
+        return num * pow(den, -1, self.p) % self.p
 
     def __repr__(self):
         return f"GF({self.p})"

@@ -112,13 +112,8 @@ NAMED_FIXTURES = {
 
 
 _COEFF_POOL = [
-    Fraction(0),
-    Fraction(1),
-    Fraction(-1),
-    Fraction(2),
-    Fraction(1, 2),
-    Fraction(-3),
-    Fraction(2, 3),
+    QQ.from_rational(c)
+    for c in (0, 1, -1, 2, Fraction(1, 2), -3, Fraction(2, 3))
 ]
 
 

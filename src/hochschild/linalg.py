@@ -5,9 +5,12 @@ tuples of such dicts.  Elimination over the rationals is fraction-free:
 echelon rows are kept as integer vectors (denominators cleared on
 entry) combined by integer cross-multiplication and re-normalized by
 their content gcd, which keeps entries small without dense Bareiss
-bookkeeping.  Each field has one row step, chosen when an `Echelon` is
-made, that serves both insertion and back-substitution; back-substitution
-visits only the pivot columns a row holds.  Subspaces are canonicalized
+bookkeeping.  The canonical RREF divides each row by its lead exactly:
+an entry the lead divides becomes an `int`, so the RREF bases of
+integral data carry no `Fraction`.  Each field has one row step, chosen
+when an `Echelon` is made, that serves both insertion and
+back-substitution; back-substitution visits only the pivot columns a
+row holds.  Subspaces are canonicalized
 to reduced row echelon form, so equality of subspaces is a syntactic
 check, and reducing a vector visits only the pivots in its support.  A
 chain complex eliminates the columns of each boundary once: the image
@@ -382,10 +385,10 @@ class Echelon:
             done[c] = row
         rows = [done[c] for c in pivots]
         if self.rational:
-            rows = [
-                {k: Fraction(v, row[c]) for k, v in row.items()}
-                for c, row in zip(pivots, rows)
-            ]
+            for c, row in zip(pivots, rows):
+                lead = row[c]
+                for k, v in row.items():
+                    row[k] = v // lead if v % lead == 0 else Fraction(v, lead)
         return pivots, rows
 
 

@@ -20,6 +20,8 @@ from hochschild.algebra import (
 )
 from hochschild.complexes import (
     ChainIndexScheme,
+    _cleared,
+    _verify_dd_zero,
     build_classical_complex,
     build_complex,
     build_secondary_complex,
@@ -29,7 +31,11 @@ from hochschild.complexes import (
     secondary_boundary,
     secondary_scheme,
 )
-from hochschild.errors import PreconditionError, SizeGuardError
+from hochschild.errors import (
+    ComplexInconsistencyError,
+    PreconditionError,
+    SizeGuardError,
+)
 from hochschild.fields import GF, QQ
 from hochschild.fixtures import (
     fix_d,
@@ -39,7 +45,7 @@ from hochschild.fixtures import (
     fix_p3,
     random_instances,
 )
-from hochschild.linalg import Echelon, image_basis
+from hochschild.linalg import Echelon, SparseMatrix, image_basis, kernel_basis
 
 F1009 = GF(1009)
 
@@ -307,3 +313,83 @@ class TestHomology:
             dims_q = [homology(cq, n).dim for n in range(3)]
             dims_p = [homology(cp, n).dim for n in range(3)]
             assert dims_q == dims_p
+
+
+def _assert_canonical_rationals(vectors, where):
+    """Every scalar is an int, or a Fraction with denominator > 1."""
+    for vec in vectors:
+        for s in vec.values():
+            canonical = type(s) is int or (type(s) is Fraction and s.denominator > 1)
+            assert canonical, (where, s)
+
+
+def test_q_scalars_are_ints_where_integral(named_instances):
+    """Structure constants, boundaries, RREF bases and representatives over
+    Q hold an integral value as an int, never as a Fraction or a float."""
+    cases = dict(named_instances)
+    for name, (t, m) in named_instances.items():
+        lifted, lift = matrix_triple(t, 2)
+        cases[f"{name}-M2"] = (lifted, lift(m))
+    for i, tm in enumerate(random_instances(7, 6)):
+        cases[f"random {i}"] = tm
+    for name, (t, m) in cases.items():
+        tables = [t.A.table, t.B.table, (t.eps.matrix,), m.left, m.right]
+        rows = [dict(enumerate(r)) for tensor in tables for plane in tensor for r in plane]
+        _assert_canonical_rationals(rows, name)
+        cx = build_secondary_complex(t, m, 2)
+        vectors = [col for n in (1, 2) for col in cx.boundary(n).columns()]
+        for n in (0, 1):
+            vectors += cx.cycle_space(n).basis + cx.boundary_image(n + 1).basis
+            vectors += homology(cx, n, with_reps=True).reps
+        _assert_canonical_rationals(vectors, name)
+
+
+_RATIONALS = st.sampled_from(
+    [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+)
+
+
+@st.composite
+def composable_pairs(draw):
+    """Matrices d1 (r x s) and d2 (s x c) over Q; d2's columns are often
+    fractional multiples of kernel vectors of d1, so that d1 d2 = 0."""
+    r, s, c = (draw(st.integers(1, 4)) for _ in range(3))
+    dense = [[draw(_RATIONALS) for _ in range(s)] for _ in range(r)]
+    d1 = SparseMatrix.from_dense(QQ, dense)
+    kernel = kernel_basis(d1).basis
+    cols = []
+    for _ in range(c):
+        if kernel and draw(st.booleans()):
+            k, scale = draw(st.sampled_from(kernel)), QQ.from_rational(draw(_RATIONALS))
+            cols.append({i: QQ.mul(scale, v) for i, v in k.items() if scale})
+        else:
+            cols.append({i: v for i in range(s) if (v := draw(_RATIONALS))})
+    return d1, SparseMatrix(QQ, s, c, cols)
+
+
+@given(composable_pairs(), st.sampled_from([QQ, F1009]))
+@settings(max_examples=150, deadline=None)
+def test_dd_check_raises_exactly_when_the_composite_is_nonzero(pair, field):
+    """Over Q the check multiplies denominator-cleared boundaries; it agrees
+    with the plain product, and over GF(p) it is the plain product."""
+    d1, d2 = (
+        SparseMatrix.from_dense(
+            field, [[field.from_rational(v) for v in row] for row in d.to_dense()]
+        )
+        for d in pair
+    )
+    boundaries = [SparseMatrix.zero(field, 0, d1.rows), d1, d2]
+    if (d1 @ d2).is_zero():
+        _verify_dd_zero(boundaries)
+    else:
+        with pytest.raises(ComplexInconsistencyError, match="nonzero at degree 2"):
+            _verify_dd_zero(boundaries)
+
+
+def test_dd_check_uses_a_denominator_free_boundary_as_it_is():
+    d = SparseMatrix.from_dense(QQ, [[1, -2], [0, 3]])
+    assert _cleared(d, True) is d and _cleared(d, False) is d
+    half = SparseMatrix.from_dense(QQ, [[Fraction(1, 2), Fraction(1, 3)], [0, 1]])
+    assert _cleared(half, True).to_dense() == [[3, 2], [0, 1]]
+    assert _cleared(half, False).to_dense() == [[1, 1], [0, 3]]
+    assert all(type(v) is int for _, v in _cleared(half, True).entries())

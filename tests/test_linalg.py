@@ -137,6 +137,32 @@ class TestSolve:
         m = mat([[1, 1], [1, 1]])
         assert solve(m, {0: Fraction(1)}) is None
 
+    def test_solution_over_q_is_exact(self):
+        m = SparseMatrix.from_dense(QQ, [[2, 0], [0, 3]])
+        x = solve(m, {0: 1, 1: 1})
+        assert x == {0: Fraction(1, 2), 1: Fraction(1, 3)}
+        assert not any(isinstance(v, float) for v in x.values())
+
+
+def test_int_and_fraction_forms_of_a_scalar_are_interchangeable():
+    """An integral rational may be an int or a Fraction: vectors, matrices
+    and subspaces built from either form are equal, and keys hash alike."""
+    assert {0: 2} == {0: Fraction(2)}
+    assert hash(2) == hash(Fraction(2)) and hash(-1) == hash(Fraction(-1))
+    assert {Fraction(2): "two"}[2] == "two"
+    ints = [[2, 0, -1], [4, 0, -2], [0, 3, 1]]
+    fracs = [[Fraction(v) for v in row] for row in ints]
+    assert SparseMatrix.from_dense(QQ, ints) == SparseMatrix.from_dense(QQ, fracs)
+    assert image_basis(SparseMatrix.from_dense(QQ, ints)) == image_basis(
+        SparseMatrix.from_dense(QQ, fracs)
+    )
+    half = Fraction(1, 2)
+    assert Subspace(QQ, 2, [{0: 1, 1: half}], [0]) == Subspace(
+        QQ, 2, [{0: Fraction(1), 1: half}], [0]
+    )
+    spanned = Subspace.span(QQ, 2, [{0: 2, 1: 1}])
+    assert spanned == Subspace(QQ, 2, [{0: 1, 1: half}], [0])
+
 
 class TestInducedQuotientMap:
     def _setup(self):
