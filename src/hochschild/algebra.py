@@ -114,9 +114,6 @@ class _LinearMap:
             [[row[c] for row in self.matrix] for c in range(self.source.dim)],
         )
 
-    def apply_basis(self, j):
-        return self.sparse.column(j)
-
     def apply(self, vec):
         return self.sparse.apply(vec)
 
@@ -230,9 +227,6 @@ class Bimodule:
         return SparseMatrix.from_columns(
             self.field, self.dim, [row for plane in tensor for row in plane]
         )
-
-    def act_left_basis(self, i, m):
-        return self.left_action.column(i * self.dim + m)
 
     def act_left(self, avec, mvec):
         return bilinear(self.left_action, self.dim, avec, mvec)

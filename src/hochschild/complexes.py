@@ -15,11 +15,13 @@ the boundary uses `expand_slots`: chain maps that act slot by slot (the
 Morita and sequence maps) are Kronecker products, and `pair_layout`
 gives a homotopy its b-slot factors.
 
-Boundary-squared is verified exactly at build time.  Over the rationals
-the check is (R d_n)(d_(n+1) S) = 0, with R and S the positive integer
-diagonal matrices that clear the denominators of each row of d_n and of
-each column of d_(n+1): both are invertible, so this holds exactly when
-d_n d_(n+1) = 0, and the product runs in `int` arithmetic.
+Boundary-squared is verified exactly whenever a `ChainComplex` is made,
+and elimination of d_n relies on it: it stops once the image fills
+ker d_(n-1).  Over the rationals the check is (R d_n)(d_(n+1) S) = 0,
+with R and S the positive integer diagonal matrices that clear the
+denominators of each row of d_n and of each column of d_(n+1): both are
+invertible, so this holds exactly when d_n d_(n+1) = 0, and the product
+runs in `int` arithmetic.
 """
 
 from __future__ import annotations
@@ -257,11 +259,17 @@ class ChainComplex:
     """Built complex: graded dimensions plus boundary matrices.
 
     boundaries[n] maps degree n to degree n-1; boundaries[0] is the zero
-    map to a rank-0 space, so H_0 = C_0 / im d_1.  Rank, image and cycle
-    computations are memoized; the object is immutable once built.
+    map to a rank-0 space, so H_0 = C_0 / im d_1.  d_n d_(n+1) = 0 is
+    verified exactly when the complex is made, so im d_n lies in
+    ker d_(n-1): once dim ker d_(n-1) is known (from a memoized cycle
+    space or rank, or dims[0] at n = 1), ranking or spanning d_n stops
+    as soon as its echelon reaches that dimension, with the same result.
+    No elimination is run only to learn the bound.  Rank, image and
+    cycle computations are memoized; the object is immutable once built.
     """
 
     def __init__(self, kind, field, dims, boundaries, schemes):
+        _verify_dd_zero(boundaries)
         self.kind = kind
         self.field = field
         self.dims = tuple(dims)
@@ -280,17 +288,31 @@ class ChainComplex:
             raise PreconditionError(f"no boundary at degree {n}")
         return self.boundaries[n]
 
+    def _rank_bound(self, n):
+        """dim ker d_(n-1), an upper bound on rank d_n, if already known."""
+        if n == 1:
+            return self.dims[0]
+        if n - 1 in self._cycles:
+            return self._cycles[n - 1].dim
+        if n - 1 in self._ranks:
+            return self.dims[n - 1] - self._ranks[n - 1]
+        return None
+
     def boundary_rank(self, n, deadline=None):
         if n == 0:
             return 0
         if n not in self._ranks:
-            self._ranks[n] = rank(self.boundary(n), deadline=deadline)
+            self._ranks[n] = rank(
+                self.boundary(n), deadline=deadline, bound=self._rank_bound(n)
+            )
         return self._ranks[n]
 
     def boundary_image(self, n, deadline=None):
         """Image of d_n inside degree n-1 chains; it also fixes rank d_n."""
         if n not in self._images:
-            self._images[n] = image_basis(self.boundary(n), deadline=deadline)
+            self._images[n] = image_basis(
+                self.boundary(n), deadline=deadline, bound=self._rank_bound(n)
+            )
             self._ranks.setdefault(n, self._images[n].dim)
         return self._images[n]
 
@@ -391,13 +413,12 @@ def _verify_dd_zero(boundaries):
 def _build(kind, field, scheme, boundary, args, max_degree, degree_cap, guard_bytes):
     """The complex with degree-n chains scheme(*args, n) and boundaries
     boundary(*args, n) up to max_degree, size-guarded before anything is
-    built; boundary-squared is verified."""
+    built; `ChainComplex` verifies boundary-squared."""
     schemes = [scheme(*args, n) for n in range(max_degree + 1)]
     dims = [s.total for s in schemes]
     _check_guards(dims, max_degree, degree_cap, guard_bytes)
     boundaries = [SparseMatrix.zero(field, 0, dims[0])]
     boundaries += [boundary(*args, n) for n in range(1, max_degree + 1)]
-    _verify_dd_zero(boundaries)
     return ChainComplex(kind, field, dims, boundaries, schemes)
 
 

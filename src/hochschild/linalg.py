@@ -3,22 +3,27 @@
 Vectors are dicts {index: nonzero scalar}; matrices are column-major
 tuples of such dicts.  Elimination over the rationals is fraction-free:
 echelon rows are kept as integer vectors (denominators cleared on
-entry) combined by integer cross-multiplication and re-normalized by
-their content gcd, which keeps entries small without dense Bareiss
-bookkeeping.  The canonical RREF divides each row by its lead exactly:
-an entry the lead divides becomes an `int`, so the RREF bases of
-integral data carry no `Fraction`.  Each field has one row step, chosen
-when an `Echelon` is made, that serves both insertion and
-back-substitution; back-substitution visits only the pivot columns a
-row holds.  Subspaces are canonicalized
-to reduced row echelon form, so equality of subspaces is a syntactic
-check, and reducing a vector visits only the pivots in its support.  A
-chain complex eliminates the columns of each boundary once: the image
-it needs for representatives also gives the boundary's rank.  Chain
-maps that act slot by slot are built with one primitive,
-`SparseMatrix.kron`, whose index order (first factor most significant)
-is the mixed-radix order of the chain index; the same order indexes
-the columns of a structure tensor, which `bilinear` contracts.
+entry) combined by integer cross-multiplication, and a row is divided
+by its content gcd once, when it is stored as a new pivot row, which
+keeps stored entries small without dense Bareiss bookkeeping or a gcd
+pass per step.  `rank` and `image_basis` take an optional upper bound
+on the rank from their caller and stop inserting once the echelon
+reaches it: every later column already lies in the span, so the result
+is the same.  A chain complex passes dim ker d_(n-1) for d_n.  The
+canonical RREF divides each row by its lead exactly: an entry the lead
+divides becomes an `int`, so the RREF bases of integral data carry no
+`Fraction`.  Each field has one row step, chosen when an `Echelon` is
+made, that serves both insertion and back-substitution;
+back-substitution visits only the pivot columns a row holds.
+Subspaces are canonicalized to reduced row echelon form, so equality
+of subspaces is a syntactic check, and reducing a vector visits only
+the pivots in its support.  A chain complex eliminates the columns of
+each boundary at most once: the image it needs for representatives
+also gives the boundary's rank.  Chain maps that act slot by slot are
+built with one primitive, `SparseMatrix.kron`, whose index order (first
+factor most significant) is the mixed-radix order of the chain index;
+the same order indexes the columns of a structure tensor, which
+`bilinear` contracts.
 `commutation` swaps two neighbouring factors of such a product, so an
 axiom that takes its arguments in another order is still one matrix
 identity, and `tensor_bilinear` is the structure tensor that two of
@@ -33,7 +38,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     AmbientMismatchError,
@@ -120,17 +125,6 @@ class SparseMatrix:
             if v != field.zero:
                 columns[c][r] = v
         return cls(field, rows, cols, columns)
-
-    @classmethod
-    def from_dense(cls, field, rows_data):
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(rows_data):
-            for c, v in enumerate(row):
-                if v != field.zero:
-                    entries[(r, c)] = v
-        return cls.from_entries(field, rows, cols, entries)
 
     @classmethod
     def from_columns(cls, field, rows, dense_columns):
@@ -263,10 +257,11 @@ class SparseMatrix:
 
 def _int_rows(vec):
     """Clear denominators of a rational vector; returns a gcd-1 int dict."""
-    den = 1
-    for v in vec.values():
-        den = den * v.denominator // gcd(den, v.denominator)
-    row = {k: int(v * den) for k, v in vec.items()}
+    den = lcm(*{v.denominator for v in vec.values()})
+    if den == 1:
+        row = {k: v.numerator for k, v in vec.items()}
+    else:
+        row = {k: v.numerator * (den // v.denominator) for k, v in vec.items()}
     return _normalize_int_row(row)
 
 
@@ -287,7 +282,7 @@ def _normalize_int_row(row):
 
 def _step_q(row, piv, c):
     """Clear column c of an int row with the stored row piv, fraction-free:
-    row := (piv[c] row - row[c] piv) / gcd, then gcd-normalized."""
+    row := (piv[c] row - row[c] piv) / gcd(piv[c], row[c])."""
     a = piv[c]
     b = row[c]
     g = gcd(a, b)
@@ -301,7 +296,6 @@ def _step_q(row, piv, c):
             row[k] = nv
         else:
             del row[k]
-    _normalize_int_row(row)
 
 
 def _step_mod(p):
@@ -357,7 +351,9 @@ class Echelon:
             c = min(row)
             piv = by_pivot.get(c)
             if piv is None:
-                if not self.rational:
+                if self.rational:
+                    _normalize_int_row(row)
+                else:
                     lead_inv = pow(row[c], -1, p)
                     row = {k: v * lead_inv % p for k, v in row.items()}
                 by_pivot[c] = row
@@ -405,9 +401,14 @@ class Subspace:
         self._row_at = dict(zip(self.pivots, self.basis))
 
     @classmethod
-    def span(cls, field, ambient_dim, vectors, deadline=None):
+    def span(cls, field, ambient_dim, vectors, deadline=None, bound=None):
+        """The span of vectors.  bound, when given, is an upper bound on
+        its dimension: once the echelon reaches it, every later vector
+        already lies in the span and is not inserted."""
         ech = Echelon(field, deadline=deadline)
         for v in vectors:
+            if ech.rank == bound:
+                break
             for k in v:
                 if k < 0 or k >= ambient_dim:
                     raise ValueError("coordinate index out of range")
@@ -474,11 +475,14 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def rank(m, deadline=None):
-    """Rank of a sparse matrix; deterministic, exact."""
+def rank(m, deadline=None, bound=None):
+    """Rank of a sparse matrix; deterministic, exact.  bound, when given,
+    is an upper bound on the rank: elimination stops once it is reached."""
     ech = Echelon(m.field, deadline=deadline)
-    for j in range(m.cols):
-        ech.insert(m.column(j))
+    for col in m.columns():
+        if ech.rank == bound:
+            break
+        ech.insert(col)
     return ech.rank
 
 
@@ -503,9 +507,10 @@ def kernel_basis(m, deadline=None):
     return Subspace.span(field, m.cols, vectors, deadline=deadline)
 
 
-def image_basis(m, deadline=None):
-    """Column space of m as a canonical Subspace of k^rows."""
-    return Subspace.span(m.field, m.rows, m.columns(), deadline=deadline)
+def image_basis(m, deadline=None, bound=None):
+    """Column space of m as a canonical Subspace of k^rows; bound as in
+    `Subspace.span`."""
+    return Subspace.span(m.field, m.rows, m.columns(), deadline=deadline, bound=bound)
 
 
 def subspace_leq(u, v):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import act_left_basis
+
 from hochschild.algebra import (
     AlgebraMorphism,
     Bimodule,
@@ -313,7 +315,7 @@ class TestMatrixTriple:
         labels = lifted.A.basis_labels
         assert (labels[1], labels[3], labels[4]) == ("e00*x", "e01*x", "e10*1")
         assert lifted.A.mul({3: QQ.one}, {4: QQ.one}) == {1: QQ.one}
-        assert lift(m).act_left_basis(3, 4) == {1: QQ.one}
+        assert act_left_basis(lift(m), 3, 4) == {1: QQ.one}
 
 
 class TestCornerTriple:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import apply_basis, from_dense
 from oracle_naive import (
     naive_classical_boundary,
     naive_rank,
@@ -19,6 +20,7 @@ from hochschild.algebra import (
     trivial_triple,
 )
 from hochschild.complexes import (
+    ChainComplex,
     ChainIndexScheme,
     _cleared,
     _verify_dd_zero,
@@ -45,7 +47,14 @@ from hochschild.fixtures import (
     fix_p3,
     random_instances,
 )
-from hochschild.linalg import Echelon, SparseMatrix, image_basis, kernel_basis
+from hochschild.linalg import (
+    Echelon,
+    HomologyBasis,
+    SparseMatrix,
+    image_basis,
+    kernel_basis,
+    rank,
+)
 
 F1009 = GF(1009)
 
@@ -151,7 +160,7 @@ class TestSecondaryBoundary:
         for idx in range(src.total):
             mu, (a1, a2), (beta,) = src.decode(idx)
             expected = {}
-            eb = t.eps.apply_basis(beta)
+            eb = apply_basis(t.eps, beta)
             for k, c in m.act_right({mu: QQ.one}, a.mul(a.basis_vec(a1), eb)).items():
                 for j, cj in [(a2, c)]:
                     key = tgt.encode(k, (j,), ())
@@ -280,6 +289,9 @@ class TestHomology:
         assert res.dim == len(res.reps) == 2
 
     def test_reps_eliminate_each_boundary_once(self, monkeypatch):
+        """No boundary column is inserted twice, and spanning d_n stops
+        once its image fills ker d_(n-1): only 28 of d_3's 128 columns
+        of FIX-DD are inserted."""
         t, m = fix_dd()
         c = build_secondary_complex(t, m, 3)
         owner = {id(col): n for n in (1, 2, 3) for col in c.boundary(n).columns()}
@@ -289,12 +301,14 @@ class TestHomology:
 
         def counting_insert(self, vec):
             if id(vec) in owner:
-                inserted[owner[id(vec)]] += 1
+                inserted[id(vec)] += 1
             return insert(self, vec)
 
         monkeypatch.setattr(Echelon, "insert", counting_insert)
         dims = [homology(c, n, with_reps=True).dim for n in range(3)]
-        assert inserted == {n: c.boundary(n).cols for n in (1, 2, 3)}
+        assert set(inserted.values()) == {1}
+        assert Counter(owner[k] for k in inserted) == {1: 4, 2: 4, 3: 28}
+        assert c.boundary(3).cols == 128
         fresh = build_secondary_complex(t, m, 3)
         assert dims == [homology(fresh, n).dim for n in range(3)]
 
@@ -323,16 +337,21 @@ def _assert_canonical_rationals(vectors, where):
             assert canonical, (where, s)
 
 
-def test_q_scalars_are_ints_where_integral(named_instances):
-    """Structure constants, boundaries, RREF bases and representatives over
-    Q hold an integral value as an int, never as a Fraction or a float."""
+def _fixtures_lifts_and_random(named_instances):
+    """The named fixtures, their 2x2 matrix lifts and random_instances(7, 6)."""
     cases = dict(named_instances)
     for name, (t, m) in named_instances.items():
         lifted, lift = matrix_triple(t, 2)
         cases[f"{name}-M2"] = (lifted, lift(m))
     for i, tm in enumerate(random_instances(7, 6)):
         cases[f"random {i}"] = tm
-    for name, (t, m) in cases.items():
+    return cases
+
+
+def test_q_scalars_are_ints_where_integral(named_instances):
+    """Structure constants, boundaries, RREF bases and representatives over
+    Q hold an integral value as an int, never as a Fraction or a float."""
+    for name, (t, m) in _fixtures_lifts_and_random(named_instances).items():
         tables = [t.A.table, t.B.table, (t.eps.matrix,), m.left, m.right]
         rows = [dict(enumerate(r)) for tensor in tables for plane in tensor for r in plane]
         _assert_canonical_rationals(rows, name)
@@ -342,6 +361,41 @@ def test_q_scalars_are_ints_where_integral(named_instances):
             vectors += cx.cycle_space(n).basis + cx.boundary_image(n + 1).basis
             vectors += homology(cx, n, with_reps=True).reps
         _assert_canonical_rationals(vectors, name)
+
+
+@pytest.mark.parametrize("field", [QQ, F1009], ids=["Q", "GF1009"])
+def test_rank_bound_changes_no_result(named_instances, field):
+    """A complex stops eliminating d_(n+1) once its image fills ker d_n;
+    its cycle spaces, boundary images, representatives and dims equal
+    unbounded eliminations of the same boundaries.  The lifts are built
+    to degree 2 (degree 3 of FIX-EXT-M2 has 524,288 chains)."""
+    for name, (t, m) in _fixtures_lifts_and_random(named_instances).items():
+        t, m = t.over(field), m.over(field)
+        top = 2 if name.endswith("-M2") else 3
+        cx = build_secondary_complex(t, m, top)
+        fresh = build_secondary_complex(t, m, top)
+        d = cx.boundaries
+        for n in range(top):
+            cycles, image = kernel_basis(d[n]), image_basis(d[n + 1])
+            reps = homology(cx, n, with_reps=True).reps
+            assert cx.cycle_space(n) == cycles, (name, n)
+            assert cx.boundary_image(n + 1) == image, (name, n)
+            assert reps == HomologyBasis(cx.cycle_space(n), image).reps, (name, n)
+            dim = cx.dims[n] - rank(d[n]) - rank(d[n + 1])
+            assert homology(fresh, n).dim == dim == len(reps), (name, n)
+
+
+def test_a_complex_with_nonzero_composite_cannot_be_made():
+    """d_1 d_2 != 0 on hand-built boundaries: making the complex raises,
+    so no complex exists whose elimination the rank bound would cut
+    short wrongly."""
+    d1 = from_dense(QQ, [[1, 0]])
+    d2 = from_dense(QQ, [[1], [1]])
+    boundaries = [SparseMatrix.zero(QQ, 0, 1), d1, d2]
+    with pytest.raises(ComplexInconsistencyError, match="nonzero at degree 2"):
+        ChainComplex("secondary", QQ, (1, 2, 1), boundaries, ())
+    fixed = [SparseMatrix.zero(QQ, 0, 1), d1, from_dense(QQ, [[0], [1]])]
+    assert homology(ChainComplex("secondary", QQ, (1, 2, 1), fixed, ()), 1).dim == 0
 
 
 _RATIONALS = st.sampled_from(
@@ -355,7 +409,7 @@ def composable_pairs(draw):
     fractional multiples of kernel vectors of d1, so that d1 d2 = 0."""
     r, s, c = (draw(st.integers(1, 4)) for _ in range(3))
     dense = [[draw(_RATIONALS) for _ in range(s)] for _ in range(r)]
-    d1 = SparseMatrix.from_dense(QQ, dense)
+    d1 = from_dense(QQ, dense)
     kernel = kernel_basis(d1).basis
     cols = []
     for _ in range(c):
@@ -373,7 +427,7 @@ def test_dd_check_raises_exactly_when_the_composite_is_nonzero(pair, field):
     """Over Q the check multiplies denominator-cleared boundaries; it agrees
     with the plain product, and over GF(p) it is the plain product."""
     d1, d2 = (
-        SparseMatrix.from_dense(
+        from_dense(
             field, [[field.from_rational(v) for v in row] for row in d.to_dense()]
         )
         for d in pair
@@ -387,9 +441,9 @@ def test_dd_check_raises_exactly_when_the_composite_is_nonzero(pair, field):
 
 
 def test_dd_check_uses_a_denominator_free_boundary_as_it_is():
-    d = SparseMatrix.from_dense(QQ, [[1, -2], [0, 3]])
+    d = from_dense(QQ, [[1, -2], [0, 3]])
     assert _cleared(d, True) is d and _cleared(d, False) is d
-    half = SparseMatrix.from_dense(QQ, [[Fraction(1, 2), Fraction(1, 3)], [0, 1]])
+    half = from_dense(QQ, [[Fraction(1, 2), Fraction(1, 3)], [0, 1]])
     assert _cleared(half, True).to_dense() == [[3, 2], [0, 1]]
     assert _cleared(half, False).to_dense() == [[1, 1], [0, 3]]
     assert all(type(v) is int for _, v in _cleared(half, True).entries())

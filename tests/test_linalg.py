@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import from_dense
+
 from hochschild.errors import (
     AmbientMismatchError,
     FieldMismatchError,
@@ -31,7 +33,7 @@ F1009 = GF(1009)
 
 
 def mat(rows, field=QQ):
-    return SparseMatrix.from_dense(
+    return from_dense(
         field, [[field.from_rational(Fraction(v)) for v in row] for row in rows]
     )
 
@@ -138,7 +140,7 @@ class TestSolve:
         assert solve(m, {0: Fraction(1)}) is None
 
     def test_solution_over_q_is_exact(self):
-        m = SparseMatrix.from_dense(QQ, [[2, 0], [0, 3]])
+        m = from_dense(QQ, [[2, 0], [0, 3]])
         x = solve(m, {0: 1, 1: 1})
         assert x == {0: Fraction(1, 2), 1: Fraction(1, 3)}
         assert not any(isinstance(v, float) for v in x.values())
@@ -152,10 +154,8 @@ def test_int_and_fraction_forms_of_a_scalar_are_interchangeable():
     assert {Fraction(2): "two"}[2] == "two"
     ints = [[2, 0, -1], [4, 0, -2], [0, 3, 1]]
     fracs = [[Fraction(v) for v in row] for row in ints]
-    assert SparseMatrix.from_dense(QQ, ints) == SparseMatrix.from_dense(QQ, fracs)
-    assert image_basis(SparseMatrix.from_dense(QQ, ints)) == image_basis(
-        SparseMatrix.from_dense(QQ, fracs)
-    )
+    assert from_dense(QQ, ints) == from_dense(QQ, fracs)
+    assert image_basis(from_dense(QQ, ints)) == image_basis(from_dense(QQ, fracs))
     half = Fraction(1, 2)
     assert Subspace(QQ, 2, [{0: 1, 1: half}], [0]) == Subspace(
         QQ, 2, [{0: Fraction(1), 1: half}], [0]
@@ -261,6 +261,15 @@ def test_echelon_canonicalization(data, rng, field):
     shuffled = list(vecs)
     rng.shuffle(shuffled)
     assert Subspace.span(field, cols, vecs) == Subspace.span(field, cols, shuffled)
+
+
+@given(dense_matrices(), both_fields, st.integers(min_value=0, max_value=3))
+@settings(max_examples=120, deadline=None)
+def test_a_rank_bound_at_or_above_the_rank_changes_nothing(data, field, slack):
+    m = mat(data, field)
+    bound = rank(m) + slack
+    assert rank(m, bound=bound) == rank(m)
+    assert image_basis(m, bound=bound) == image_basis(m)
 
 
 @given(dense_matrices(), both_fields)
