@@ -7,13 +7,18 @@ complex is the secondary complex with B the ground field, so its
 b-digits are always 0.
 
 One builder makes both boundaries.  Each face is a table on the slots
-it multiplies (mu a_1 eps(b..), a_i eps(b) a_(i+1), a_n eps(b..) mu),
-built once per call; `pair_layout` says which b-slots it copies and
-which it merges, and `expand_slots` writes the terms, with the copied
-digits entering as a base offset through the target's strides.  Only
-the boundary uses `expand_slots`: chain maps that act slot by slot (the
-Morita and sequence maps) are Kronecker products, and `pair_layout`
-gives a homotopy its b-slot factors.
+it multiplies (mu a_1 eps(b..), a_i eps(b) a_(i+1), a_n eps(b..) mu);
+`pair_layout` says which b-slots it copies and which it merges.  Once
+per call, each face is compiled into a term table: for every value of
+the source digits it reads (its head key and the b-digits it merges),
+`expand_slots` writes the terms once, with base 0, as (target offset,
+coefficient) pairs.  A column then costs one lookup per face, the
+copied digits entering as a base offset through the target's strides;
+only terms of different faces that land on one index are added.  A
+table has at most as many keys as d_n has columns, and it lives for one
+call.  Only the boundary uses `expand_slots`: chain maps that act slot
+by slot (the Morita and sequence maps) are Kronecker products, and
+`pair_layout` gives a homotopy its b-slot factors.
 
 Boundary-squared is verified exactly whenever a `ChainComplex` is made,
 and elimination of d_n relies on it: it stops once the image fills
@@ -157,8 +162,9 @@ def expand_slots(field, col, base, slots, strides):
 def _boundary(a, b, eps, m, n):
     """d_n = sum (-1)^i d_i on the chains of (A, B, eps) with coefficients
     in m, eps given by its matrix.  A face is a table on the slots
-    it multiplies, built once per call, plus the B-pair merges of its
-    layout; the slots it copies enter as a base offset."""
+    it multiplies plus the B-pair merges of its layout, compiled once per
+    call into the terms of each value of the digits it reads; the slots
+    it copies enter as a base offset."""
     if n < 1:
         raise PreconditionError("boundary needs degree >= 1")
     if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
@@ -223,16 +229,34 @@ def _boundary(a, b, eps, m, n):
             else:
                 merges.append((n + 1 + ps[0], n + 1 + ps[1]))
                 slot_strides.append(strides[s])
-        faces.append((itemgetter(*keys), table, copies, merges, slot_strides))
+        terms = {}
+        for head_key, head in table.items():
+            for bs in itertools.product(range(b.dim), repeat=2 * len(merges)):
+                expanded = {}
+                if head:
+                    slots = [head] + [merge[y][z] for y, z in zip(bs[::2], bs[1::2])]
+                    expand_slots(field, expanded, 0, slots, slot_strides)
+                terms[head_key + bs] = tuple(expanded.items())
+        keys += tuple(p for pq in merges for p in pq)
+        faces.append((itemgetter(*keys), terms, copies))
+    add, zero = field.add, field.zero
     cols = []
     for d in src.digits():
         col = {}
-        for key, table, copies, merges, slot_strides in faces:
-            head = table[key(d)]
-            if head:
+        for key, terms, copies in faces:
+            face_terms = terms[key(d)]
+            if face_terms:
                 base = sum([d[p] * s for p, s in copies])
-                slots = [head] + [merge[d[p]][d[q]] for p, q in merges]
-                expand_slots(field, col, base, slots, slot_strides)
+                for offset, c in face_terms:
+                    idx = base + offset
+                    if idx in col:
+                        nv = add(col[idx], c)
+                        if nv == zero:
+                            del col[idx]
+                        else:
+                            col[idx] = nv
+                    else:
+                        col[idx] = c
         cols.append(col)
     return SparseMatrix(field, tgt.total, src.total, cols)
 
@@ -264,8 +288,10 @@ class ChainComplex:
     ker d_(n-1): once dim ker d_(n-1) is known (from a memoized cycle
     space or rank, or dims[0] at n = 1), ranking or spanning d_n stops
     as soon as its echelon reaches that dimension, with the same result.
-    No elimination is run only to learn the bound.  Rank, image and
-    cycle computations are memoized; the object is immutable once built.
+    Likewise the cycle space of d_n stops eliminating rows at rank d_n
+    once that is memoized.  No elimination is run only to learn a bound.
+    Rank, image and cycle computations are memoized; the object is
+    immutable once built.
     """
 
     def __init__(self, kind, field, dims, boundaries, schemes):
@@ -321,7 +347,9 @@ class ChainComplex:
             if n == 0:
                 self._cycles[n] = Subspace.full(self.field, self.dims[0])
             else:
-                self._cycles[n] = kernel_basis(self.boundary(n), deadline=deadline)
+                self._cycles[n] = kernel_basis(
+                    self.boundary(n), deadline=deadline, bound=self._ranks.get(n)
+                )
         return self._cycles[n]
 
 

@@ -17,9 +17,13 @@ made, that serves both insertion and back-substitution;
 back-substitution visits only the pivot columns a row holds.
 Subspaces are canonicalized to reduced row echelon form, so equality
 of subspaces is a syntactic check, and reducing a vector visits only
-the pivots in its support.  A chain complex eliminates the columns of
-each boundary at most once: the image it needs for representatives
-also gives the boundary's rank.  Chain maps that act slot by slot are
+the pivots in its support.  `kernel_basis` eliminates the rows of a
+matrix with its columns in reversed order, so the null-space vectors it
+writes down from that RREF are already the canonical basis, and it
+stops at a rank bound as `rank` does.  A chain complex eliminates the
+columns of each boundary at most once: the image it needs for
+representatives also gives the boundary's rank, which bounds the rows
+its cycle space eliminates.  Chain maps that act slot by slot are
 built with one primitive, `SparseMatrix.kron`, whose index order (first
 factor most significant) is the mixed-radix order of the chain index;
 the same order indexes the columns of a structure tensor, which
@@ -486,25 +490,29 @@ def rank(m, deadline=None, bound=None):
     return ech.rank
 
 
-def kernel_basis(m, deadline=None):
-    """Null space of m as a canonical Subspace of k^cols."""
-    ech = Echelon(m.field, deadline=deadline)
-    for col in m.transpose().columns():
-        ech.insert(col)
-    pivots, rows = ech.rref_rows()
-    pivot_set = set(pivots)
-    field = m.field
-    vectors = []
-    for f in range(m.cols):
-        if f in pivot_set:
-            continue
-        v = {f: field.one}
-        for p, row in zip(pivots, rows):
-            coeff = row.get(f)
-            if coeff is not None:
-                v[p] = field.neg(coeff)
-        vectors.append(v)
-    return Subspace.span(field, m.cols, vectors, deadline=deadline)
+def kernel_basis(m, deadline=None, bound=None):
+    """Null space of m as a canonical Subspace of k^cols; bound, when
+    given, is an upper bound on the rank of m, as in `rank`.
+
+    The rows of m are eliminated with their columns in reversed order,
+    j -> cols - 1 - j.  Each free column f then has the kernel vector
+    e_f - sum_r r[f] e_pivot(r) (r an RREF row, its entries read back in
+    the original order), whose least index is f: these vectors are
+    already the canonical RREF basis, so nothing is re-spanned."""
+    field, last = m.field, m.cols - 1
+    ech = Echelon(field, deadline=deadline)
+    for row in m.transpose().columns():
+        if ech.rank == bound:
+            break
+        ech.insert({last - j: v for j, v in row.items()})
+    pivots, rref = ech.rref_rows()
+    pivot_set = {last - p for p in pivots}
+    vectors = {f: {f: field.one} for f in range(m.cols) if f not in pivot_set}
+    for p, row in zip(pivots, rref):
+        for k, v in row.items():
+            if k != p:
+                vectors[last - k][last - p] = field.neg(v)
+    return Subspace(field, m.cols, vectors.values(), vectors)
 
 
 def image_basis(m, deadline=None, bound=None):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import from_dense
+from helpers import from_dense, null_space_vectors
 
 from hochschild.errors import (
     AmbientMismatchError,
@@ -401,3 +401,49 @@ def test_tensor_bilinear_is_the_product_of_the_two_maps(field, draw):
     )
     rhs = column(bilinear(m1, y1, u1, v1), r1).kron(column(bilinear(m2, y2, u2, v2), r2))
     assert lhs == rhs.column(0)
+
+
+_SPARSE_ENTRIES = st.sampled_from(
+    [0, 0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+)
+
+
+@st.composite
+def sparse_matrices(draw, field):
+    """Mostly-zero matrices, with some rows repeated as sums of others so
+    that the rank falls short of the row count."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    dense = [[Fraction(draw(_SPARSE_ENTRIES)) for _ in range(cols)] for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        dense.append([x + y for x, y in zip(dense[i], dense[j])])
+    entries = {
+        (r, c): field.from_rational(v)
+        for r, row in enumerate(dense)
+        for c, v in enumerate(row)
+        if field.from_rational(v) != field.zero
+    }
+    return SparseMatrix.from_entries(field, len(dense), cols, entries)
+
+
+def _typed(subspace):
+    return [{k: (type(v), v) for k, v in b.items()} for b in subspace.basis]
+
+
+@given(st.data(), both_fields)
+@settings(max_examples=200, deadline=None)
+def test_kernel_basis_is_the_canonical_null_space(data, field):
+    """The closed-form kernel equals the span of the null-space vectors
+    written down from the natural-order RREF, with the same scalar types;
+    it is annihilated by m and has dimension cols - rank; and any bound
+    at or above the rank changes nothing."""
+    m = data.draw(sparse_matrices(field))
+    ker = kernel_basis(m)
+    spanned = Subspace.span(field, m.cols, null_space_vectors(m))
+    assert ker == spanned
+    assert _typed(ker) == _typed(spanned)
+    assert all(not m.apply(v) for v in ker.basis)
+    r = rank(m)
+    assert ker.dim == m.cols - r
+    bounded = kernel_basis(m, bound=r + data.draw(st.integers(0, 3)))
+    assert bounded == ker and _typed(bounded) == _typed(ker)
