@@ -35,10 +35,10 @@ from .errors import FieldMismatchError, PreconditionError
 from .linalg import (
     SparseMatrix,
     Subspace,
+    TaggedEchelon,
     bilinear,
     commutation,
     kernel_basis,
-    solve,
     tensor_bilinear,
     vec_add_scaled,
 )
@@ -144,13 +144,12 @@ class AlgebraMorphism(_LinearMap):
         n = self.source.dim
         if self.target.dim != n:
             raise PreconditionError("only square morphisms can be inverted")
-        cols = []
-        for j in range(n):
-            x = solve(self.sparse, {j: field.one})
-            if x is None:
-                raise PreconditionError("morphism is not invertible")
-            cols.append(x)
-        inv = SparseMatrix(field, n, n, cols)
+        te = TaggedEchelon(field, n, n)
+        for j, col in enumerate(self.sparse.columns()):
+            te.insert(col, {j: field.one})
+        if te.rank != n:
+            raise PreconditionError("morphism is not invertible")
+        inv = SparseMatrix(field, n, n, [te.express({j: field.one}) for j in range(n)])
         return AlgebraMorphism.from_data(self.target, self.source, inv.to_dense())
 
     def over(self, field):

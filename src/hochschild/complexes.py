@@ -304,6 +304,7 @@ class ChainComplex:
         self._ranks = {}
         self._images = {}
         self._cycles = {}
+        self._homology = {}
 
     @property
     def max_degree(self):
@@ -352,6 +353,16 @@ class ChainComplex:
                 )
         return self._cycles[n]
 
+    def homology_basis(self, n, deadline=None):
+        """The HomologyBasis at degree n, kept like the spaces it is over."""
+        if n not in self._homology:
+            self._homology[n] = HomologyBasis(
+                self.cycle_space(n, deadline=deadline),
+                self.boundary_image(n + 1, deadline=deadline),
+                deadline=deadline,
+            )
+        return self._homology[n]
+
 
 def homology(complex_, n, with_reps=False, deadline=None):
     """Homology dimension at degree n, optionally with representative cycles.
@@ -365,10 +376,7 @@ def homology(complex_, n, with_reps=False, deadline=None):
             f"degree {n} outside built range 0..{complex_.max_degree - 1}"
         )
     if with_reps:
-        basis = HomologyBasis(
-            complex_.cycle_space(n, deadline=deadline),
-            complex_.boundary_image(n + 1, deadline=deadline),
-        )
+        basis = complex_.homology_basis(n, deadline=deadline)
         return HomologyResult(basis.dim, basis.reps)
     dim = (
         complex_.dims[n]

@@ -177,9 +177,10 @@ def verify_fundamental_sequence(t):
         im_first == ker_second,
         f"dims {im_first.dim} vs {ker_second.dim}",
     )
+    rank_second = rank(second)
     report.check(
         "second surjective",
-        rank(second) == q2.dim,
-        f"rank {rank(second)} onto dim {q2.dim}",
+        rank_second == q2.dim,
+        f"rank {rank_second} onto dim {q2.dim}",
     )
     return report

@@ -14,7 +14,10 @@ canonical RREF divides each row by its lead exactly: an entry the lead
 divides becomes an `int`, so the RREF bases of integral data carry no
 `Fraction`.  Each field has one row step, chosen when an `Echelon` is
 made, that serves both insertion and back-substitution;
-back-substitution visits only the pivot columns a row holds.
+back-substitution visits only the pivot columns a row holds.  That row
+step serves all elimination: `TaggedEchelon` (behind `solve` and
+`HomologyBasis`) is an `Echelon` whose tags are coordinates past the
+ambient dimension, and its RREF is formed only when first asked for.
 Subspaces are canonicalized to reduced row echelon form, so equality
 of subspaces is a syntactic check, and reducing a vector visits only
 the pivots in its support.  `kernel_basis` eliminates the rows of a
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from .errors import (
     AmbientMismatchError,
@@ -327,6 +330,8 @@ class Echelon:
     the canonical one for the row space.
     """
 
+    _tags_from = inf  # a row led by a coordinate from here on is dependent
+
     def __init__(self, field, deadline=None):
         self.field = field
         self.rational = isinstance(field, Rationals)
@@ -344,7 +349,8 @@ class Echelon:
             raise BudgetExceededError("elimination ran past its time budget")
 
     def insert(self, vec):
-        """Insert a field-scalar vector; returns its pivot column or None."""
+        """Insert a field-scalar vector; returns its pivot column, or
+        None when vec reduces to zero or to a row led by a tag."""
         if self.rational:
             row = _int_rows(vec)
         else:
@@ -355,6 +361,8 @@ class Echelon:
             c = min(row)
             piv = by_pivot.get(c)
             if piv is None:
+                if c >= self._tags_from:
+                    return None
                 if self.rational:
                     _normalize_int_row(row)
                 else:
@@ -367,6 +375,8 @@ class Echelon:
                 self._check_deadline()
             step(row, piv, c)
         return None
+
+    _insert = insert  # TaggedEchelon's way in: a wrapper on insert sees a row once
 
     def rref_rows(self):
         """Back-substituted, lead-1 rows sorted by pivot (the canonical RREF)."""
@@ -525,57 +535,39 @@ def subspace_leq(u, v):
     return u.leq(v)
 
 
-class TaggedEchelon:
-    """Echelon in plain field arithmetic with linear bookkeeping tags.
+class TaggedEchelon(Echelon):
+    """Echelon with linear bookkeeping tags: tag k of a vector of k^dim is
+    coordinate dim + k, so a row led by a tag is dependent and each
+    stored row is its own expression in the tagged inserts, which turns
+    membership into 'solve for the combination'."""
 
-    Each stored row knows its expression in terms of the tagged inserts,
-    which turns membership into 'solve for the combination'.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.by_pivot = {}
+    def __init__(self, field, dim, tags, deadline=None):
+        super().__init__(field, deadline=deadline)
+        self._tags_from, self._tags, self._span = dim, tags, None
 
     def insert(self, vec, tag):
         """Returns the new pivot, or None if vec was dependent."""
-        field = self.field
-        row = {k: v for k, v in vec.items() if v != field.zero}
-        acc = dict(tag)
-        while row:
-            c = min(row)
-            entry = self.by_pivot.get(c)
-            if entry is None:
-                lead_inv = field.inv(row[c])
-                row = vec_scale(field, lead_inv, row)
-                acc = vec_scale(field, lead_inv, acc)
-                self.by_pivot[c] = (row, acc)
-                return c
-            coeff = field.neg(row[c])
-            vec_add_scaled(field, row, coeff, entry[0])
-            vec_add_scaled(field, acc, coeff, entry[1])
-        return None
+        self._span = None
+        return self._insert({**vec, **{self._tags_from + k: v for k, v in tag.items()}})
 
     def express(self, vec):
-        """Write vec as a tag-combination; None if vec is outside the span."""
-        field = self.field
-        row = {k: v for k, v in vec.items() if v != field.zero}
-        acc = {}
-        while row:
-            c = min(row)
-            entry = self.by_pivot.get(c)
-            if entry is None:
-                return None
-            coeff = row[c]
-            vec_add_scaled(field, row, field.neg(coeff), entry[0])
-            vec_add_scaled(field, acc, coeff, entry[1])
-        return acc
+        """Write vec as a tag-combination, None if vec is outside the span:
+        minus the tag coordinates of its residue modulo the tagged RREF."""
+        dim, field = self._tags_from, self.field
+        if self._span is None:
+            pivots, rows = self.rref_rows()
+            self._span = Subspace(field, dim + self._tags, rows, pivots)
+        residue = self._span.reduce(vec)
+        if min(residue, default=dim) < dim:
+            return None
+        return {k - dim: field.neg(v) for k, v in residue.items()}
 
 
 def solve(m, rhs):
     """One particular solution of m @ x = rhs (free variables 0), or None."""
-    te = TaggedEchelon(m.field)
-    for j in range(m.cols):
-        te.insert(m.column(j), {j: m.field.one})
+    te = TaggedEchelon(m.field, m.rows, m.cols)
+    for j, col in enumerate(m.columns()):
+        te.insert(col, {j: m.field.one})
     return te.express(rhs)
 
 
@@ -611,15 +603,12 @@ class HomologyBasis:
     not already spanned, taken in canonical order.
     """
 
-    def __init__(self, cycles, boundaries):
-        _check_same_field(cycles, boundaries)
-        if cycles.ambient_dim != boundaries.ambient_dim:
-            raise AmbientMismatchError("cycles and boundaries ambient mismatch")
-        if not boundaries.leq(cycles):
+    def __init__(self, cycles, boundaries, deadline=None):
+        if not boundaries.leq(cycles):  # leq rejects mixed fields and ambients
             raise PreconditionError("boundaries not contained in cycles")
         self.field = cycles.field
-        self.ambient_dim = cycles.ambient_dim
-        self._te = TaggedEchelon(self.field)
+        self.cycles, self.boundaries = cycles, boundaries
+        self._te = TaggedEchelon(self.field, cycles.ambient_dim, cycles.dim, deadline)
         for b in boundaries.basis:
             self._te.insert(b, {})
         reps = []
@@ -640,23 +629,30 @@ class HomologyBasis:
         return acc
 
 
-def induced_quotient_map(f, src_cycles, src_boundaries, tgt_cycles, tgt_boundaries):
+def induced_quotient_map(
+    f, src_cycles, src_boundaries, tgt_cycles, tgt_boundaries, deadline=None
+):
     """Matrix of the map induced by f on homology quotients.
 
     Raises NotAChainMapError unless f maps src cycles into tgt cycles
     and src boundaries into tgt boundaries.
     """
-    if f.cols != src_cycles.ambient_dim or f.rows != tgt_cycles.ambient_dim:
+    src = HomologyBasis(src_cycles, src_boundaries, deadline=deadline)
+    tgt = HomologyBasis(tgt_cycles, tgt_boundaries, deadline=deadline)
+    return _induced_map(f, src, tgt)
+
+
+def _induced_map(f, src, tgt):
+    """`induced_quotient_map` between two HomologyBasis objects."""
+    if f.cols != src.cycles.ambient_dim or f.rows != tgt.cycles.ambient_dim:
         raise AmbientMismatchError("map shape does not match ambient spaces")
-    for b in src_cycles.basis:
-        if not tgt_cycles.contains(f.apply(b)):
+    for b in src.cycles.basis:
+        if not tgt.cycles.contains(f.apply(b)):
             raise NotAChainMapError("not a chain map at this degree: cycles escape")
-    for b in src_boundaries.basis:
-        if not tgt_boundaries.contains(f.apply(b)):
+    for b in src.boundaries.basis:
+        if not tgt.boundaries.contains(f.apply(b)):
             raise NotAChainMapError(
                 "not a chain map at this degree: boundaries escape"
             )
-    src_h = HomologyBasis(src_cycles, src_boundaries)
-    tgt_h = HomologyBasis(tgt_cycles, tgt_boundaries)
-    cols = [tgt_h.class_coordinates(f.apply(rep)) for rep in src_h.reps]
-    return SparseMatrix(f.field, tgt_h.dim, src_h.dim, cols)
+    cols = [tgt.class_coordinates(f.apply(rep)) for rep in src.reps]
+    return SparseMatrix(f.field, tgt.dim, src.dim, cols)

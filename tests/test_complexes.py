@@ -1,3 +1,4 @@
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from hochschild.complexes import (
     secondary_scheme,
 )
 from hochschild.errors import (
+    BudgetExceededError,
     ComplexInconsistencyError,
     PreconditionError,
     SizeGuardError,
@@ -53,6 +55,7 @@ from hochschild.linalg import (
     HomologyBasis,
     SparseMatrix,
     image_basis,
+    induced_quotient_map,
     kernel_basis,
     rank,
 )
@@ -342,6 +345,33 @@ class TestHomology:
         assert c.boundary(3).cols == 128
         fresh = build_secondary_complex(t, m, 3)
         assert dims == [homology(fresh, n).dim for n in range(3)]
+
+    def test_homology_basis_honours_the_deadline(self):
+        """With the cycles and boundaries of FIX-DD-M2 at degree 2 already
+        built, its representatives still reduce 966 dependent cycles
+        against 966 boundary rows, more row steps than the 512 between
+        deadline checks: a past deadline stops the basis, `homology` with
+        representatives and `induced_quotient_map`, and a later call
+        without one succeeds."""
+        c = build_secondary_complex(*_lifted(fix_dd), 3)
+        cycles, image = c.cycle_space(2), c.boundary_image(3)
+        assert cycles.dim == image.dim == 966
+        past = time.monotonic() - 1
+        with pytest.raises(BudgetExceededError):
+            HomologyBasis(cycles, image, deadline=past)
+        with pytest.raises(BudgetExceededError):
+            homology(c, 2, with_reps=True, deadline=past)
+        ident = SparseMatrix.identity(c.field, c.dims[2])
+        with pytest.raises(BudgetExceededError):
+            induced_quotient_map(ident, cycles, image, cycles, image, deadline=past)
+        assert homology(c, 2, with_reps=True).dim == 0
+
+    def test_homology_basis_is_kept_per_degree(self):
+        t, m = fix_p3()
+        c = build_secondary_complex(t, m, 2)
+        basis = c.homology_basis(1)
+        assert c.homology_basis(1) is basis
+        assert homology(c, 1, with_reps=True).reps == basis.reps
 
     def test_degree_out_of_range(self):
         t, m = fix_k()

@@ -11,10 +11,12 @@ from hochschild.errors import (
     AmbientMismatchError,
     FieldMismatchError,
     NotAChainMapError,
+    PreconditionError,
 )
 from hochschild.fields import GF, QQ
 from hochschild.linalg import (
     Echelon,
+    HomologyBasis,
     SparseMatrix,
     Subspace,
     bilinear,
@@ -229,20 +231,6 @@ def test_prime_field_rank_bounded_by_rational_rank(data):
     assert rank(mp) <= rank(mq)
 
 
-@given(dense_matrices(max_dim=4), st.data())
-@settings(max_examples=80, deadline=None)
-def test_solve_finds_solutions(data, draw):
-    m = mat(data)
-    x = {
-        j: Fraction(draw.draw(small_entries))
-        for j in range(m.cols)
-    }
-    rhs = m.apply(x)
-    sol = solve(m, rhs)
-    assert sol is not None
-    assert m.apply(sol) == rhs
-
-
 both_fields = st.sampled_from([QQ, F1009])
 
 
@@ -305,6 +293,60 @@ def test_reduce_clears_the_pivots_and_stays_in_the_coset(data, draw, field):
         if p in expected:
             vec_add_scaled(field, expected, field.neg(expected[p]), row)
     assert residue == expected
+
+
+@given(dense_matrices(max_dim=4), st.data(), both_fields)
+@settings(max_examples=120, deadline=None)
+def test_solve_finds_solutions(data, draw, field):
+    """solve finds a solution of m x = m x', the one whose x_j is nonzero
+    only where column j is not in the span of the columns before it
+    (free variables 0), and returns None exactly when rhs is outside the
+    column space."""
+    m = mat(data, field)
+    x, other = (
+        vectors([draw.draw(st.lists(small_entries, min_size=n, max_size=n))], field)[0]
+        for n in (m.cols, m.rows)
+    )
+    cols = m.columns()
+    for rhs in (m.apply(x), other):
+        sol = solve(m, rhs)
+        if not Subspace.span(field, m.rows, cols).contains(rhs):
+            assert sol is None
+            continue
+        assert sol is not None and m.apply(sol) == rhs
+        for j, v in sol.items():
+            assert v != field.zero
+            assert not Subspace.span(field, m.rows, cols[:j]).contains(cols[j])
+
+
+@given(dense_matrices(max_dim=4), dense_matrices(max_dim=4), st.data(), both_fields)
+@settings(max_examples=120, deadline=None)
+def test_class_coordinates_recover_the_class(bdata, edata, draw, field):
+    """For cycles (the span of boundaries and extra vectors) containing
+    boundaries, vec - sum_k class_coordinates(vec)_k reps_k is a boundary
+    for every cycle vec, and a vector outside the cycles raises."""
+    dim = draw.draw(st.integers(min_value=1, max_value=4))
+
+    def cut(data):
+        return [{k: v for k, v in vec.items() if k < dim} for vec in vectors(data, field)]
+
+    bvecs = cut(bdata)
+    boundaries = Subspace.span(field, dim, bvecs)
+    cycles = Subspace.span(field, dim, bvecs + cut(edata))
+    basis = HomologyBasis(cycles, boundaries)
+    assert basis.dim == cycles.dim - boundaries.dim
+    entries = st.lists(small_entries, min_size=dim, max_size=dim)
+    for vec in vectors(draw.draw(st.lists(entries, max_size=3)), field):
+        if not cycles.contains(vec):
+            with pytest.raises(PreconditionError):
+                basis.class_coordinates(vec)
+            continue
+        coords = basis.class_coordinates(vec)
+        assert all(0 <= k < basis.dim and v != field.zero for k, v in coords.items())
+        rest = dict(vec)
+        for k, v in coords.items():
+            vec_add_scaled(field, rest, field.neg(v), basis.reps[k])
+        assert boundaries.contains(rest)
 
 
 @st.composite

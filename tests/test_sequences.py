@@ -30,7 +30,14 @@ from hochschild.fixtures import (
     fix_p3,
     random_instances,
 )
-from hochschild.linalg import Echelon, SparseMatrix, image_basis, subspace_leq
+from hochschild.linalg import (
+    Echelon,
+    HomologyBasis,
+    SparseMatrix,
+    TaggedEchelon,
+    image_basis,
+    subspace_leq,
+)
 from hochschild.sequences import (
     TripleMorphism,
     epsilon_star_chain,
@@ -210,6 +217,28 @@ class TestExactSequence:
         assert all(inserted[key] <= cols[key] for key in cols)
         assert built[0].kind == "secondary"
         assert inserted[(0, 3)] == cols[(0, 3)] == 2048
+
+    def test_exactseq_builds_each_homology_basis_once(self, monkeypatch):
+        """The five homology spaces get one basis each, which the dims and
+        the four induced maps share: 397 tagged inserts, no vector twice."""
+        bases, inserted = [], Counter()
+        init, insert = HomologyBasis.__init__, TaggedEchelon.insert
+
+        def counting_init(self, *args, **kwargs):
+            bases.append(self)
+            init(self, *args, **kwargs)
+
+        def counting_insert(self, vec, tag):
+            inserted[id(vec)] += 1
+            return insert(self, vec, tag)
+
+        monkeypatch.setattr(HomologyBasis, "__init__", counting_init)
+        monkeypatch.setattr(TaggedEchelon, "insert", counting_insert)
+        rep = verify_exact_sequence(*fix_ext())
+        assert rep.ok, rep.render()
+        assert len(bases) == 5
+        assert set(inserted.values()) == {1}
+        assert sum(inserted.values()) == 397
 
 
 class TestTripleMorphism:
