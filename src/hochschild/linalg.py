@@ -4,18 +4,20 @@ Vectors are dicts {index: nonzero scalar}; matrices are column-major
 tuples of such dicts.  Elimination over the rationals is fraction-free:
 echelon rows are kept as integer vectors (denominators cleared on
 entry) combined by integer cross-multiplication, and a row is divided
-by its content gcd once, when it is stored as a new pivot row, which
-keeps stored entries small without dense Bareiss bookkeeping or a gcd
-pass per step.  `rank` and `image_basis` take an optional upper bound
-on the rank from their caller and stop inserting once the echelon
-reaches it: every later column already lies in the span, so the result
-is the same.  A chain complex passes dim ker d_(n-1) for d_n.  The
-canonical RREF divides each row by its lead exactly: an entry the lead
-divides becomes an `int`, so the RREF bases of integral data carry no
+by its content gcd when it is stored as a new pivot row and when a
+later pivot row updates it, which keeps stored entries small without
+dense Bareiss bookkeeping or a gcd pass per step.  `rank` and
+`image_basis` take an optional upper bound on the rank from their
+caller and stop inserting once the echelon reaches it: every later
+column already lies in the span, so the result is the same.  A chain
+complex passes dim ker d_(n-1) for d_n.  Stored echelon rows are kept
+fully reduced, zero at every other pivot: an insert makes one pass over
+the pivots in the vector's own support, and a new pivot row is stepped
+out of the stored rows that hold its column.  So the canonical RREF
+only divides each row by its lead, exactly: an entry the lead divides
+becomes an `int`, so the RREF bases of integral data carry no
 `Fraction`.  Each field has one row step, chosen when an `Echelon` is
-made, that serves both insertion and back-substitution;
-back-substitution visits only the pivot columns a row holds.  That row
-step serves all elimination: `TaggedEchelon` (behind `solve` and
+made, and it serves all elimination: `TaggedEchelon` (behind `solve` and
 `HomologyBasis`) is an `Echelon` whose tags are coordinates past the
 ambient dimension, and its RREF is formed only when first asked for.
 Subspaces are canonicalized to reduced row echelon form, so equality
@@ -321,13 +323,22 @@ def _step_mod(p):
 
 
 class Echelon:
-    """Online row-echelon accumulator.
+    """Online reduced row-echelon accumulator.
 
     Rows are stored in raw form: gcd-normalized int vectors over QQ,
-    lead-1 residue vectors over GF(p).  One row step per field, chosen
-    here, serves both insertion and back-substitution.  Insertion order
-    determines nothing but performance; the RREF extracted at the end is
-    the canonical one for the row space.
+    lead-1 residue vectors over GF(p).  Every stored row is zero at every
+    other pivot.  A vector is inserted by one pass over the pivots in its
+    own support: a row step brings in no pivot column, so no step
+    cascades.  A new pivot row c is then stepped out of the stored rows
+    that hold column c, found through a private index from each column
+    to the pivots whose rows may hold it, and each row so updated is
+    normalized again.  One row step per field, chosen here, serves both
+    loops.  The deadline is checked while a vector is reduced and once
+    before a new pivot row is stored, never while stored rows change: an
+    insert that runs past it leaves the echelon as it was.
+    Insertion order determines nothing but performance; `rref_rows` only
+    divides each row by its lead to give the canonical RREF of the row
+    space.
     """
 
     _tags_from = inf  # a row led by a coordinate from here on is dependent
@@ -339,6 +350,7 @@ class Echelon:
         self.deadline = deadline
         self._ops = 0
         self._step = _step_q if self.rational else _step_mod(field.p)
+        self._holders = {}  # column -> pivots whose rows may hold it
 
     @property
     def rank(self):
@@ -357,43 +369,51 @@ class Echelon:
             p = self.field.p
             row = {k: v % p for k, v in vec.items() if v % p}
         by_pivot, step = self.by_pivot, self._step
-        while row:
-            c = min(row)
-            piv = by_pivot.get(c)
-            if piv is None:
-                if c >= self._tags_from:
-                    return None
-                if self.rational:
-                    _normalize_int_row(row)
-                else:
-                    lead_inv = pow(row[c], -1, p)
-                    row = {k: v * lead_inv % p for k, v in row.items()}
-                by_pivot[c] = row
-                return c
+        for c in [c for c in row if c in by_pivot]:
             self._ops += 1
             if not self._ops % 512:
                 self._check_deadline()
-            step(row, piv, c)
-        return None
+            step(row, by_pivot[c], c)
+        c = min(row) if row else inf
+        if c >= self._tags_from:
+            return None
+        self._store(c, row)
+        return c
 
     _insert = insert  # TaggedEchelon's way in: a wrapper on insert sees a row once
 
-    def rref_rows(self):
-        """Back-substituted, lead-1 rows sorted by pivot (the canonical RREF)."""
-        step = self._step
-        pivots = sorted(self.by_pivot)
-        done = {}
-        for c in reversed(pivots):
-            # the later rows are reduced, so clearing one of their pivots
-            # from row brings in no other pivot column
-            row = dict(self.by_pivot[c])
-            for k in [k for k in row if k in done]:
+    def _store(self, c, row):
+        """Store row, reduced at every pivot, as the row of pivot c, and
+        step it out of the stored rows that hold column c.  The deadline
+        is checked once, before any stored row changes."""
+        self._check_deadline()
+        if self.rational:
+            _normalize_int_row(row)
+        else:
+            p = self.field.p
+            lead_inv = pow(row[c], -1, p)
+            row = {k: v * lead_inv % p for k, v in row.items()}
+        by_pivot, holders, tags = self.by_pivot, self._holders, self._tags_from
+        for r in holders.pop(c, ()):
+            held = by_pivot[r]
+            if c in held:
                 self._ops += 1
-                if not self._ops % 512:
-                    self._check_deadline()
-                step(row, done[k], k)
-            done[c] = row
-        rows = [done[c] for c in pivots]
+                new = [k for k in row if k not in held and k < tags]
+                self._step(held, row, c)
+                if self.rational:
+                    _normalize_int_row(held)
+                for k in new:
+                    holders.setdefault(k, []).append(r)
+        for k in row:
+            if k != c and k < tags:
+                holders.setdefault(k, []).append(c)
+        by_pivot[c] = row
+
+    def rref_rows(self):
+        """Lead-1 rows sorted by pivot (the canonical RREF): the stored
+        rows, copied and divided by their leads."""
+        pivots = sorted(self.by_pivot)
+        rows = [dict(self.by_pivot[c]) for c in pivots]
         if self.rational:
             for c, row in zip(pivots, rows):
                 lead = row[c]

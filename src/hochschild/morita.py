@@ -116,6 +116,11 @@ class MoritaData:
             for mat in (self.f_mat, self.g_mat)
         )
 
+    @functools.cached_property
+    def eta_inverse(self):
+        """eta^-1: B' -> B, inverted once per context."""
+        return self.eta.inverse()
+
     def pairings(self):
         """f on P (x) Q and g on Q (x) P, as functions of two sparse vectors."""
         f, g = self.pairing_matrices
@@ -629,7 +634,7 @@ def phi_chain_map(d, m, n, *, induced=None):
     lift = ind.lift
     heads = [[act @ (x.kron(ident(m.dim)).kron(y) @ lift) for y in f_qp] for x in f_pp]
     slot = _slot_matrices(f, pp_vecs, d.q_mod, qp_vecs, d.target.A, d.source.A.dim)
-    return _transfer(heads, slot, d.eta.inverse().sparse, n)
+    return _transfer(heads, slot, d.eta_inverse.sparse, n)
 
 
 def _homotopy(field, triple, mod, pair, first, second, n, i):

@@ -1,5 +1,7 @@
 """Test-side constructors and accessors the engine itself does not need."""
 
+from fractions import Fraction
+
 from hochschild.linalg import Echelon, SparseMatrix
 
 
@@ -47,3 +49,40 @@ def null_space_vectors(m):
                 v[p] = field.neg(row[f])
         vectors.append(v)
     return vectors
+
+
+def dense_rref(field, cols, vectors):
+    """The canonical RREF of the span of vectors (sparse, in k^cols) as
+    (pivots, rows), by dense Gauss-Jordan elimination on `Fraction`s over
+    Q and on residues over GF(p); a reference that shares no code with
+    `Echelon`.  Rows come back as sparse vectors of field scalars."""
+    p = getattr(field, "p", None)
+
+    def exact(x):
+        return Fraction(x) if p is None else x % p
+
+    def div(x, y):
+        return x / y if p is None else x * pow(y, -1, p) % p
+
+    def sub_mul(x, f, y):
+        return x - f * y if p is None else (x - f * y) % p
+
+    rows = [[exact(v.get(j, 0)) for j in range(cols)] for v in vectors]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if found is None:
+            continue
+        rows[r], rows[found] = rows[found], rows[r]
+        lead = rows[r][c]
+        rows[r] = [div(x, lead) for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                rows[i] = [sub_mul(x, f, y) for x, y in zip(row, rows[r])]
+        pivots.append(c)
+    return pivots, [
+        {j: field.from_rational(x) for j, x in enumerate(row) if x}
+        for row in rows[: len(pivots)]
+    ]

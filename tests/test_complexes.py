@@ -508,3 +508,37 @@ def test_dd_check_uses_a_denominator_free_boundary_as_it_is():
     assert _cleared(half, True).to_dense() == [[3, 2], [0, 1]]
     assert _cleared(half, False).to_dense() == [[1, 1], [0, 3]]
     assert all(type(v) is int for _, v in _cleared(half, True).entries())
+
+
+def _dd_pair(field, d1_rows, d2_columns):
+    """[0, d1, d2] with d1 given by dense rows and d2 by sparse columns."""
+    d1 = from_dense(field, d1_rows)
+    d2 = SparseMatrix(field, d1.cols, len(d2_columns), d2_columns)
+    return [SparseMatrix.zero(field, 0, d1.rows), d1, d2]
+
+
+def test_dd_check_works_mod_p():
+    """Over GF(1009) a composite entry 1 + 1008 = 1009 is zero, and
+    2 + 1008 = 1010 is not."""
+    _verify_dd_zero(_dd_pair(F1009, [[1, 1]], [{0: 1, 1: 1008}]))
+    with pytest.raises(ComplexInconsistencyError, match="nonzero at degree 2"):
+        _verify_dd_zero(_dd_pair(F1009, [[1, 1]], [{0: 2, 1: 1008}]))
+
+
+def test_dd_check_clears_a_column_that_mixes_ints_and_fractions():
+    """(1/3, 2/3) kills (1, -1/2): after clearing, (1, 2) kills (2, -1)."""
+    d1 = [[Fraction(1, 3), Fraction(2, 3)]]
+    _verify_dd_zero(_dd_pair(QQ, d1, [{0: 1, 1: Fraction(-1, 2)}]))
+    with pytest.raises(ComplexInconsistencyError, match="nonzero at degree 2"):
+        _verify_dd_zero(_dd_pair(QQ, d1, [{0: 1, 1: Fraction(1, 2)}]))
+
+
+@pytest.mark.parametrize("field", [QQ, F1009])
+def test_dd_check_reaches_the_last_column(field):
+    """Zero columns and columns in the kernel pass; a composite that is
+    nonzero only in the last column raises."""
+    one, minus = field.one, field.neg(field.one)
+    cols = [{0: one, 1: one}, {}, {0: minus, 1: minus}, {}]
+    _verify_dd_zero(_dd_pair(field, [[one, minus]], cols))
+    with pytest.raises(ComplexInconsistencyError, match="nonzero at degree 2"):
+        _verify_dd_zero(_dd_pair(field, [[one, minus]], cols + [{0: one}]))

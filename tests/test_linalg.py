@@ -1,14 +1,16 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import from_dense, null_space_vectors
+from helpers import dense_rref, from_dense, null_space_vectors
 
 from hochschild.errors import (
     AmbientMismatchError,
+    BudgetExceededError,
     FieldMismatchError,
     NotAChainMapError,
     PreconditionError,
@@ -19,6 +21,7 @@ from hochschild.linalg import (
     HomologyBasis,
     SparseMatrix,
     Subspace,
+    TaggedEchelon,
     bilinear,
     commutation,
     image_basis,
@@ -272,6 +275,93 @@ def test_rref_rows_have_lead_one_and_clear_pivot_columns(data, field):
         assert min(row) == p and row[p] == field.one
         assert all(v != field.zero for v in row.values())
         assert not any(q in row for q in pivots if q != p)
+
+
+_SCALARS = st.sampled_from(
+    [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+)
+
+
+@st.composite
+def rational_rows(draw, max_dim=6):
+    """(cols, rows): a list of dense rational rows of length cols."""
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    return cols, [[draw(_SCALARS) for _ in range(cols)] for _ in range(rows)]
+
+
+def field_vectors(rows, field):
+    return [
+        {j: field.from_rational(Fraction(v)) for j, v in enumerate(row) if v}
+        for row in rows
+    ]
+
+
+@given(rational_rows(), st.randoms(use_true_random=False), both_fields)
+@settings(max_examples=150, deadline=None)
+def test_rref_rows_equal_a_dense_gauss_jordan_in_any_insertion_order(data, rng, field):
+    """The RREF, scalar types included, is that of an independent dense
+    elimination, whatever order the rows go in."""
+    cols, rows = data
+    vecs = field_vectors(rows, field)
+    shuffled = list(vecs)
+    rng.shuffle(shuffled)
+    ech = Echelon(field)
+    for v in shuffled:
+        ech.insert(v)
+    pivots, rref = ech.rref_rows()
+    expected = dense_rref(field, cols, vecs)
+    assert (pivots, rref) == expected
+
+    def types(rows):
+        return [{k: type(v) for k, v in row.items()} for row in rows]
+
+    assert types(rref) == types(expected[1])
+
+
+@given(rational_rows(), st.data(), both_fields)
+@settings(max_examples=150, deadline=None)
+def test_stored_rows_stay_zero_at_every_other_pivot(data, draw, field):
+    """After every insert, plain or tagged, each stored row leads at its
+    pivot, is zero at every other pivot, and is normalized: gcd 1 with a
+    positive lead over Q, lead 1 over GF(p)."""
+    cols, rows = data
+    tagged = draw.draw(st.booleans())
+    ech = TaggedEchelon(field, cols, len(rows)) if tagged else Echelon(field)
+    for i, vec in enumerate(field_vectors(rows, field)):
+        if tagged:
+            ech.insert(vec, {i: field.one} if draw.draw(st.booleans()) else {})
+        else:
+            ech.insert(vec)
+        for c, row in ech.by_pivot.items():
+            assert min(row) == c < cols
+            assert not any(q in row for q in ech.by_pivot if q != c)
+            if field == QQ:
+                assert all(type(v) is int for v in row.values())
+                assert row[c] > 0 and gcd(*row.values()) == 1
+            else:
+                assert row[c] == 1
+
+
+@pytest.mark.parametrize("field", [QQ, F1009])
+def test_an_insert_past_the_deadline_leaves_the_echelon_as_it_was(field):
+    """A new pivot row that would step into every stored row raises on
+    a past deadline before any stored row changes; the echelon then
+    goes on as if the raise had never happened."""
+    rows = [[1, 0, 2, 0], [0, 1, 3, 0], [0, 0, 1, 4]]
+    vecs = field_vectors(rows, field)
+    ech = Echelon(field)
+    for v in vecs[:2]:
+        ech.insert(v)
+    before = {c: dict(row) for c, row in ech.by_pivot.items()}
+    ech.deadline = 0.0
+    with pytest.raises(BudgetExceededError):
+        ech.insert(vecs[2])  # rows 0 and 1 hold column 2
+    assert ech.by_pivot == before
+    ech.deadline = None
+    ech.insert(vecs[2])
+    ech.insert(field_vectors([[0, 0, 0, 1]], field)[0])
+    assert ech.rref_rows() == dense_rref(field, 4, vecs + field_vectors([[0, 0, 0, 1]], field))
+    assert all(len(row) == 1 for row in ech.by_pivot.values())
 
 
 @given(dense_matrices(), st.data(), both_fields)

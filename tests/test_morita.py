@@ -377,6 +377,23 @@ class TestInvariance:
         rep_p = verify_morita_invariance(d, m, 1, field=F1009)
         assert rep_p.ok, rep_p.render()
 
+    def test_eta_is_inverted_once_per_context(self, monkeypatch):
+        """phi_0..phi_2 all carry eta^-1 on their b-slots; it is computed
+        once for the context, not once per degree."""
+        t, m = fix_dd()
+        d = standard_matrix_morita(t, 2)
+        calls = []
+        inverse = AlgebraMorphism.inverse
+
+        def counting_inverse(self):
+            calls.append(self)
+            return inverse(self)
+
+        monkeypatch.setattr(AlgebraMorphism, "inverse", counting_inverse)
+        rep = verify_morita_invariance(d, m, 2)
+        assert rep.ok, rep.render()
+        assert len(calls) == 1
+
     def test_corner_invariance_full_depth(self):
         a = matrix_algebra(QQ, 2)
         t = trivial_triple(a)
