@@ -38,9 +38,7 @@ from .linalg import (
     TaggedEchelon,
     bilinear,
     commutation,
-    kernel_basis,
     tensor_bilinear,
-    vec_add_scaled,
 )
 from .report import Report
 
@@ -508,24 +506,6 @@ def is_a_symmetric(m, a):
 
 # ---------------------------------------------------------------------------
 # derived subspaces
-
-
-def center(a):
-    """Solution space of [z, e_i] = 0 for all i, inside k^dim."""
-    field = a.field
-    cols = []
-    for j in range(a.dim):
-        col = {}
-        for i in range(a.dim):
-            diff = a.mul(a.basis_vec(j), a.basis_vec(i))
-            vec_add_scaled(
-                field, diff, field.neg(field.one), a.mul(a.basis_vec(i), a.basis_vec(j))
-            )
-            for k, v in diff.items():
-                col[i * a.dim + k] = v
-        cols.append(col)
-    m = SparseMatrix(field, a.dim * a.dim, a.dim, cols)
-    return kernel_basis(m)
 
 
 def commutator_subspace(m, a):

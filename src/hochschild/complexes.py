@@ -22,18 +22,16 @@ by slot (the Morita and sequence maps) are Kronecker products, and
 
 Boundary-squared is verified exactly whenever a `ChainComplex` is made,
 and elimination of d_n relies on it: it stops once the image fills
-ker d_(n-1).  Over the rationals the check is (R d_n)(d_(n+1) S) = 0,
-with R and S the positive integer diagonal matrices that clear the
-denominators of each row of d_n and of each column of d_(n+1): both are
-invertible, so this holds exactly when d_n d_(n+1) = 0, and the product
-runs in `int` arithmetic.
+ker d_(n-1).  The check is the sparse product d_n d_(n+1), which the
+linalg kernel forms in `int` arithmetic without copying d_(n+1): over
+the rationals it clears the denominators of each row of d_n once and of
+each column of d_(n+1) as it reaches it, and divides each entry once.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import lcm
 from operator import itemgetter
 
 from .algebra import field_algebra, unit_morphism
@@ -42,7 +40,6 @@ from .errors import (
     PreconditionError,
     SizeGuardError,
 )
-from .fields import Rationals
 from .linalg import (
     HomologyBasis,
     SparseMatrix,
@@ -100,14 +97,6 @@ class ChainIndexScheme:
     def digits(self):
         """The digit tuples of all chains, in index order."""
         return itertools.product(*map(range, self.radices))
-
-    def encode(self, mu, alphas, betas):
-        idx = mu
-        for a in alphas:
-            idx = idx * self.dim_a + a
-        for b in betas:
-            idx = idx * self.dim_b + b
-        return idx
 
     def decode(self, idx):
         betas = [0] * self.num_pairs
@@ -412,35 +401,9 @@ def check_size_guard(dims, guard_bytes):
         )
 
 
-def _cleared(m, by_row):
-    """m scaled by the positive integer diagonal that clears the
-    denominators of each row (R m) or each column (m S), so that every
-    entry is an int; m itself when it has no denominator."""
-    scale = {}
-    for c, col in enumerate(m.columns()):
-        for r, v in col.items():
-            if v.denominator != 1:
-                k = r if by_row else c
-                scale[k] = lcm(scale.get(k, 1), v.denominator)
-    if not scale:
-        return m
-    cols = [
-        {
-            r: v.numerator * (scale.get(r if by_row else c, 1) // v.denominator)
-            for r, v in col.items()
-        }
-        for c, col in enumerate(m.columns())
-    ]
-    return SparseMatrix(m.field, m.rows, m.cols, cols)
-
-
 def _verify_dd_zero(boundaries):
-    rational = isinstance(boundaries[0].field, Rationals)
     for n in range(1, len(boundaries) - 1):
-        left, right = boundaries[n], boundaries[n + 1]
-        if rational:  # R d_n d_(n+1) S = 0 iff d_n d_(n+1) = 0
-            left, right = _cleared(left, True), _cleared(right, False)
-        if not (left @ right).is_zero():
+        if not (boundaries[n] @ boundaries[n + 1]).is_zero():
             raise ComplexInconsistencyError(
                 f"complex inconsistency: boundary composite nonzero at degree {n + 1}"
             )
@@ -474,11 +437,3 @@ def build_secondary_complex(
         "secondary", t.A.field, secondary_scheme, secondary_boundary, (t, m),
         max_degree, degree_cap, guard_bytes,
     )
-
-
-def build_complex(kind, t, m, max_degree, **kwargs):
-    if kind == "classical":
-        return build_classical_complex(t.A, m, max_degree, **kwargs)
-    if kind == "secondary":
-        return build_secondary_complex(t, m, max_degree, **kwargs)
-    raise PreconditionError(f"unknown complex kind {kind!r}")

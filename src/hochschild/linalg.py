@@ -39,6 +39,16 @@ identity, and `tensor_bilinear` is the structure tensor that two of
 them make on tensor products, the one primitive behind tensor algebras,
 tensor bimodules and the pairings of the matrix Morita context.
 
+Sparse products have one accumulation kernel, behind `apply` and `@`,
+which adds in the scalars' own arithmetic with no field call per term.
+Over GF(p) it sums raw `int` products and reduces mod p once per entry.
+Over Q it scales each row of the left factor that holds a fraction by
+the lcm of its denominators, once per product, and each right column by
+the lcm of its own as it reaches it; it adds in `int` and divides each
+entry once, so an integral value stays an `int`.  An empty right column
+costs one test, and the right factor is never copied: in the d∘d check
+d_n d_(n+1) it is the larger boundary.
+
 Everything here is immutable after construction and all operations are
 pure, so concurrent use on distinct inputs is safe.
 """
@@ -56,7 +66,7 @@ from .errors import (
     NotAChainMapError,
     PreconditionError,
 )
-from .fields import Rationals
+from .fields import Rationals, _integral
 
 
 def vec_add_scaled(field, acc, scale, vec):
@@ -113,6 +123,76 @@ def _check_same_field(a, b):
         raise FieldMismatchError(f"mixed fields {a.field!r} and {b.field!r}")
 
 
+def _clear_rows(columns):
+    """(columns, scale) for rational columns, a sequence or a dict of
+    them: each row that holds a fraction is multiplied by the lcm of its
+    denominators, which scale maps the row to, so that every entry is an
+    int, and the cleared columns come back as a dict under the same
+    indices.  With no fraction, columns come back as they are, with an
+    empty scale."""
+    items = columns.items() if isinstance(columns, dict) else tuple(enumerate(columns))
+    scale = {}
+    for _, col in items:
+        for r, v in col.items():
+            if type(v) is not int:
+                scale[r] = lcm(scale.get(r, 1), v.denominator)
+    if not scale:
+        return columns, scale
+    cleared = {
+        j: {
+            r: v.numerator * (scale[r] // v.denominator) if r in scale else v
+            for r, v in col.items()
+        }
+        for j, col in items
+    }
+    return cleared, scale
+
+
+def _products(field, left, right):
+    """[left @ col for col in right], left a sequence or a dict of columns
+    under the keys of each col: the one accumulation kernel behind
+    `apply` and `@`.  It adds in the scalars' own arithmetic, with no
+    field call per term.  Over GF(p) raw int products are summed and
+    reduced mod p once per entry.  Over Q the rows of left that hold a
+    fraction are cleared once (`_clear_rows`, lcm r_k for row k), each
+    col is scaled to integers by the lcm s of its denominators, and the
+    int sum at row k is divided by s * r_k once, so an integral value
+    stays an int.  An empty col is skipped at once."""
+    if isinstance(field, Rationals):
+        left, row_scale = _clear_rows(left)
+    else:
+        p, row_scale = field.p, None
+    out = []
+    for col in right:
+        if not col:
+            out.append({})
+            continue
+        s = 1
+        if row_scale is not None:
+            for c in col.values():
+                if type(c) is not int:
+                    s = lcm(s, c.denominator)
+        acc = {}
+        get = acc.get
+        for j, c in col.items():
+            if s != 1:
+                c = c.numerator * (s // c.denominator)
+            for k, v in left[j].items():
+                acc[k] = get(k, 0) + c * v
+        if row_scale is None:
+            out.append({k: r for k, v in acc.items() if (r := v % p)})
+        elif s == 1 and not row_scale:
+            out.append({k: v for k, v in acc.items() if v})
+        else:
+            res = {}
+            for k, v in acc.items():
+                if v:
+                    d = s * row_scale.get(k, 1)
+                    res[k] = v if d == 1 else _integral(Fraction(v, d))
+            out.append(res)
+    return out
+
+
 class SparseMatrix:
     """Immutable sparse matrix, stored as a tuple of column dicts."""
 
@@ -124,16 +204,6 @@ class SparseMatrix:
         self.rows = rows
         self.cols = cols
         self._columns = tuple(columns)
-
-    @classmethod
-    def from_entries(cls, field, rows, cols, entries):
-        columns = [{} for _ in range(cols)]
-        for (r, c), v in entries.items():
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry index {(r, c)} out of range")
-            if v != field.zero:
-                columns[c][r] = v
-        return cls(field, rows, cols, columns)
 
     @classmethod
     def from_columns(cls, field, rows, dense_columns):
@@ -157,9 +227,6 @@ class SparseMatrix:
 
     def columns(self):
         return self._columns
-
-    def entry(self, r, c):
-        return self._columns[c].get(r, self.field.zero)
 
     def entries(self):
         for c, col in enumerate(self._columns):
@@ -199,19 +266,18 @@ class SparseMatrix:
         return SparseMatrix(self.field, self.rows * r, self.cols * other.cols, cols)
 
     def apply(self, vec):
-        """Matrix @ sparse vector."""
-        field = self.field
-        out = {}
-        for j, coeff in vec.items():
-            if coeff != field.zero:
-                vec_add_scaled(field, out, coeff, self._columns[j])
-        return out
+        """Matrix @ sparse vector; over Q only the columns vec reads are
+        cleared."""
+        cols = self._columns
+        if isinstance(self.field, Rationals):
+            cols = {j: cols[j] for j in vec}
+        return _products(self.field, cols, (vec,))[0]
 
     def __matmul__(self, other):
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = [self.apply(other.column(j)) for j in range(other.cols)]
+        cols = _products(self.field, self._columns, other._columns)
         return SparseMatrix(self.field, self.rows, other.cols, cols)
 
     def __add__(self, other):
@@ -549,10 +615,6 @@ def image_basis(m, deadline=None, bound=None):
     """Column space of m as a canonical Subspace of k^rows; bound as in
     `Subspace.span`."""
     return Subspace.span(m.field, m.rows, m.columns(), deadline=deadline, bound=bound)
-
-
-def subspace_leq(u, v):
-    return u.leq(v)
 
 
 class TaggedEchelon(Echelon):

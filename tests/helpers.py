@@ -2,7 +2,66 @@
 
 from fractions import Fraction
 
-from hochschild.linalg import Echelon, SparseMatrix
+from hochschild.complexes import build_classical_complex, build_secondary_complex
+from hochschild.errors import PreconditionError
+from hochschild.linalg import Echelon, SparseMatrix, kernel_basis, vec_add_scaled
+
+
+def from_entries(field, rows, cols, entries):
+    """SparseMatrix from a dict {(row, col): scalar}, zeros dropped."""
+    columns = [{} for _ in range(cols)]
+    for (r, c), v in entries.items():
+        if not (0 <= r < rows and 0 <= c < cols):
+            raise ValueError(f"entry index {(r, c)} out of range")
+        if v != field.zero:
+            columns[c][r] = v
+    return SparseMatrix(field, rows, cols, columns)
+
+
+def entry(m, r, c):
+    """Entry (r, c) of a SparseMatrix."""
+    return m.column(c).get(r, m.field.zero)
+
+
+def encode(scheme, mu, alphas, betas):
+    """Linear index of the chain (mu; alphas; betas) under a
+    ChainIndexScheme, the inverse of its `decode`."""
+    idx = mu
+    for a in alphas:
+        idx = idx * scheme.dim_a + a
+    for b in betas:
+        idx = idx * scheme.dim_b + b
+    return idx
+
+
+def subspace_leq(u, v):
+    return u.leq(v)
+
+
+def build_complex(kind, t, m, max_degree, **kwargs):
+    if kind == "classical":
+        return build_classical_complex(t.A, m, max_degree, **kwargs)
+    if kind == "secondary":
+        return build_secondary_complex(t, m, max_degree, **kwargs)
+    raise PreconditionError(f"unknown complex kind {kind!r}")
+
+
+def center(a):
+    """Solution space of [z, e_i] = 0 for all i, inside k^dim."""
+    field = a.field
+    cols = []
+    for j in range(a.dim):
+        col = {}
+        for i in range(a.dim):
+            diff = a.mul(a.basis_vec(j), a.basis_vec(i))
+            vec_add_scaled(
+                field, diff, field.neg(field.one), a.mul(a.basis_vec(i), a.basis_vec(j))
+            )
+            for k, v in diff.items():
+                col[i * a.dim + k] = v
+        cols.append(col)
+    m = SparseMatrix(field, a.dim * a.dim, a.dim, cols)
+    return kernel_basis(m)
 
 
 def from_dense(field, rows_data):
@@ -15,7 +74,7 @@ def from_dense(field, rows_data):
         for c, v in enumerate(row)
         if v != field.zero
     }
-    return SparseMatrix.from_entries(field, rows, cols, entries)
+    return from_entries(field, rows, cols, entries)
 
 
 def apply_basis(linear_map, j):
@@ -86,3 +145,23 @@ def dense_rref(field, cols, vectors):
         {j: field.from_rational(x) for j, x in enumerate(row) if x}
         for row in rows[: len(pivots)]
     ]
+
+
+def dense_product(field, a, b):
+    """The columns of a @ b by schoolbook multiplication of dense rows on
+    `Fraction`s over Q and on residues over GF(p); a reference that shares
+    no code with `SparseMatrix` arithmetic.  Columns come back as sparse
+    vectors of field scalars, an integral rational as an `int`."""
+    p = getattr(field, "p", None)
+    left = [[Fraction(col.get(i, 0)) for col in a.columns()] for i in range(a.rows)]
+    out = []
+    for col in b.columns():
+        right = [Fraction(col.get(k, 0)) for k in range(b.rows)]
+        entries = {}
+        for i, row in enumerate(left):
+            x = sum((u * v for u, v in zip(row, right)), Fraction(0))
+            x = x.numerator % p if p is not None else x
+            if x:
+                entries[i] = x.numerator if x.denominator == 1 else x
+        out.append(entries)
+    return out

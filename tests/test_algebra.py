@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import act_left_basis
+from helpers import act_left_basis, center
 
 from hochschild.algebra import (
     AlgebraMorphism,
     Bimodule,
     FiniteAlgebra,
     Triple,
-    center,
     commutator_subspace,
     corner_triple,
     field_algebra,

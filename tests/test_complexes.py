@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import apply_basis, from_dense
+from helpers import apply_basis, build_complex, encode, entry, from_dense
 from oracle_naive import (
     naive_classical_boundary,
     naive_rank,
@@ -23,10 +23,8 @@ from hochschild.algebra import (
 from hochschild.complexes import (
     ChainComplex,
     ChainIndexScheme,
-    _cleared,
     _verify_dd_zero,
     build_classical_complex,
-    build_complex,
     build_secondary_complex,
     classical_boundary,
     classical_scheme,
@@ -54,6 +52,7 @@ from hochschild.linalg import (
     Echelon,
     HomologyBasis,
     SparseMatrix,
+    _clear_rows,
     image_basis,
     induced_quotient_map,
     kernel_basis,
@@ -75,7 +74,7 @@ class TestIndexScheme:
         s = ChainIndexScheme(degree, *dims)
         for idx in range(s.total):
             mu, alphas, betas = s.decode(idx)
-            assert s.encode(mu, alphas, betas) == idx
+            assert encode(s, mu, alphas, betas) == idx
 
     @given(
         st.integers(min_value=1, max_value=4),
@@ -96,7 +95,7 @@ class TestIndexScheme:
             data.draw(st.integers(min_value=0, max_value=db - 1))
             for _ in range(s.num_pairs)
         )
-        idx = s.encode(mu, alphas, betas)
+        idx = encode(s, mu, alphas, betas)
         assert 0 <= idx < s.total
         assert s.decode(idx) == (mu, alphas, betas)
 
@@ -109,8 +108,8 @@ def _naive_secondary_matrix_agrees(t, m, n, field=QQ):
     tgt = secondary_scheme(t, m, n - 1)
     expected = {}
     for (skey, tkey), coeff in naive_secondary_boundary(t, m, n).items():
-        col = src.encode(skey[0], skey[1], tuple(v for _, v in skey[2]))
-        row = tgt.encode(tkey[0], tkey[1], tuple(v for _, v in tkey[2]))
+        col = encode(src, skey[0], skey[1], tuple(v for _, v in skey[2]))
+        row = encode(tgt, tkey[0], tkey[1], tuple(v for _, v in tkey[2]))
         if (c := field.from_rational(coeff)) != field.zero:
             expected[(row, col)] = c
     assert dict(engine.entries()) == expected
@@ -122,8 +121,8 @@ def _naive_classical_matrix_agrees(a, m, n, field=QQ):
     tgt = classical_scheme(a, m, n - 1)
     expected = {}
     for (skey, tkey), coeff in naive_classical_boundary(a, m, n).items():
-        col = src.encode(skey[0], skey[1], ())
-        row = tgt.encode(tkey[0], tkey[1], ())
+        col = encode(src, skey[0], skey[1], ())
+        row = encode(tgt, tkey[0], tkey[1], ())
         if (c := field.from_rational(coeff)) != field.zero:
             expected[(row, col)] = c
     assert dict(engine.entries()) == expected
@@ -171,13 +170,13 @@ class TestSecondaryBoundary:
             eb = apply_basis(t.eps, beta)
             for k, c in m.act_right({mu: QQ.one}, a.mul(a.basis_vec(a1), eb)).items():
                 for j, cj in [(a2, c)]:
-                    key = tgt.encode(k, (j,), ())
+                    key = encode(tgt, k, (j,), ())
                     expected[key] = expected.get(key, Fraction(0)) + cj
             for k, c in a.mul(a.mul(a.basis_vec(a1), eb), a.basis_vec(a2)).items():
-                key = tgt.encode(mu, (k,), ())
+                key = encode(tgt, mu, (k,), ())
                 expected[key] = expected.get(key, Fraction(0)) - c
             for k, c in m.act_left(a.mul(a.basis_vec(a2), eb), {mu: QQ.one}).items():
-                key = tgt.encode(k, (a1,), ())
+                key = encode(tgt, k, (a1,), ())
                 expected[key] = expected.get(key, Fraction(0)) + c
             expected = {k: v for k, v in expected.items() if v}
             assert dict(d2.column(idx)) == expected
@@ -256,7 +255,7 @@ class TestBuildComplex:
         # alternating sum of n+1 unit faces: zero in odd degree, the
         # identity in even degree
         assert c.boundaries[1].is_zero()
-        assert c.boundaries[2].entry(0, 0) == QQ.one
+        assert entry(c.boundaries[2], 0, 0) == QQ.one
         assert c.boundaries[3].is_zero()
         assert [homology(c, n).dim for n in range(3)] == [1, 0, 0]
 
@@ -485,8 +484,9 @@ def composable_pairs(draw):
 @given(composable_pairs(), st.sampled_from([QQ, F1009]))
 @settings(max_examples=150, deadline=None)
 def test_dd_check_raises_exactly_when_the_composite_is_nonzero(pair, field):
-    """Over Q the check multiplies denominator-cleared boundaries; it agrees
-    with the plain product, and over GF(p) it is the plain product."""
+    """Over Q, with fractions in either boundary, and over GF(p), the
+    check raises exactly when the product d1 d2 is nonzero; the kernel
+    tests of `tests/test_linalg.py` pin that product to a dense one."""
     d1, d2 = (
         from_dense(
             field, [[field.from_rational(v) for v in row] for row in d.to_dense()]
@@ -502,12 +502,17 @@ def test_dd_check_raises_exactly_when_the_composite_is_nonzero(pair, field):
 
 
 def test_dd_check_uses_a_denominator_free_boundary_as_it_is():
+    """The product behind the check clears the rows of d_n once, with
+    `_clear_rows`: a boundary with no denominator is used as it is, not
+    copied, and a row that holds fractions is scaled by their lcm."""
     d = from_dense(QQ, [[1, -2], [0, 3]])
-    assert _cleared(d, True) is d and _cleared(d, False) is d
+    cols, scale = _clear_rows(d.columns())
+    assert cols is d.columns() and scale == {}
     half = from_dense(QQ, [[Fraction(1, 2), Fraction(1, 3)], [0, 1]])
-    assert _cleared(half, True).to_dense() == [[3, 2], [0, 1]]
-    assert _cleared(half, False).to_dense() == [[1, 1], [0, 3]]
-    assert all(type(v) is int for _, v in _cleared(half, True).entries())
+    cols, scale = _clear_rows(half.columns())
+    assert scale == {0: 6}
+    assert [cols[0], cols[1]] == [{0: 3}, {0: 2, 1: 1}]
+    assert all(type(v) is int for col in cols.values() for v in col.values())
 
 
 def _dd_pair(field, d1_rows, d2_columns):

@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_rref, from_dense, null_space_vectors
+from helpers import (
+    dense_product,
+    dense_rref,
+    entry,
+    from_dense,
+    from_entries,
+    null_space_vectors,
+    subspace_leq,
+)
 
 from hochschild.errors import (
     AmbientMismatchError,
@@ -29,7 +37,6 @@ from hochschild.linalg import (
     kernel_basis,
     rank,
     solve,
-    subspace_leq,
     tensor_bilinear,
     vec_add_scaled,
 )
@@ -458,7 +465,7 @@ def kron_factors(draw):
             for r, row in enumerate(data)
             for c, v in enumerate(row)
         }
-        return SparseMatrix.from_entries(field, rows, cols, entries)
+        return from_entries(field, rows, cols, entries)
 
     return field, shaped(r1, c1), shaped(c1, k1), shaped(r2, c2), shaped(c2, k2)
 
@@ -472,8 +479,8 @@ def test_kron_entries_and_mixed_product(factors):
     for i, j, k, l in itertools.product(
         range(a.rows), range(a.cols), range(b.rows), range(b.cols)
     ):
-        expected = field.mul(a.entry(i, j), b.entry(k, l))
-        assert ab.entry(i * b.rows + k, j * b.cols + l) == expected
+        expected = field.mul(entry(a, i, j), entry(b, k, l))
+        assert entry(ab, i * b.rows + k, j * b.cols + l) == expected
     assert all(v != field.zero for _, v in ab.entries())
     assert (a @ c).kron(b @ d) == ab @ c.kron(d)
 
@@ -555,7 +562,7 @@ def sparse_matrices(draw, field):
         for c, v in enumerate(row)
         if field.from_rational(v) != field.zero
     }
-    return SparseMatrix.from_entries(field, len(dense), cols, entries)
+    return from_entries(field, len(dense), cols, entries)
 
 
 def _typed(subspace):
@@ -579,3 +586,76 @@ def test_kernel_basis_is_the_canonical_null_space(data, field):
     assert ker.dim == m.cols - r
     bounded = kernel_basis(m, bound=r + data.draw(st.integers(0, 3)))
     assert bounded == ker and _typed(bounded) == _typed(ker)
+
+
+_KERNEL_FIELDS = [QQ, GF(2), GF(3), F1009]
+_Q_SCALARS = [0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-5, 6)]
+
+
+@st.composite
+def product_factors(draw):
+    """(field, a, b) with a @ b defined; over Q both factors mix ints and
+    Fractions, over GF(p) entries are residues near 0 and p, so that sums
+    often cancel."""
+    field = draw(st.sampled_from(_KERNEL_FIELDS))
+    if field == QQ:
+        scalars = st.sampled_from(_Q_SCALARS)
+    else:
+        p = field.p
+        scalars = st.sampled_from([0, 0, 1, p - 1, 2 % p, (p - 2) % p, p // 2])
+    r, s, c = (draw(st.integers(0, 4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        columns = [
+            {i: v for i in range(rows) if (v := draw(scalars))} for _ in range(cols)
+        ]
+        return SparseMatrix(field, rows, cols, columns)
+
+    return field, matrix(r, s), matrix(s, c)
+
+
+def _canonical(field, columns):
+    """No zero is stored, and an integral rational is an int."""
+    return all(
+        v != 0 and (field != QQ or type(v) is int or v.denominator != 1)
+        for col in columns
+        for v in col.values()
+    )
+
+
+@given(product_factors())
+@settings(max_examples=300, deadline=None)
+def test_sparse_product_equals_the_dense_product(factors):
+    """a @ b and a.apply(col) agree with a dense product on Fractions or
+    residues, over Q, GF(2), GF(3) and GF(1009), in canonical scalars."""
+    field, a, b = factors
+    expected = dense_product(field, a, b)
+    product = a @ b
+    assert list(product.columns()) == expected
+    assert _canonical(field, product.columns())
+    applied = [a.apply(col) for col in b.columns()]
+    assert applied == expected
+    assert _canonical(field, applied)
+
+
+@pytest.mark.parametrize(
+    "field, left, right, expected",
+    [
+        (QQ, [{0: 1}, {0: 1}], [{0: Fraction(1, 2), 1: Fraction(-1, 2)}], [{}]),
+        (QQ, [{0: Fraction(1, 3)}, {0: Fraction(2, 3)}], [{0: 1, 1: 1}], [{0: 1}]),
+        (QQ, [{0: Fraction(1, 2)}, {0: 3}], [{0: 3, 1: Fraction(1, 2)}], [{0: 3}]),
+        (GF(2), [{0: 1}, {0: 1}], [{0: 1, 1: 1}], [{}]),
+        (GF(3), [{0: 1}, {0: 1}, {0: 1}], [{0: 1, 1: 1, 2: 1}], [{}]),
+        (GF(3), [{0: 2}, {0: 2}], [{0: 2, 1: 1}], [{}]),
+        (F1009, [{0: 1}, {0: 1}], [{0: 1, 1: 1008}, {0: 2, 1: 1008}], [{}, {0: 1}]),
+    ],
+)
+def test_sparse_product_drops_sums_that_cancel(field, left, right, expected):
+    """A sum that cancels stores nothing, an integral sum of fractions is
+    an int, and a sum reduced once mod p is the sum of the residues."""
+    a = SparseMatrix(field, 1, len(left), left)
+    b = SparseMatrix(field, len(left), len(right), right)
+    product = a @ b
+    assert list(product.columns()) == expected
+    assert [a.apply(col) for col in right] == expected
+    assert _canonical(field, product.columns())

@@ -2,6 +2,8 @@ from collections import Counter
 
 import pytest
 
+from helpers import subspace_leq
+
 from hochschild import sequences
 from hochschild.algebra import (
     AlgebraMorphism,
@@ -36,7 +38,6 @@ from hochschild.linalg import (
     SparseMatrix,
     TaggedEchelon,
     image_basis,
-    subspace_leq,
 )
 from hochschild.sequences import (
     TripleMorphism,
