@@ -17,10 +17,12 @@ from pathlib import Path
 from .algebra import matrix_triple, validate_bimodule, validate_triple
 from .complexes import (
     DEFAULT_GUARD_BYTES,
+    ENTRY_BYTES,
     ChainIndexScheme,
     build_classical_complex,
     build_secondary_complex,
     check_size_guard,
+    estimate_build_bytes,
     homology,
 )
 from .errors import (
@@ -168,13 +170,17 @@ def cmd_morita(args):
     spec = inst.morita or {"kind": "matrix", "n": args.n}
     if spec["kind"] == "matrix":
         n = spec.get("n", args.n)
-        if n >= 1:  # guard the target complex before M_n(A) is built
+        if n >= 1:  # guard the target complex and M_n(A) before either is built
             t, m = inst.triple, inst.module
             dims = [
                 ChainIndexScheme(k, n * n * m.dim, n * n * t.A.dim, t.B.dim).total
                 for k in range(args.max_degree + 2)
             ]
-            check_size_guard(dims, args.guard_bytes)
+            # the dense product table of M_n(A), which bounds M_n(k)'s n^6
+            table = (n * n * t.A.dim) ** 3
+            check_size_guard(
+                estimate_build_bytes(dims) + ENTRY_BYTES * table, args.guard_bytes
+            )
         data = standard_matrix_morita(inst.triple, n)
     else:
         e = {

@@ -6,19 +6,22 @@ linear index is mixed-radix with mu most significant.  The classical
 complex is the secondary complex with B the ground field, so its
 b-digits are always 0.
 
-One builder makes both boundaries.  Each face is a table on the slots
-it multiplies (mu a_1 eps(b..), a_i eps(b) a_(i+1), a_n eps(b..) mu);
-`pair_layout` says which b-slots it copies and which it merges.  Once
-per call, each face is compiled into a term table: for every value of
-the source digits it reads (its head key and the b-digits it merges),
-`expand_slots` writes the terms once, with base 0, as (target offset,
-coefficient) pairs.  A column then costs one lookup per face, the
-copied digits entering as a base offset through the target's strides;
-only terms of different faces that land on one index are added.  A
-table has at most as many keys as d_n has columns, and it lives for one
-call.  Only the boundary uses `expand_slots`: chain maps that act slot
-by slot (the Morita and sequence maps) are Kronecker products, and
-`pair_layout` gives a homotopy its b-slot factors.
+One builder makes both boundaries, from `SparseMatrix.kron` and `@`
+like every other structure map.  Each face is a head matrix on the
+slots it multiplies (mu a_1 eps(b..), a_i eps(b) a_(i+1),
+a_n eps(b..) mu), a product of the structure matrices of A, B, eps and
+the module, and `pair_layout` says which b-slots it copies and which it
+merges.  Once per call, each face is compiled into a term table: the
+columns of head (x) P_B (x) ... (x) P_B, one product P_B of B per merged
+b-pair, are the terms of each value of the source digits the face reads
+(its head key and the merged b-digits), each row mapped once to its
+target offset through the target's strides.  A column then costs one
+lookup per face, the copied digits entering as a base offset; only
+terms of different faces that land on one index are added.  A table
+has at most as many keys as d_n has columns, and it lives for one call.
+The chain maps that act slot by slot (the Morita and sequence maps) are
+Kronecker products too, and `pair_layout` gives a homotopy its b-slot
+factors.
 
 Boundary-squared is verified exactly whenever a `ChainComplex` is made,
 and elimination of d_n relies on it: it stops once the image fills
@@ -44,15 +47,15 @@ from .linalg import (
     HomologyBasis,
     SparseMatrix,
     Subspace,
+    commutation,
     image_basis,
     kernel_basis,
     rank,
-    vec_scale,
 )
 
 DEFAULT_DEGREE_CAP = 4
 DEFAULT_GUARD_BYTES = 1 << 30
-_ENTRY_BYTES = 96  # coarse per-potential-entry cost of dict storage
+ENTRY_BYTES = 96  # coarse per-potential-entry cost of dict or table storage
 
 
 def _pairs(n):
@@ -131,102 +134,73 @@ def pair_layout(sources, src_degree):
     )
 
 
-def expand_slots(field, col, base, slots, strides):
-    """col += the expansion of slots[0] (x) slots[1] (x) ...: each slot is
-    a sparse vector over one digit of the target index, and its index i
-    adds i * strides[k] to base."""
-    mul, add, zero = field.mul, field.add, field.zero
-    for combo in itertools.product(*[v.items() for v in slots]):
-        idx, coeff = base, None
-        for (i, c), s in zip(combo, strides):
-            idx += i * s
-            coeff = c if coeff is None else mul(coeff, c)
-        nv = add(col.get(idx, zero), coeff)
-        if nv == zero:
-            col.pop(idx, None)
-        else:
-            col[idx] = nv
-
-
 def _boundary(a, b, eps, m, n):
     """d_n = sum (-1)^i d_i on the chains of (A, B, eps) with coefficients
-    in m, eps given by its matrix.  A face is a table on the slots
-    it multiplies plus the B-pair merges of its layout, compiled once per
-    call into the terms of each value of the digits it reads; the slots
-    it copies enter as a base offset."""
+    in m, eps given by its matrix E.  With P the products, F the
+    (n-1)-fold product of B and G = P_A(I_A (x) E)(I_A (x) F), the head
+    of an interior face is P_A(P_A(I_A (x) E) (x) I_A) on (a, b, a'),
+    that of face 0 is R_M(G (x) I_M)K and that of face n is L_M(G (x)
+    I_M)K on (mu, a, b..), K moving mu past the rest.  A face's term
+    table is the columns of head (x) P_B (x) ... (x) P_B, one P_B per
+    b-pair it merges, and a row of it lands at the offset its digits
+    give through the target's strides; the slots it copies enter as a
+    base offset."""
     if n < 1:
         raise PreconditionError("boundary needs degree >= 1")
     if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
         raise PreconditionError("bimodule actions do not match the algebra")
     field = a.field
-    one = field.one
     src = ChainIndexScheme(n, m.dim, a.dim, b.dim)
     tgt = ChainIndexScheme(n - 1, m.dim, a.dim, b.dim)
     strides = tgt.strides
     b_at = {pair: n + 1 + s for s, pair in enumerate(src.pairs)}  # digit position
-    products = b.products.columns()  # b_y b_z at y * dim B + z
-    merge = [products[y * b.dim : (y + 1) * b.dim] for y in range(b.dim)]
-
-    def a_eps(x, beta):  # a_x eps(beta)
-        return a.mul({x: one}, eps.apply(beta))
-
-    # the products b_1 b_2 ... b_(n-1) that the outer faces push through eps
-    folds = {(): b.unit_vec()} if n == 1 else {(y,): {y: one} for y in range(b.dim)}
+    ident_a, ident_b, ident_m = (
+        SparseMatrix.identity(field, k) for k in (a.dim, b.dim, m.dim)
+    )
+    a_eps = a.products @ ident_a.kron(eps)  # a_x eps(b_y) at x * dim B + y
+    interior = a.products @ a_eps.kron(ident_a)
+    fold = SparseMatrix(field, b.dim, 1, [b.unit_vec()]) if n == 1 else ident_b
     for _ in range(n - 2):
-        folds = {
-            bs + (y,): b.mul(v, {y: one})
-            for bs, v in folds.items()
-            for y in range(b.dim)
-        }
+        fold = b.products @ fold.kron(ident_b)
+    g = a_eps @ ident_a.kron(fold)  # a_x eps(b_1 ... b_(n-1))
+    outer = g.kron(ident_m) @ commutation(field, m.dim, g.cols)
     faces = []
     for i in range(n + 1):
-        sign = one if i % 2 == 0 else field.neg(one)
         if 0 < i < n:  # a_i eps(b_(i,i+1)) a_(i+1)
             sources = [[k] for k in range(1, i)] + [[i, i + 1]]
             sources += [[k] for k in range(i + 2, n + 1)]
             keys = (i, b_at[(i, i + 1)], i + 1)
-            table = {
-                (x, y, z): vec_scale(field, sign, a.mul(a_eps(x, {y: one}), {z: one}))
-                for x in range(a.dim)
-                for y in range(b.dim)
-                for z in range(a.dim)
-            }
+            head, radices = interior, (a.dim, b.dim, a.dim)
             out, copies = i, [(0, strides[0])]
         else:  # m a_1 eps(prod_j b_(1,j)) or a_n eps(prod_j b_(j,n)) m
             end = 1 if i == 0 else n
             sources = [[k] for k in range(1, n + 1) if k != end]
             keys = (0, end) + tuple(b_at[pair] for pair in src.pairs if end in pair)
-            table = {}
-            for bs, beta in folds.items():
-                for x in range(a.dim):
-                    ae = a_eps(x, beta)
-                    for mu in range(m.dim):
-                        mu_vec = {mu: one}
-                        if i == 0:
-                            vec = m.act_right(mu_vec, ae)
-                        else:
-                            vec = m.act_left(ae, mu_vec)
-                        table[(mu, x) + bs] = vec_scale(field, sign, vec)
+            head = (m.right_action if i == 0 else m.left_action) @ outer
+            radices = (m.dim, a.dim) + (b.dim,) * (n - 1)
             out, copies = 0, []
         copies += [
             (ps[0], strides[k]) for k, ps in enumerate(sources, 1) if len(ps) == 1
         ]
-        merges, slot_strides = [], [strides[out]]
+        table = head if i % 2 == 0 else -head
+        slots = [(head.rows, strides[out])]
         for s, ps in enumerate(pair_layout(sources, n), n):
             if len(ps) == 1:
                 copies.append((n + 1 + ps[0], strides[s]))
             else:
-                merges.append((n + 1 + ps[0], n + 1 + ps[1]))
-                slot_strides.append(strides[s])
-        terms = {}
-        for head_key, head in table.items():
-            for bs in itertools.product(range(b.dim), repeat=2 * len(merges)):
-                expanded = {}
-                if head:
-                    slots = [head] + [merge[y][z] for y, z in zip(bs[::2], bs[1::2])]
-                    expand_slots(field, expanded, 0, slots, slot_strides)
-                terms[head_key + bs] = tuple(expanded.items())
-        keys += tuple(p for pq in merges for p in pq)
+                keys += (n + 1 + ps[0], n + 1 + ps[1])
+                radices += (b.dim, b.dim)
+                table = table.kron(b.products)
+                slots.append((b.dim, strides[s]))
+        offsets = [0]
+        for radix, stride in slots:
+            offsets = [o + k * stride for o in offsets for k in range(radix)]
+        terms = {
+            key: tuple((offsets[r], c) for r, c in col.items())
+            for key, col in zip(
+                itertools.product(*map(range, radices)), table.columns()
+            )
+        }
         faces.append((itemgetter(*keys), terms, copies))
     add, zero = field.add, field.zero
     cols = []
@@ -376,7 +350,7 @@ def homology(complex_, n, with_reps=False, deadline=None):
 
 
 def estimate_build_bytes(dims):
-    return _ENTRY_BYTES * sum(
+    return ENTRY_BYTES * sum(
         dims[n] * (n + 1) for n in range(1, len(dims))
     )
 
@@ -388,13 +362,12 @@ def _check_guards(dims, max_degree, degree_cap, guard_bytes):
         raise PreconditionError(
             f"max_degree {max_degree} above the degree cap {degree_cap}"
         )
-    check_size_guard(dims, guard_bytes)
+    check_size_guard(estimate_build_bytes(dims), guard_bytes)
 
 
-def check_size_guard(dims, guard_bytes):
-    """SizeGuardError when complexes with these chain dims would take
-    more than guard_bytes to build."""
-    est = estimate_build_bytes(dims)
+def check_size_guard(est, guard_bytes):
+    """SizeGuardError when a build estimated at est bytes would take more
+    than guard_bytes."""
     if est > guard_bytes:
         raise SizeGuardError(
             f"estimated {est} bytes exceeds the {guard_bytes}-byte guard"

@@ -5,9 +5,10 @@ A Morita context between (A, B, eps) and (A', B', eps') consists of an
 A-A' bimodule P, an A'-A bimodule Q, bimodule isomorphisms
 f: P (x)_A' Q -> A and g: Q (x)_A P -> A', an algebra isomorphism
 eta: B -> B', and the symmetry condition eps(b) p = p eps'(eta(b)),
-q eps(b) = eps'(eta(b)) q.  f and g are stored as matrices on the
-unquotiented tensor spaces; well-definedness (killing the tensor-over-
-algebra relations) is part of validation.
+q eps(b) = eps'(eta(b)) q.  f and g are stored as sparse matrices on
+the unquotiented tensor spaces, and the dual bases below as sparse
+vectors; well-definedness (killing the tensor-over-algebra relations)
+is part of validation.
 
 Dual-basis certificates {p_j},{q_j} with f(sum p_j (x) q_j) = 1_A and
 {p'_m},{q'_m} with g(sum q'_m (x) p'_m) = 1_A' drive the chain maps
@@ -26,13 +27,15 @@ classes.  The standard matrix context is made of tensor products over
 the ground field (`algebra.tensor_bimodule`, `linalg.tensor_bilinear`):
 P = k^n rows (x) A and Q = k^n columns (x) A.  Each chain map and
 homotopy is a sum of Kronecker chains (`SparseMatrix.kron`) of small
-per-slot matrices built once per call from f, g and the dual bases: a
-head matrix on the module slot, slot matrices on the A-slots, and eta,
-eta^-1, I_B or the unit of B on the b-slots; the Kronecker order is the
-chain index order, so no index is decoded here.  psi and phi are one
-routine on the two sides, and l is h on the target side.  The axioms of
-a context are matrix identities between the pairings, the actions and
-the products.
+per-slot matrices built once per call: a head matrix on the module
+slot, slot matrices on the A-slots, and eta, eta^-1, I_B or the unit of
+B on the b-slots.  The head and slot matrices are themselves Kronecker
+expressions in f or g, the dual vectors as one-column matrices, the
+actions and the products, such as f(x (x) L_Y(I (x) y)) for a slot of
+psi or phi; the Kronecker order is the chain index order, so no index
+is decoded here.  psi and phi are one routine on the two sides, and l
+is h on the target side.  The axioms of a context are matrix identities
+between the pairings, the actions and the products.
 """
 
 from __future__ import annotations
@@ -71,27 +74,19 @@ from .linalg import (
 from .report import Report
 
 
-def _freeze_vec(vec, dim, field):
-    return tuple(vec.get(i, field.zero) for i in range(dim))
-
-
-def _vec(tup, field):
-    return {i: v for i, v in enumerate(tup) if v != field.zero}
-
-
 @dataclass(frozen=True)
 class MoritaData:
     source: Triple
     target: Triple
     p_mod: Bimodule  # left A, right A'
     q_mod: Bimodule  # left A', right A
-    f_mat: tuple  # dim A  x  (dim P * dim Q), column p*dimQ + q
-    g_mat: tuple  # dim A' x  (dim Q * dim P), column q*dimP + p
+    f_mat: SparseMatrix  # dim A  x  (dim P * dim Q), column p*dimQ + q
+    g_mat: SparseMatrix  # dim A' x  (dim Q * dim P), column q*dimP + p
     eta: AlgebraMorphism
-    p_dual: tuple  # s vectors in P
-    q_dual: tuple  # s vectors in Q
-    pprime_dual: tuple  # t vectors in P
-    qprime_dual: tuple  # t vectors in Q
+    p_dual: tuple  # s sparse vectors in P
+    q_dual: tuple  # s sparse vectors in Q
+    pprime_dual: tuple  # t sparse vectors in P
+    qprime_dual: tuple  # t sparse vectors in Q
 
     @property
     def field(self):
@@ -105,59 +100,40 @@ class MoritaData:
     def t(self):
         return len(self.pprime_dual)
 
-    @functools.cached_property
-    def pairing_matrices(self):
-        """f and g as sparse matrices on the plain tensor products."""
-        cols = self.p_mod.dim * self.q_mod.dim
-        return tuple(
-            SparseMatrix.from_columns(
-                self.field, len(mat), [[row[c] for row in mat] for c in range(cols)]
-            )
-            for mat in (self.f_mat, self.g_mat)
-        )
+    def __hash__(self):
+        """Over the fields that hash (f, g and the dual vectors do not),
+        so equal data hash alike."""
+        return hash((self.source, self.target, self.p_mod, self.q_mod, self.eta))
 
     @functools.cached_property
     def eta_inverse(self):
         """eta^-1: B' -> B, inverted once per context."""
         return self.eta.inverse()
 
-    def pairings(self):
-        """f on P (x) Q and g on Q (x) P, as functions of two sparse vectors."""
-        f, g = self.pairing_matrices
-        return (
-            functools.partial(bilinear, f, self.q_mod.dim),
-            functools.partial(bilinear, g, self.p_mod.dim),
-        )
-
-    def dual_vecs(self):
-        """The families p_j, q_j, p'_m, q'_m as lists of sparse vectors."""
-        field = self.field
-        return tuple(
-            [_vec(v, field) for v in family]
-            for family in (self.p_dual, self.q_dual, self.pprime_dual, self.qprime_dual)
-        )
-
     def over(self, field):
-        conv = field.from_rational
+        zero, conv = field.zero, field.from_rational
 
-        def conv2(mat):
-            return tuple(tuple(conv(v) for v in row) for row in mat)
+        def vec(v):  # an entry may vanish in field
+            return {k: c for k, x in v.items() if (c := conv(x)) != zero}
 
-        def conv_vecs(vecs):
-            return tuple(tuple(conv(v) for v in vec) for vec in vecs)
+        def mat(x):
+            return SparseMatrix(field, x.rows, x.cols, [vec(c) for c in x.columns()])
+
+        def family(vecs):
+            return tuple(vec(v) for v in vecs)
 
         return MoritaData(
             self.source.over(field),
             self.target.over(field),
             self.p_mod.over(field),
             self.q_mod.over(field),
-            conv2(self.f_mat),
-            conv2(self.g_mat),
+            mat(self.f_mat),
+            mat(self.g_mat),
             self.eta.over(field),
-            conv_vecs(self.p_dual),
-            conv_vecs(self.q_dual),
-            conv_vecs(self.pprime_dual),
-            conv_vecs(self.qprime_dual),
+            family(self.p_dual),
+            family(self.q_dual),
+            family(self.pprime_dual),
+            family(self.qprime_dual),
         )
 
 
@@ -255,16 +231,15 @@ def induced_coefficients(d, m):
 def identity_morita(t):
     """The reflexive context: P = Q = A, f = g = multiplication."""
     a = t.A
-    mult = tuple(map(tuple, a.products.to_dense()))
-    unit = _freeze_vec(a.unit_vec(), a.dim, a.field)
+    unit = a.unit_vec()
     reg = regular_bimodule(a)
     return MoritaData(
         source=t,
         target=t,
         p_mod=reg,
         q_mod=reg,
-        f_mat=mult,
-        g_mat=mult,
+        f_mat=a.products,
+        g_mat=a.products,
         eta=AlgebraMorphism.identity(t.B),
         p_dual=(unit,),
         q_dual=(unit,),
@@ -310,15 +285,14 @@ def standard_matrix_morita(t, n):
         tensor_bilinear(pair, n, n, a.products, da, da)
         for pair in (unit_mn.transpose(), ident_nn)
     )
-    units = ident_n.kron(SparseMatrix(field, da, 1, [a.unit_vec()]))
-    units = tuple(_freeze_vec(u, n * da, field) for u in units.columns())
+    units = ident_n.kron(SparseMatrix(field, da, 1, [a.unit_vec()])).columns()
     return MoritaData(
         source=t,
         target=target,
         p_mod=tensor_bimodule(rows, reg),
         q_mod=tensor_bimodule(cols, reg),
-        f_mat=tuple(map(tuple, f.to_dense())),
-        g_mat=tuple(map(tuple, g.to_dense())),
+        f_mat=f,
+        g_mat=g,
         eta=AlgebraMorphism.identity(t.B),
         p_dual=units[:1],
         q_dual=units[:1],
@@ -336,7 +310,6 @@ def corner_morita(t, e):
     target = corner_triple(t, e)
     a = t.A
     field = a.field
-    zero = field.zero
     ident = SparseMatrix.identity(field, a.dim)
     e_col = SparseMatrix(field, a.dim, 1, [e])
 
@@ -371,29 +344,22 @@ def corner_morita(t, e):
     x = solve(f, a.unit_vec())
     if x is None:
         raise PreconditionError("AeA != A: dual-basis solve infeasible")
-    w = [[zero] * dq for _ in range(dp)]
-    for col, cv in x.items():
-        w[col // dq][col % dq] = cv
-    p_dual = []
-    q_dual = []
-    for j in range(dp):
-        if any(v != zero for v in w[j]):
-            p_dual.append(_freeze_vec({j: field.one}, dp, field))
-            q_dual.append(tuple(w[j]))
+    w = {}
+    for col, cv in sorted(x.items()):
+        w.setdefault(col // dq, {})[col % dq] = cv
     pprime, qprime = (
-        _freeze_vec(column_coordinates(s, e_col).column(0), s.dim, field)
-        for s in (p_space, q_space)
+        column_coordinates(s, e_col).column(0) for s in (p_space, q_space)
     )
     return MoritaData(
         source=t,
         target=target,
         p_mod=p_mod,
         q_mod=q_mod,
-        f_mat=tuple(map(tuple, f.to_dense())),
-        g_mat=tuple(map(tuple, g.to_dense())),
+        f_mat=f,
+        g_mat=g,
         eta=AlgebraMorphism.identity(t.B),
-        p_dual=tuple(p_dual),
-        q_dual=tuple(q_dual),
+        p_dual=tuple({j: field.one} for j in sorted(w)),
+        q_dual=tuple(w[j] for j in sorted(w)),
         pprime_dual=(pprime,),
         qprime_dual=(qprime,),
     )
@@ -409,8 +375,8 @@ def compose_morita(d1, d2):
     aprime = d1.target.A
     p_t = BalancedTensor((d1.p_mod, d2.p_mod), (aprime,))
     q_t = BalancedTensor((d2.q_mod, d1.q_mod), (aprime,))
-    f1, g1 = d1.pairing_matrices
-    f2, g2 = d2.pairing_matrices
+    f1, g1 = d1.f_mat, d1.g_mat
+    f2, g2 = d2.f_mat, d2.g_mat
 
     def ident(mod):
         return SparseMatrix.identity(field, mod.dim)
@@ -421,24 +387,22 @@ def compose_morita(d1, d2):
     f = f1 @ ident(d1.p_mod).kron(inner_f) @ p_t.lift.kron(q_t.lift)
     g = g2 @ ident(d2.q_mod).kron(inner_g) @ q_t.lift.kron(p_t.lift)
 
-    p1, q1, pp1, qp1 = d1.dual_vecs()
-    p2, q2, pp2, qp2 = d2.dual_vecs()
-
-    def frozen(tensor, pairs):
-        return tuple(_freeze_vec(tensor.embed(x, y), tensor.dim, field) for x, y in pairs)
-
     return MoritaData(
         source=d1.source,
         target=d2.target,
         p_mod=p_t.module,
         q_mod=q_t.module,
-        f_mat=tuple(map(tuple, f.to_dense())),
-        g_mat=tuple(map(tuple, g.to_dense())),
+        f_mat=f,
+        g_mat=g,
         eta=d2.eta.compose(d1.eta),
-        p_dual=frozen(p_t, [(x, y) for x in p1 for y in p2]),
-        q_dual=frozen(q_t, [(y, x) for x in q1 for y in q2]),
-        pprime_dual=frozen(p_t, [(x, y) for y in pp2 for x in pp1]),
-        qprime_dual=frozen(q_t, [(y, x) for y in qp2 for x in qp1]),
+        p_dual=tuple(p_t.embed(x, y) for x in d1.p_dual for y in d2.p_dual),
+        q_dual=tuple(q_t.embed(y, x) for x in d1.q_dual for y in d2.q_dual),
+        pprime_dual=tuple(
+            p_t.embed(x, y) for y in d2.pprime_dual for x in d1.pprime_dual
+        ),
+        qprime_dual=tuple(
+            q_t.embed(y, x) for y in d2.qprime_dual for x in d1.qprime_dual
+        ),
     )
 
 
@@ -453,8 +417,6 @@ def validate_morita(d):
     field = d.field
     a, aprime = d.source.A, d.target.A
     p, q = d.p_mod, d.q_mod
-    one = field.one
-    f, g = d.pairings()
 
     # (ii) eta is an isomorphism of algebras B -> B'
     eta = d.eta
@@ -468,7 +430,7 @@ def validate_morita(d):
 
     # each pairing X (x) Y -> outer: f on P (x)_A' Q -> A, g on Q (x)_A P -> A',
     # as its matrix M on the plain tensor product
-    fm, gm = d.pairing_matrices
+    fm, gm = d.f_mat, d.g_mat
     sides = (
         ("f", "P(x)Q", "A", "A'", p, q, fm, a, aprime),
         ("g", "Q(x)P", "A'", "A", q, p, gm, aprime, a),
@@ -506,16 +468,15 @@ def validate_morita(d):
             f"rank {name} = {r}",
         )
 
-    # dual-basis certificates
-    p_vecs, q_vecs, pp_vecs, qp_vecs = d.dual_vecs()
+    # dual-basis certificates: M applied to sum x_j (x) y_j
     certificates = (
-        ("f(sum p_j (x) q_j) = 1_A", f, p_vecs, q_vecs, a),
-        ("g(sum q'_m (x) p'_m) = 1_A'", g, qp_vecs, pp_vecs, aprime),
+        ("f(sum p_j (x) q_j) = 1_A", fm, d.p_dual, q, d.q_dual, a),
+        ("g(sum q'_m (x) p'_m) = 1_A'", gm, d.qprime_dual, p, d.pprime_dual, aprime),
     )
-    for label, pair, xs, ys, outer in certificates:
+    for label, pair, xs, y_mod, ys, outer in certificates:
         total = {}
         for x, y in zip(xs, ys):
-            vec_add_scaled(field, total, one, pair(x, y))
+            vec_add_scaled(field, total, field.one, bilinear(pair, y_mod.dim, x, y))
         report.check(f"dual certificate {label}", total == outer.unit_vec())
 
     # compatibility relations between f and g, on Y (x) X (x) Y:
@@ -547,11 +508,16 @@ def validate_morita(d):
 
 
 def _dual_families(d):
-    """p_j, q_j, p'_m, q'_m.  An empty family reads as one zero vector:
-    every term of a chain map or homotopy is multilinear in the dual
-    vectors, so each sum over dual indices stays nonempty and keeps its
-    value."""
-    return tuple(family or [{}] for family in d.dual_vecs())
+    """p_j, q_j, p'_m, q'_m as one-column matrices.  An empty family
+    reads as one zero vector: every term of a chain map or homotopy is
+    multilinear in the dual vectors, so each sum over dual indices stays
+    nonempty and keeps its value."""
+    families = (d.p_dual, d.q_dual, d.pprime_dual, d.qprime_dual)
+    dims = (d.p_mod.dim, d.q_mod.dim) * 2
+    return tuple(
+        [SparseMatrix(d.field, dim, 1, [v]) for v in family or [{}]]
+        for dim, family in zip(dims, families)
+    )
 
 
 def _kron_sum(chains, tail):
@@ -574,18 +540,12 @@ def _transfer(head, slot, b_map, n):
     return _kron_sum(chains, [b_map] * (n * (n - 1) // 2))
 
 
-def _slot_matrices(pair, xs, y_mod, ys, alg, rows):
-    """[j][j']: the matrix whose column alpha is pair(x_j (x) e_alpha . y_j')."""
-    basis = [alg.basis_vec(al) for al in range(alg.dim)]
-    return [
-        [
-            SparseMatrix(
-                alg.field, rows, alg.dim, [pair(x, y_mod.act_left(e, y)) for e in basis]
-            )
-            for y in ys
-        ]
-        for x in xs
-    ]
+def _slot_matrices(pair, xs, y_mod, ys):
+    """[j][j']: pair @ (x_j (x) L_Y(I (x) y_j')), whose column alpha is
+    pair(x_j (x) e_alpha . y_j'); x_j and y_j' are one-column matrices."""
+    ident = SparseMatrix.identity(pair.field, y_mod.left_alg_dim)
+    acted = [y_mod.left_action @ ident.kron(y) for y in ys]
+    return [[pair @ x.kron(y) for y in acted] for x in xs]
 
 
 def psi_chain_map(d, m, n, *, induced=None):
@@ -596,14 +556,10 @@ def psi_chain_map(d, m, n, *, induced=None):
     if n < 0:
         raise PreconditionError("negative degree")
     ind = induced_module(d, m) if induced is None else induced
-    field = d.field
-    _, g = d.pairings()
-    p_vecs, q_vecs, _, _ = _dual_families(d)
-    ident = SparseMatrix.identity(field, m.dim)
-    p_cols = [SparseMatrix(field, d.p_mod.dim, 1, [p]) for p in p_vecs]
-    q_cols = [SparseMatrix(field, d.q_mod.dim, 1, [q]) for q in q_vecs]
+    ident = SparseMatrix.identity(d.field, m.dim)
+    p_cols, q_cols, _, _ = _dual_families(d)
     head = [[ind.project(q.kron(ident).kron(p)) for p in p_cols] for q in q_cols]
-    slot = _slot_matrices(g, q_vecs, d.p_mod, p_vecs, d.source.A, d.target.A.dim)
+    slot = _slot_matrices(d.g_mat, q_cols, d.p_mod, p_cols)
     return _transfer(head, slot, d.eta.sparse, n)
 
 
@@ -617,62 +573,49 @@ def phi_chain_map(d, m, n, *, induced=None):
     ind = induced_module(d, m) if induced is None else induced
     field = d.field
     a = d.source.A
-    f, _ = d.pairings()
-    fm, _ = d.pairing_matrices
-    _, _, pp_vecs, qp_vecs = _dual_families(d)
-    dp, dq = d.p_mod.dim, d.q_mod.dim
+    fm = d.f_mat
+    _, _, pp_cols, qp_cols = _dual_families(d)
 
     def ident(k):
         return SparseMatrix.identity(field, k)
 
     # the maps q -> f(p'_m (x) q) and p -> f(p (x) q'_m), and
     # R_M K (L_M (x) I_A): a (x) mu (x) a' -> a.mu.a'
-    f_pp = [fm @ SparseMatrix(field, dp, 1, [x]).kron(ident(dq)) for x in pp_vecs]
-    f_qp = [fm @ ident(dp).kron(SparseMatrix(field, dq, 1, [y])) for y in qp_vecs]
+    f_pp = [fm @ x.kron(ident(d.q_mod.dim)) for x in pp_cols]
+    f_qp = [fm @ ident(d.p_mod.dim).kron(y) for y in qp_cols]
     act = m.left_action.kron(ident(a.dim))
     act = m.right_action @ commutation(field, m.dim, a.dim) @ act
     lift = ind.lift
     heads = [[act @ (x.kron(ident(m.dim)).kron(y) @ lift) for y in f_qp] for x in f_pp]
-    slot = _slot_matrices(f, pp_vecs, d.q_mod, qp_vecs, d.target.A, d.source.A.dim)
+    slot = _slot_matrices(fm, pp_cols, d.q_mod, qp_cols)
     return _transfer(heads, slot, d.eta_inverse.sparse, n)
 
 
-def _homotopy(field, triple, mod, pair, first, second, n, i):
+def _homotopy(triple, mod, pair, first, second, n, i):
     """h_i: C_n -> C_(n+1) on the complex of (triple, mod), from a pairing
     X (x) Y -> A and two dual families first = (x_j, y_j), second =
-    (x'_m, y'_m).  With c = (j, m), v_c = pair(x_j (x) y'_m) and
-    u_c = pair(x'_m (x) y_j), h_i sums over c_0..c_i the Kronecker chain
-    H_c0 (x) S_c0c1 (x) ... (x) S_c(i-1)ci (x) [u_ci] (H_c the matrix of
-    mu -> mu v_c, S_cc' that of a -> u_c a v_c', [u] the one column u),
-    then applies I_A to a_(i+1)..a_n and, on each target b-slot, I_B
-    where it copies a source b-slot or the unit of B where it is new."""
+    (x'_m, y'_m) of one-column matrices.  With c = (j, m), the columns
+    v_c = pair(x_j (x) y'_m) and u_c = pair(x'_m (x) y_j), h_i sums over
+    c_0..c_i the Kronecker chain H_c0 (x) S_c0c1 (x) ... (x) S_c(i-1)ci
+    (x) u_ci, with H_c = R_M(v_c (x) I) the matrix of mu -> mu v_c and
+    S_cc' = P(P(u_c (x) I) (x) v_c') that of a -> u_c a v_c', then
+    applies I_A to a_(i+1)..a_n and, on each target b-slot, I_B where it
+    copies a source b-slot or the unit of B where it is new."""
     if not 0 <= i <= n:
         raise PreconditionError("homotopy index out of range")
-    one = field.one
+    field = pair.field
     a, b = triple.A, triple.B
     (xs, ys), (xps, yps) = first, second
     duals = list(itertools.product(range(len(xs)), range(len(xps))))
-    v = [pair(xs[j], yps[k]) for j, k in duals]
-    u = [pair(xps[k], ys[j]) for j, k in duals]
-    mod_basis = [{mu: one} for mu in range(mod.dim)]
-    a_basis = [a.basis_vec(al) for al in range(a.dim)]
-    head = [
-        SparseMatrix(field, mod.dim, mod.dim, [mod.act_right(e, vc) for e in mod_basis])
-        for vc in v
-    ]
+    v = [pair @ xs[j].kron(yps[k]) for j, k in duals]
+    u = [pair @ xps[k].kron(ys[j]) for j, k in duals]
+    ident_m, ident_a = (SparseMatrix.identity(field, k) for k in (mod.dim, a.dim))
+    head = [mod.right_action @ vc.kron(ident_m) for vc in v]
     slot = [
-        [
-            SparseMatrix(
-                field, a.dim, a.dim, [a.mul(a.mul(uc, e), vc) for e in a_basis]
-            )
-            for vc in v
-        ]
-        for uc in u
+        [a.products @ (a.products @ uc.kron(ident_a)).kron(vc) for vc in v] for uc in u
     ]
     chains = [
-        [head[cc[0]]]
-        + [slot[c0][c1] for c0, c1 in zip(cc, cc[1:])]
-        + [SparseMatrix(field, a.dim, 1, [u[cc[-1]]])]
+        [head[cc[0]]] + [slot[c0][c1] for c0, c1 in zip(cc, cc[1:])] + [u[cc[-1]]]
         for cc in itertools.product(range(len(duals)), repeat=i + 1)
     ]
     # a unit enters at A-position i+1; the source b-slots keep their order
@@ -683,24 +626,22 @@ def _homotopy(field, triple, mod, pair, first, second, n, i):
         SparseMatrix.identity(field, b.dim) if ps else unit_b
         for ps in pair_layout(sources, n)
     ]
-    return _kron_sum(chains, [SparseMatrix.identity(field, a.dim)] * (n - i) + b_slots)
+    return _kron_sum(chains, [ident_a] * (n - i) + b_slots)
 
 
 def homotopy_h(d, m, n, i):
     """Matrix of h_i: C_n -> C_(n+1) on the source complex."""
-    f, _ = d.pairings()
-    p_vecs, q_vecs, pp_vecs, qp_vecs = _dual_families(d)
-    return _homotopy(d.field, d.source, m, f, (p_vecs, q_vecs), (pp_vecs, qp_vecs), n, i)
+    p_cols, q_cols, pp_cols, qp_cols = _dual_families(d)
+    return _homotopy(d.source, m, d.f_mat, (p_cols, q_cols), (pp_cols, qp_cols), n, i)
 
 
 def homotopy_l(d, m, n, i, *, induced=None):
     """Matrix of l_i: C_n -> C_(n+1) on the target complex: h_i for the
     target triple, the induced module and g, with the duals swapped."""
     ind = induced_module(d, m) if induced is None else induced
-    _, g = d.pairings()
-    p_vecs, q_vecs, pp_vecs, qp_vecs = _dual_families(d)
+    p_cols, q_cols, pp_cols, qp_cols = _dual_families(d)
     return _homotopy(
-        d.field, d.target, ind.module, g, (qp_vecs, pp_vecs), (q_vecs, p_vecs), n, i
+        d.target, ind.module, d.g_mat, (qp_cols, pp_cols), (q_cols, p_cols), n, i
     )
 
 

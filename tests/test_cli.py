@@ -294,6 +294,25 @@ def test_matrix_context_guarded_before_it_is_built(fixture_dir, tmp_path, capsys
     assert "resource guard" in capsys.readouterr().err
 
 
+def test_matrix_triple_tables_guarded_before_they_are_built(
+    fixture_dir, tmp_path, monkeypatch, capsys
+):
+    """At degree 0 the target complex of FIX-K at n = 30 is small, but
+    M_30(A) has a dense table of 900^3 scalars: the default guard must
+    refuse it before anything is built."""
+    data = json.loads((fixture_dir / "FIX-K.json").read_text())
+    data["morita"] = {"kind": "matrix", "n": 30}
+    p = tmp_path / "k30.json"
+    p.write_text(json.dumps(data))
+    built = []
+    monkeypatch.setattr(cli, "standard_matrix_morita", lambda *a: built.append(a))
+    start = time.perf_counter()
+    assert main(["morita", "--max-degree", "0", str(p)]) == 3
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err.startswith("resource guard")
+    assert not built
+
+
 @pytest.mark.parametrize("command", ["homology", "exactseq", "kahler", "morita"])
 def test_invalid_instance_is_rejected_before_building(
     fixture_dir, tmp_path, capsys, command
@@ -310,8 +329,7 @@ def test_invalid_instance_is_rejected_before_building(
 def test_morita_rejects_an_invalid_context(fixture_dir, monkeypatch, capsys):
     def broken(t, n):  # f doubled: its dual-basis certificate no longer sums to 1
         data = standard_matrix_morita(t, n)
-        doubled = tuple(tuple(2 * v for v in row) for row in data.f_mat)
-        return dataclasses.replace(data, f_mat=doubled)
+        return dataclasses.replace(data, f_mat=data.f_mat.scale(2))
 
     monkeypatch.setattr(cli, "standard_matrix_morita", broken)
     assert main(["morita", str(fixture_dir / "FIX-D.json")]) == 2

@@ -214,6 +214,17 @@ class TestOracleModP:
             if classical_scheme(t.A, m, degree).total <= 2048:
                 _naive_classical_matrix_agrees(t.A, m, degree, F1009)
 
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=["GF2", "GF3"])
+    def test_fixtures_in_small_characteristic(self, field, degree, named_instances):
+        """Over GF(2) each face's sign -1 is 1, and over GF(3) other
+        terms cancel than over Q or GF(1009)."""
+        for t, m in named_instances.values():
+            if secondary_scheme(t, m, degree).total <= 2048:
+                _naive_secondary_matrix_agrees(t, m, degree, field)
+            if classical_scheme(t.A, m, degree).total <= 2048:
+                _naive_classical_matrix_agrees(t.A, m, degree, field)
+
     def test_two_merges_at_degree_four(self):
         """Degree 4 of FIX-DD, where each interior face merges two
         b-pairs, over Q (the test above covers it over GF(1009))."""

@@ -18,7 +18,7 @@ from hochschild.algebra import (
 from hochschild.complexes import build_secondary_complex, homology
 from hochschild.errors import PreconditionError
 from hochschild.fields import GF, QQ
-from hochschild.fixtures import fix_d, fix_dd
+from hochschild.fixtures import NAMED_FIXTURES, fix_d, fix_dd
 from hochschild.linalg import SparseMatrix, induced_quotient_map
 from hochschild.morita import (
     alternating_homotopy,
@@ -38,6 +38,19 @@ from hochschild.morita import (
 )
 
 F1009 = GF(1009)
+
+# H_0, H_1 of the 2x2 matrix context, by fixture and characteristic
+LIFT_DIMS = {
+    (name, p): dims
+    for name, by_p in {
+        "FIX-D": {2: [2, 2], 3: [2, 1], 1009: [2, 1]},
+        "FIX-DD": {2: [2, 0], 3: [2, 0], 1009: [2, 0]},
+        "FIX-P3": {2: [3, 2], 3: [3, 3], 1009: [3, 2]},
+        "FIX-KB": {2: [2, 0], 3: [2, 0], 1009: [2, 0]},
+        "FIX-EXT": {2: [4, 4], 3: [4, 2], 1009: [4, 2]},
+    }.items()
+    for p, dims in by_p.items()
+}
 
 
 class TestValidate:
@@ -103,6 +116,12 @@ class TestStandardMatrixData:
         assert d.q_mod.dim == 4
         assert d.s == 1
         assert d.t == 2
+
+    def test_data_compare_and_hash_by_value(self):
+        t, _ = fix_d()
+        d, again = standard_matrix_morita(t, 2), standard_matrix_morita(t, 2)
+        assert d == again and hash(d) == hash(again)
+        assert d != dataclasses.replace(d, f_mat=d.f_mat.scale(2))
 
     def test_n1_is_identity_like(self):
         t, m = fix_d()
@@ -371,11 +390,19 @@ class TestInvariance:
         rep = verify_morita_invariance(standard_matrix_morita(t, 2), m, 2)
         assert rep.ok, rep.render()
 
-    def test_lift_dims_cross_checked_over_prime_field(self):
-        t, m = fix_dd()
+    @pytest.mark.parametrize(
+        "name, p", list(LIFT_DIMS), ids=[f"{name}-GF{p}" for name, p in LIFT_DIMS]
+    )
+    def test_lift_dims_cross_checked_over_prime_field(self, name, p):
+        """H_0, H_1 of the 2x2 context on both sides; FIX-D, FIX-P3 and
+        FIX-EXT read other dims in characteristic 2 or 3 than over Q."""
+        t, m = NAMED_FIXTURES[name]()
         d = standard_matrix_morita(t, 2)
-        rep_p = verify_morita_invariance(d, m, 1, field=F1009)
+        rep_p = verify_morita_invariance(d, m, 1, field=GF(p))
         assert rep_p.ok, rep_p.render()
+        dims = LIFT_DIMS[(name, p)]
+        agree = next(i for i in rep_p.items if i.label == "homology dims agree")
+        assert agree.detail == f"source {dims}, target {dims}"
 
     def test_eta_is_inverted_once_per_context(self, monkeypatch):
         """phi_0..phi_2 all carry eta^-1 on their b-slots; it is computed
