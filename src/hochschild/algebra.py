@@ -1,34 +1,33 @@
 """Finite-dimensional algebras by structure constants, triples, bimodules.
 
-An algebra is a basis-indexed table c[i][j][k] with e_i * e_j =
-sum_k c[i][j][k] e_k plus the coordinates of its unit.  A triple
+An algebra is held as its products, the dim x dim^2 matrix whose column
+i*dim + j is e_i e_j, plus the coordinates of its unit.  A triple
 (A, B, eps) packages an associative algebra A, a commutative algebra B
-and a morphism eps: B -> A with central image.  A bimodule stores its
-two action tensors separately, mirroring left/right notation.
+and a morphism eps: B -> A with central image.  A bimodule is held as
+its two action matrices (column i*dim + m is e_i . v_m, resp.
+v_m . e_i), a morphism as its matrix.  These `SparseMatrix` forms are
+the only stored ones, so every object is immutable and hashable.  The
+dense tensors of the instance-file format are read-only views, built on
+first use: `table[i][j][k]`, the coefficient of e_k in e_i e_j, the
+actions `left` and `right` in the same layout, and a morphism's
+`matrix[r][c]`.  `from_data` is the one way in from dense data.
 
-All data is held in nested tuples, so these objects are immutable and
-hashable.  Each structure tensor also has one sparse form, a
-SparseMatrix built on first use and kept on its object: the products
-of an algebra (column i*dim + j is e_i e_j), the two actions of a
-bimodule (column i*dim + m is e_i . v_m, resp. v_m . e_i) and the
-matrix of a morphism.  Products and actions are `linalg.bilinear` on
-these forms, and every axiom (algebra, morphism, triple, bimodule) is
-checked as a matrix identity between them, with `linalg.commutation`
-where the two sides take their arguments in different orders; a
-failure names the basis tuples of the columns that differ.
+Products and actions are `linalg.bilinear` on the sparse forms, and
+every axiom (algebra, morphism, triple, bimodule) is checked as a
+matrix identity between them, with `linalg.commutation` where the two
+sides take their arguments in different orders; a failure names the
+basis tuples of the columns that differ.
 
 Tensor products over the ground field are built from these forms by
 `linalg.tensor_bilinear`: `tensor_algebra` and `tensor_bimodule`, and
 through them the matrix triple M_n(A) = M_n(k) (x) A with its lift
-M -> M_n(k) (x) M.  A bimodule whose actions are computed as matrices
-is made by `Bimodule.from_actions`; the corner triple reads its
-products back from A through `column_coordinates`.
+M -> M_n(k) (x) M.  The corner triple reads its products back from A
+through `column_coordinates`.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 from .errors import FieldMismatchError, PreconditionError
@@ -43,10 +42,13 @@ from .linalg import (
 from .report import Report
 
 
-def _freeze(tensor):
-    if isinstance(tensor, (list, tuple)):
-        return tuple(_freeze(t) for t in tensor)
-    return tensor
+def _tensor_view(m, count):
+    """m as count planes of dense columns, the layout [i][j][k] of a
+    structure tensor: entry k of column i * (m.cols / count) + j."""
+    zero = m.field.zero
+    cols = [tuple(col.get(k, zero) for k in range(m.rows)) for col in m.columns()]
+    size = m.cols // count if count else 0
+    return tuple(tuple(cols[i * size : (i + 1) * size]) for i in range(count))
 
 
 @dataclass(frozen=True)
@@ -54,12 +56,25 @@ class FiniteAlgebra:
     field: object
     dim: int
     basis_labels: tuple
-    table: tuple  # table[i][j][k]
+    products: SparseMatrix  # dim x dim^2, column i*dim + j is e_i e_j
     unit: tuple  # coordinates of 1
 
     @classmethod
     def from_data(cls, field, basis_labels, table, unit):
-        return cls(field, len(basis_labels), tuple(basis_labels), _freeze(table), tuple(unit))
+        """The algebra with dense structure constants table[i][j][k].  The
+        products have as many rows as each row of table, and one more than
+        the longest when their lengths differ, so a table that is not
+        dim^3 shows in their shape."""
+        dim, cols = len(basis_labels), [row for plane in table for row in plane]
+        widths = {len(row) for row in cols} or {dim}
+        rows = max(widths) + (len(widths) > 1)
+        products = SparseMatrix.from_columns(field, rows, cols)
+        return cls(field, dim, tuple(basis_labels), products, tuple(unit))
+
+    @functools.cached_property
+    def table(self):
+        """table[i][j][k], the coefficient of e_k in e_i e_j (a view)."""
+        return _tensor_view(self.products, self.dim)
 
     def unit_vec(self):
         zero = self.field.zero
@@ -68,49 +83,37 @@ class FiniteAlgebra:
     def basis_vec(self, i):
         return {i: self.field.one}
 
-    @functools.cached_property
-    def products(self):
-        """dim x dim^2 matrix whose column i*dim + j is e_i e_j."""
-        return SparseMatrix.from_columns(
-            self.field, self.dim, [row for plane in self.table for row in plane]
-        )
-
     def mul(self, x, y):
         """Product of two coordinate vectors (dicts)."""
         return bilinear(self.products, self.dim, x, y)
 
     def is_commutative(self):
-        return all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(self.dim)
-            for j in range(i + 1, self.dim)
-        )
+        """P = PK, K the swap of the two factors."""
+        swap = commutation(self.field, self.dim, self.dim)
+        return self.products == self.products @ swap
 
     def over(self, field):
-        conv = field.from_rational
-        table = tuple(
-            tuple(tuple(conv(c) for c in row) for row in plane) for plane in self.table
-        )
+        unit = tuple(field.from_rational(c) for c in self.unit)
         return FiniteAlgebra(
-            field, self.dim, self.basis_labels, table, tuple(conv(c) for c in self.unit)
+            field, self.dim, self.basis_labels, self.products.over(field), unit
         )
 
 
 class _LinearMap:
     """A linear map from source to target (objects with `field` and
-    `dim`), held as its dense matrix[r][c], target_dim x source_dim."""
+    `dim`), held as its target_dim x source_dim matrix `sparse`."""
 
     @classmethod
     def from_data(cls, source, target, matrix):
-        return cls(source, target, _freeze(matrix))
+        """The map whose dense matrix is matrix[r][c]."""
+        cols = [[row[c] for row in matrix] for c in range(source.dim)]
+        sparse = SparseMatrix.from_columns(source.field, target.dim, cols)
+        return cls(source, target, sparse)
 
     @functools.cached_property
-    def sparse(self):
-        return SparseMatrix.from_columns(
-            self.source.field,
-            self.target.dim,
-            [[row[c] for row in self.matrix] for c in range(self.source.dim)],
-        )
+    def matrix(self):
+        """matrix[r][c], target_dim x source_dim (a view)."""
+        return tuple(map(tuple, self.sparse.to_dense()))
 
     def apply(self, vec):
         return self.sparse.apply(vec)
@@ -120,22 +123,17 @@ class _LinearMap:
 class AlgebraMorphism(_LinearMap):
     source: FiniteAlgebra
     target: FiniteAlgebra
-    matrix: tuple  # matrix[r][c], target_dim x source_dim
+    sparse: SparseMatrix
 
     @classmethod
     def identity(cls, a):
-        one, zero = a.field.one, a.field.zero
-        mat = tuple(
-            tuple(one if r == c else zero for c in range(a.dim)) for r in range(a.dim)
-        )
-        return cls(a, a, mat)
+        return cls(a, a, SparseMatrix.identity(a.field, a.dim))
 
     def compose(self, other):
         """self after other."""
         if other.target.dim != self.source.dim:
             raise PreconditionError("morphism composition shape mismatch")
-        product = self.sparse @ other.sparse
-        return AlgebraMorphism.from_data(other.source, self.target, product.to_dense())
+        return AlgebraMorphism(other.source, self.target, self.sparse @ other.sparse)
 
     def inverse(self):
         field = self.source.field
@@ -148,14 +146,11 @@ class AlgebraMorphism(_LinearMap):
         if te.rank != n:
             raise PreconditionError("morphism is not invertible")
         inv = SparseMatrix(field, n, n, [te.express({j: field.one}) for j in range(n)])
-        return AlgebraMorphism.from_data(self.target, self.source, inv.to_dense())
+        return AlgebraMorphism(self.target, self.source, inv)
 
     def over(self, field):
-        conv = field.from_rational
         return AlgebraMorphism(
-            self.source.over(field),
-            self.target.over(field),
-            tuple(tuple(conv(c) for c in row) for row in self.matrix),
+            self.source.over(field), self.target.over(field), self.sparse.over(field)
         )
 
 
@@ -171,59 +166,47 @@ class Triple:
 
 @dataclass(frozen=True)
 class Bimodule:
-    """Module with a left action and a right action, stored as tensors.
+    """Module with a left action and a right action, stored as matrices.
 
-    left[i][m][m'] is the coefficient of v_m' in e_i . v_m; right is the
-    analogous tensor for v_m . e_i.  The two acting algebras may differ
-    (P and Q of a Morita context use this); their dimensions are the
-    leading axes of the tensors.
+    Column i*dim + m of left_action is e_i . v_m, and of right_action
+    v_m . e_i.  The two acting algebras may differ (P and Q of a Morita
+    context use this).  Their dimensions are stored, since a module of
+    dim 0 has no columns to show them.
     """
 
-    field: object
-    dim: int
-    left: tuple
-    right: tuple
+    left_action: SparseMatrix  # dim x (left_alg_dim * dim)
+    right_action: SparseMatrix  # dim x (right_alg_dim * dim)
+    left_alg_dim: int
+    right_alg_dim: int
 
     @classmethod
     def from_data(cls, field, dim, left, right):
-        return cls(field, dim, _freeze(left), _freeze(right))
+        """The bimodule with dense action tensors left[i][m][m'], the
+        coefficient of v_m' in e_i . v_m, and right likewise for v_m . e_i."""
 
-    @classmethod
-    def from_actions(cls, left, right, left_alg_dim, right_alg_dim):
-        """The bimodule whose action matrices are left and right (the
-        forms `left_action` and `right_action` have) for acting algebras
-        of the given dimensions."""
-        field, dim = left.field, left.rows
+        def action(tensor):
+            cols = [row for plane in tensor for row in plane]
+            return SparseMatrix.from_columns(field, dim, cols)
 
-        def tensor(action, count):
-            return action_tensor(
-                field, count, dim, lambda i, m: action.column(i * dim + m)
-            )
-
-        return cls(field, dim, tensor(left, left_alg_dim), tensor(right, right_alg_dim))
+        return cls(action(left), action(right), len(left), len(right))
 
     @property
-    def left_alg_dim(self):
-        return len(self.left)
+    def field(self):
+        return self.left_action.field
 
     @property
-    def right_alg_dim(self):
-        return len(self.right)
+    def dim(self):
+        return self.left_action.rows
 
     @functools.cached_property
-    def left_action(self):
-        """dim x (left_alg_dim * dim) matrix; column i*dim + m is e_i . v_m."""
-        return self._action_matrix(self.left)
+    def left(self):
+        """left[i][m][m'], the coefficient of v_m' in e_i . v_m (a view)."""
+        return _tensor_view(self.left_action, self.left_alg_dim)
 
     @functools.cached_property
-    def right_action(self):
-        """dim x (right_alg_dim * dim) matrix; column i*dim + m is v_m . e_i."""
-        return self._action_matrix(self.right)
-
-    def _action_matrix(self, tensor):
-        return SparseMatrix.from_columns(
-            self.field, self.dim, [row for plane in tensor for row in plane]
-        )
+    def right(self):
+        """right[i][m][m'], the coefficient of v_m' in v_m . e_i (a view)."""
+        return _tensor_view(self.right_action, self.right_alg_dim)
 
     def act_left(self, avec, mvec):
         return bilinear(self.left_action, self.dim, avec, mvec)
@@ -232,18 +215,19 @@ class Bimodule:
         return bilinear(self.right_action, self.dim, avec, mvec)
 
     def over(self, field):
-        conv = field.from_rational
-        conv3 = lambda t: tuple(
-            tuple(tuple(conv(c) for c in row) for row in plane) for plane in t
+        return Bimodule(
+            self.left_action.over(field),
+            self.right_action.over(field),
+            self.left_alg_dim,
+            self.right_alg_dim,
         )
-        return Bimodule(field, self.dim, conv3(self.left), conv3(self.right))
 
 
 @dataclass(frozen=True)
 class BimoduleMorphism(_LinearMap):
     source: Bimodule
     target: Bimodule
-    matrix: tuple  # target_dim x source_dim
+    sparse: SparseMatrix  # target_dim x source_dim
 
 
 # ---------------------------------------------------------------------------
@@ -271,26 +255,24 @@ def truncated_polynomial_algebra(field, degree, var="x"):
 
 
 def matrix_algebra(field, n):
-    """M_n(k) on the matrix-unit basis e_rc, index r*n + c."""
+    """M_n(k) on the matrix-unit basis e_rc, index r*n + c: column
+    (r*n + c)*n^2 + c*n + c' of its products is e_rc'."""
     zero, one = field.zero, field.one
     dim = n * n
     labels = tuple(f"e{r}{c}" for r in range(n) for c in range(n))
-
-    def idx(r, c):
-        return r * n + c
-
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for r, c, rp, cp in itertools.product(range(n), repeat=4):
-        if c == rp:
-            table[idx(r, c)][idx(rp, cp)][idx(r, cp)] = one
+    cols = [{} for _ in range(dim * dim)]
+    for r in range(n):
+        for c in range(n):
+            for cp in range(n):
+                cols[(r * n + c) * dim + c * n + cp] = {r * n + cp: one}
     unit = tuple(one if r == c else zero for r in range(n) for c in range(n))
-    return FiniteAlgebra.from_data(field, labels, table, unit)
+    products = SparseMatrix(field, dim, dim * dim, cols)
+    return FiniteAlgebra(field, dim, labels, products, unit)
 
 
 def unit_morphism(k_alg, a):
     """Inclusion of the ground field algebra into a along the unit."""
-    mat = tuple((c,) for c in a.unit)
-    return AlgebraMorphism(k_alg, a, mat)
+    return AlgebraMorphism(k_alg, a, SparseMatrix(a.field, a.dim, 1, [a.unit_vec()]))
 
 
 def trivial_triple(a):
@@ -300,22 +282,10 @@ def trivial_triple(a):
 
 
 def regular_bimodule(a):
-    """A as an A-bimodule under multiplication."""
-    left = tuple(tuple(a.table[i][m] for m in range(a.dim)) for i in range(a.dim))
-    right = tuple(tuple(a.table[m][i] for m in range(a.dim)) for i in range(a.dim))
-    return Bimodule(a.field, a.dim, left, right)
-
-
-def action_tensor(field, count, dim, act):
-    """Action tensor [i][b][k]: the coefficient of basis k in act(i, b)."""
-    zero = field.zero
-    return tuple(
-        tuple(
-            tuple(vec.get(k, zero) for k in range(dim))
-            for vec in (act(i, b) for b in range(dim))
-        )
-        for i in range(count)
-    )
+    """A as an A-bimodule under multiplication: actions P and PK, K the
+    swap of the two factors."""
+    swap = commutation(a.field, a.dim, a.dim)
+    return Bimodule(a.products, a.products @ swap, a.dim, a.dim)
 
 
 def pullback_bimodule(phi, m):
@@ -323,9 +293,7 @@ def pullback_bimodule(phi, m):
     each action matrix times phi (x) I_M."""
     lift = phi.sparse.kron(SparseMatrix.identity(m.field, m.dim))
     count = phi.source.dim
-    return Bimodule.from_actions(
-        m.left_action @ lift, m.right_action @ lift, count, count
-    )
+    return Bimodule(m.left_action @ lift, m.right_action @ lift, count, count)
 
 
 def tensor_algebra(x, y):
@@ -340,7 +308,7 @@ def tensor_algebra(x, y):
         field,
         dim,
         tuple(f"{p}*{q}" for p in x.basis_labels for q in y.basis_labels),
-        action_tensor(field, dim, dim, lambda i, j: prods.column(i * dim + j)),
+        prods,
         tuple(unit.get(k, field.zero) for k in range(dim)),
     )
 
@@ -355,7 +323,7 @@ def tensor_bimodule(x, y):
     right = tensor_bilinear(
         x.right_action, x.right_alg_dim, x.dim, y.right_action, y.right_alg_dim, y.dim
     )
-    return Bimodule.from_actions(
+    return Bimodule(
         left, right, x.left_alg_dim * y.left_alg_dim, x.right_alg_dim * y.right_alg_dim
     )
 
@@ -384,10 +352,7 @@ def validate_algebra(a):
     associativity P(P (x) I) = P(I (x) P) for the products P of a; a
     failure names the basis indices of the columns that differ."""
     report = Report(f"algebra({','.join(a.basis_labels)})")
-    if len(a.table) != a.dim or any(
-        len(plane) != a.dim or any(len(row) != a.dim for row in plane)
-        for plane in a.table
-    ):
+    if a.products.shape != (a.dim, a.dim * a.dim):
         report.check("table shape", False, "structure constants are not dim^3")
         return report
     if len(a.unit) != a.dim:
@@ -535,7 +500,7 @@ def matrix_triple(t, n):
     mn = matrix_algebra(field, n)
     big_a = tensor_algebra(mn, t.A)
     eps_star = SparseMatrix(field, n * n, 1, [mn.unit_vec()]).kron(t.eps.sparse)
-    eps_star = AlgebraMorphism.from_data(t.B, big_a, eps_star.to_dense())
+    eps_star = AlgebraMorphism(t.B, big_a, eps_star)
     lift = functools.partial(tensor_bimodule, regular_bimodule(mn))
     return Triple(big_a, t.B, eps_star), lift
 
@@ -579,9 +544,8 @@ def corner_triple(t, e):
         field,
         d,
         tuple(f"c{i}" for i in range(d)),
-        action_tensor(field, d, d, lambda i, j: prods.column(i * d + j)),
+        prods,
         tuple(unit.get(k, field.zero) for k in range(d)),
     )
     eps_e = column_coordinates(corner, mul(mul(e_col, t.eps.sparse), e_col))
-    eps_e = AlgebraMorphism.from_data(t.B, corner_alg, eps_e.to_dense())
-    return Triple(corner_alg, t.B, eps_e)
+    return Triple(corner_alg, t.B, AlgebraMorphism(t.B, corner_alg, eps_e))

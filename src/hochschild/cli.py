@@ -61,6 +61,14 @@ def _read_instance(args):
     return parse_instance(text, field_override=override)
 
 
+def _write_text(path, text):
+    """Write text to path; a path that cannot be written is an input error."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot write {path}: {exc}") from None
+
+
 def _instance_report(inst):
     report = Report("instance validation")
     report.extend(validate_triple(inst.triple))
@@ -89,9 +97,8 @@ def _emit(report, args):
     sys.stdout.write(report.render())
     output = getattr(args, "output", None)
     if output:
-        Path(output).write_text(
-            json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        text = json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+        _write_text(output, text)
     return EXIT_OK if report.ok else EXIT_MATH_FAIL
 
 
@@ -104,8 +111,8 @@ def cmd_validate(args):
         tm = TripleMorphism(
             inst.triple,
             inst.triple,
-            AlgebraMorphism(inst.triple.A, inst.triple.A, inst.morphism[0]),
-            AlgebraMorphism(inst.triple.B, inst.triple.B, inst.morphism[1]),
+            AlgebraMorphism.from_data(inst.triple.A, inst.triple.A, inst.morphism[0]),
+            AlgebraMorphism.from_data(inst.triple.B, inst.triple.B, inst.morphism[1]),
         )
         report.extend(validate_triple_morphism(tm))
     return _emit(report, args)
@@ -176,10 +183,12 @@ def cmd_morita(args):
                 ChainIndexScheme(k, n * n * m.dim, n * n * t.A.dim, t.B.dim).total
                 for k in range(args.max_degree + 2)
             ]
-            # the dense product table of M_n(A), which bounds M_n(k)'s n^6
-            table = (n * n * t.A.dim) ** 3
+            # (n^2 dim A)^3 scalars bound from above both the context's
+            # balancing-relation columns (n^4 dim A^3) and the product
+            # columns of M_n(A)
+            scalars = (n * n * t.A.dim) ** 3
             check_size_guard(
-                estimate_build_bytes(dims) + ENTRY_BYTES * table, args.guard_bytes
+                estimate_build_bytes(dims) + ENTRY_BYTES * scalars, args.guard_bytes
             )
         data = standard_matrix_morita(inst.triple, n)
     else:
@@ -210,21 +219,24 @@ def cmd_kahler(args):
 
 def cmd_fixtures(args):
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot write {outdir}: {exc}") from None
     written = []
     for name, fn in NAMED_FIXTURES.items():
         t, m = fn()
         morita = {"kind": "matrix", "n": 2}
         inst = Instance(t.A.field, t, m, morita=morita)
         path = outdir / f"{name}.json"
-        path.write_text(serialize_instance(inst))
+        _write_text(path, serialize_instance(inst))
         written.append(path)
     for name in ("FIX-D", "FIX-DD"):
         t, m = NAMED_FIXTURES[name]()
         lifted, lift = matrix_triple(t, 2)
         inst = Instance(t.A.field, lifted, lift(m))
         path = outdir / f"{name}-M2.json"
-        path.write_text(serialize_instance(inst))
+        _write_text(path, serialize_instance(inst))
         written.append(path)
     for path in written:
         sys.stdout.write(f"wrote {path}\n")

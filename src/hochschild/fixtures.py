@@ -200,8 +200,8 @@ def random_bimodule(rng, t):
     )
     phi = AlgebraMorphism.from_data(a, a, phi_mat)
     reg = regular_bimodule(a)
-    twisted_right = pullback_bimodule(phi, reg).right
-    return Bimodule(field, a.dim, reg.left, twisted_right)
+    twisted_right = pullback_bimodule(phi, reg).right_action
+    return Bimodule(reg.left_action, twisted_right, a.dim, a.dim)
 
 
 def random_instances(seed, count, field=QQ):

@@ -319,8 +319,23 @@ class SparseMatrix:
             and self._columns == other._columns
         )
 
+    def __hash__(self):
+        """Over (field, shape): equal matrices hash alike, so frozen
+        dataclasses that hold matrices stay hashable."""
+        return hash((self.field, self.shape))
+
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz}, {self.field!r})"
+
+    def over(self, field):
+        """This matrix with each entry, an exact rational, mapped into
+        field; entries that vanish there are dropped."""
+        conv, zero = field.from_rational, field.zero
+        cols = [
+            {r: c for r, v in col.items() if (c := conv(v)) != zero}
+            for col in self._columns
+        ]
+        return SparseMatrix(field, self.rows, self.cols, cols)
 
     def to_dense(self):
         zero = self.field.zero

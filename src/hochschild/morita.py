@@ -101,9 +101,10 @@ class MoritaData:
         return len(self.pprime_dual)
 
     def __hash__(self):
-        """Over the fields that hash (f, g and the dual vectors do not),
-        so equal data hash alike."""
-        return hash((self.source, self.target, self.p_mod, self.q_mod, self.eta))
+        """Over the fields that hash (all but the dual vectors), so equal
+        data hash alike."""
+        parts = (self.source, self.target, self.p_mod, self.q_mod)
+        return hash(parts + (self.f_mat, self.g_mat, self.eta))
 
     @functools.cached_property
     def eta_inverse(self):
@@ -111,29 +112,21 @@ class MoritaData:
         return self.eta.inverse()
 
     def over(self, field):
-        zero, conv = field.zero, field.from_rational
-
-        def vec(v):  # an entry may vanish in field
-            return {k: c for k, x in v.items() if (c := conv(x)) != zero}
-
-        def mat(x):
-            return SparseMatrix(field, x.rows, x.cols, [vec(c) for c in x.columns()])
-
-        def family(vecs):
-            return tuple(vec(v) for v in vecs)
+        def family(vecs, mod):  # the columns of one matrix in mod
+            return SparseMatrix(self.field, mod.dim, len(vecs), vecs).over(field).columns()
 
         return MoritaData(
             self.source.over(field),
             self.target.over(field),
             self.p_mod.over(field),
             self.q_mod.over(field),
-            mat(self.f_mat),
-            mat(self.g_mat),
+            self.f_mat.over(field),
+            self.g_mat.over(field),
             self.eta.over(field),
-            family(self.p_dual),
-            family(self.q_dual),
-            family(self.pprime_dual),
-            family(self.qprime_dual),
+            family(self.p_dual, self.p_mod),
+            family(self.q_dual, self.q_mod),
+            family(self.pprime_dual, self.p_mod),
+            family(self.qprime_dual, self.q_mod),
         )
 
 
@@ -184,7 +177,7 @@ class BalancedTensor:
         left = first.left_action.kron(ident(prod(dims[1:])))
         move_a = commutation(field, a_right, init).kron(ident(last.dim))
         right = ident(init).kron(last.right_action) @ move_a
-        self.module = Bimodule.from_actions(
+        self.module = Bimodule(
             self.project(left @ ident(a_left).kron(self.lift)),
             self.project(right @ ident(a_right).kron(self.lift)),
             a_left,
@@ -271,10 +264,10 @@ def standard_matrix_morita(t, n):
     row = SparseMatrix(field, n * n, n, [{c: one} for c in range(n)])  # e_c -> E_0c
     col = SparseMatrix(field, n * n, n, [{r * n: one} for r in range(n)])  # e_r -> E_r0
     swap = commutation(field, n * n, n)
-    rows = Bimodule.from_actions(
+    rows = Bimodule(
         ident_n, row.transpose() @ mn.products @ row.kron(ident_nn) @ swap, 1, n * n
     )
-    cols = Bimodule.from_actions(
+    cols = Bimodule(
         col.transpose() @ mn.products @ ident_nn.kron(col), ident_n, n * n, 1
     )
     reg = regular_bimodule(a)
@@ -326,13 +319,13 @@ def corner_morita(t, e):
     )
     dp, dq, dc = p_space.dim, q_space.dim, corner.dim
     # P = Ae: left action of A, right action of eAe; Q = eA the other way
-    p_mod = Bimodule.from_actions(
+    p_mod = Bimodule(
         column_coordinates(p_space, mul(ident, pb)),
         column_coordinates(p_space, mul(pb, cb) @ commutation(field, dc, dp)),
         a.dim,
         dc,
     )
-    q_mod = Bimodule.from_actions(
+    q_mod = Bimodule(
         column_coordinates(q_space, mul(cb, qb)),
         column_coordinates(q_space, mul(qb, ident) @ commutation(field, a.dim, dq)),
         dc,

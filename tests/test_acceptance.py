@@ -241,15 +241,15 @@ def test_criterion_09_functoriality():
         tuple(QQ.one if r == c else QQ.zero for c in range(m.dim))
         for r in range(m.dim)
     )
-    fm_id = BimoduleMorphism(m, m, ident_mat)
+    fm_id = BimoduleMorphism.from_data(m, m, ident_mat)
     for n in (0, 1, 2):
         assert pushforward_m(fm_id, t, n) == SparseMatrix.identity(
             QQ, build_secondary_complex(t, m, n).dims[n]
         )
     x_mat = ((QQ.zero, QQ.zero), (QQ.one, QQ.zero))
-    fm_x = BimoduleMorphism(m, m, x_mat)
+    fm_x = BimoduleMorphism.from_data(m, m, x_mat)
     zero_mat = tuple(tuple(QQ.zero for _ in range(2)) for _ in range(2))
-    fm_xx = BimoduleMorphism(m, m, zero_mat)
+    fm_xx = BimoduleMorphism.from_data(m, m, zero_mat)
     assert (
         pushforward_m(fm_x, t, 2) @ pushforward_m(fm_x, t, 2)
         == pushforward_m(fm_xx, t, 2)

@@ -145,11 +145,13 @@ class TestValidateTriple:
         [
             ([[[1, 0], [0, 1]]], [1, 0], "table shape"),  # one plane for dim 2
             ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1], "unit shape"),
+            ([[[1, 0, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0], "table shape"),  # row of 3
+            ([[[1, 0], [0, 1]], [[0, 1], [0]]], [1, 0], "table shape"),  # row of 1
         ],
     )
     def test_shape_failure_ends_the_report(self, table, unit, label):
         # built through the API: instance files cannot carry these shapes
-        a = FiniteAlgebra(QQ, 2, ("1", "x"), _frac(table), _frac(unit))
+        a = FiniteAlgebra.from_data(QQ, ("1", "x"), _frac(table), _frac(unit))
         rep = validate_triple(trivial_triple(a))
         assert [v.label for v in rep.violations] == [f"algebra(1,x): {label}"]
         assert rep.items[-1].label.startswith("algebra(1): ")
@@ -202,7 +204,7 @@ class TestValidateBimodule:
         phi = AlgebraMorphism.from_data(
             a, a, ((QQ.one, QQ.zero), (QQ.zero, -QQ.one))
         )
-        twisted = Bimodule(QQ, 2, reg.left, pullback_bimodule(phi, reg).right)
+        twisted = Bimodule.from_data(QQ, 2, reg.left, pullback_bimodule(phi, reg).right)
         rep = validate_bimodule(twisted, t)
         assert not rep.ok
         assert any("B-symmetry" in item.label for item in rep.violations)

@@ -198,6 +198,21 @@ def test_output_json(fixture_dir, tmp_path):
     assert payload["ok"] is True
 
 
+def test_unwritable_output_is_input_error(fixture_dir, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    path = str(fixture_dir / "FIX-K.json")
+    assert main(["validate", path, "--output", str(afile / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {afile}")
+
+
+def test_unwritable_fixtures_outdir_is_input_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["fixtures", "--outdir", str(afile)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {afile}")
+
+
 def test_round_trip_preserves_semantics(fixture_dir):
     text = (fixture_dir / "FIX-DD.json").read_text()
     inst = parse_instance(text)
@@ -298,8 +313,9 @@ def test_matrix_triple_tables_guarded_before_they_are_built(
     fixture_dir, tmp_path, monkeypatch, capsys
 ):
     """At degree 0 the target complex of FIX-K at n = 30 is small, but
-    M_30(A) has a dense table of 900^3 scalars: the default guard must
-    refuse it before anything is built."""
+    the estimate also counts (n^2 dim A)^3 = 900^3 scalars, which bound
+    the context's balancing relations and the product columns of
+    M_30(A): the default guard must refuse it before anything is built."""
     data = json.loads((fixture_dir / "FIX-K.json").read_text())
     data["morita"] = {"kind": "matrix", "n": 30}
     p = tmp_path / "k30.json"

@@ -14,11 +14,16 @@ from oracle_naive import (
 )
 
 from hochschild.algebra import (
+    AlgebraMorphism,
+    Bimodule,
+    FiniteAlgebra,
+    Triple,
     commutator_subspace,
     matrix_algebra,
     matrix_triple,
     regular_bimodule,
     trivial_triple,
+    truncated_polynomial_algebra,
 )
 from hochschild.complexes import (
     ChainComplex,
@@ -36,13 +41,16 @@ from hochschild.complexes import (
 from hochschild.errors import (
     BudgetExceededError,
     ComplexInconsistencyError,
+    InstanceFormatError,
     PreconditionError,
+    ScalarError,
     SizeGuardError,
 )
 from hochschild.fields import GF, QQ
 from hochschild.fixtures import (
     fix_d,
     fix_dd,
+    fix_ext,
     fix_k,
     fix_kb,
     fix_p3,
@@ -58,6 +66,7 @@ from hochschild.linalg import (
     kernel_basis,
     rank,
 )
+from hochschild.serialize import Instance, parse_instance, serialize_instance
 
 F1009 = GF(1009)
 
@@ -400,6 +409,39 @@ class TestHomology:
             assert dims_q == dims_p
 
 
+class TestClosedForms:
+    """Homology with a closed form, past the default degree cap."""
+
+    @pytest.mark.parametrize(
+        "nil, top, field",
+        [(2, 8, QQ), (2, 8, GF(2)), (2, 8, F1009)]
+        + [(3, 6, QQ), (3, 6, GF(3)), (3, 6, F1009)],
+        ids=["N2-Q", "N2-GF2", "N2-GF1009", "N3-Q", "N3-GF3", "N3-GF1009"],
+    )
+    def test_classical_truncated_polynomials(self, nil, top, field):
+        """HH_n(k[x]/(x^N), A) has dim N at n = 0, and above it N - 1, or
+        N when the characteristic divides N."""
+        a = truncated_polynomial_algebra(field, nil)
+        m = regular_bimodule(a)
+        cx = build_classical_complex(a, m, top + 1, degree_cap=top + 1)
+        higher = nil if field != QQ and nil % field.p == 0 else nil - 1
+        assert [homology(cx, n).dim for n in range(top + 1)] == [nil] + [higher] * top
+
+    @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=["Q", "GF2", "GF3"])
+    @pytest.mark.parametrize(
+        "fixture, top",
+        [(fix_k, 3), (fix_d, 3), (fix_dd, 3), (fix_p3, 3), (fix_ext, 2)],
+        ids=["FIX-K", "FIX-D", "FIX-DD", "FIX-P3", "FIX-EXT"],
+    )
+    def test_secondary_with_identity_base(self, fixture, top, field):
+        """For (A, A, id) and the regular M = A (A commutative), H_0 is
+        M and every higher group vanishes."""
+        a = fixture()[0].A.over(field)
+        t, m = Triple(a, a, AlgebraMorphism.identity(a)), regular_bimodule(a)
+        cx = build_secondary_complex(t, m, top + 1, degree_cap=top + 1)
+        assert [homology(cx, n).dim for n in range(top + 1)] == [m.dim] + [0] * top
+
+
 def _assert_canonical_rationals(vectors, where):
     """Every scalar is an int, or a Fraction with denominator > 1."""
     for vec in vectors:
@@ -432,6 +474,30 @@ def test_q_scalars_are_ints_where_integral(named_instances):
             vectors += cx.cycle_space(n).basis + cx.boundary_image(n + 1).basis
             vectors += homology(cx, n, with_reps=True).reps
         _assert_canonical_rationals(vectors, name)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(2), GF(3), F1009], ids=["Q", "GF2", "GF3", "GF1009"]
+)
+def test_views_agree_with_the_file_path(named_instances, field):
+    """An instance file written from the dense views and read in field
+    holds each object mapped there by `over`; where a literal has no
+    image in field, both ways raise.  `from_data` fed the views rebuilds
+    each object."""
+    for name, (t, m) in _fixtures_lifts_and_random(named_instances).items():
+        text = serialize_instance(Instance(t.A.field, t, m))
+        try:
+            t, m = t.over(field), m.over(field)
+        except ScalarError:
+            with pytest.raises(InstanceFormatError):
+                parse_instance(text, field_override=field)
+            continue
+        inst = parse_instance(text, field_override=field)
+        assert (inst.triple, inst.module) == (t, m), name
+        for a in (t.A, t.B):
+            assert FiniteAlgebra.from_data(field, a.basis_labels, a.table, a.unit) == a
+        assert AlgebraMorphism.from_data(t.B, t.A, t.eps.matrix) == t.eps, name
+        assert Bimodule.from_data(field, m.dim, m.left, m.right) == m, name
 
 
 @pytest.mark.parametrize("field", [QQ, F1009], ids=["Q", "GF1009"])

@@ -314,29 +314,29 @@ class TestPushforwardM:
             tuple(QQ.one if r == c else QQ.zero for c in range(m.dim))
             for r in range(m.dim)
         )
-        fm = BimoduleMorphism(m, m, ident)
+        fm = BimoduleMorphism.from_data(m, m, ident)
         assert pushforward_m(fm, t, 2) == SparseMatrix.identity(QQ, 16)
 
     def test_zero(self):
         t, m = fix_dd()
         zero_mat = tuple(tuple(QQ.zero for _ in range(m.dim)) for _ in range(m.dim))
-        fm = BimoduleMorphism(m, m, zero_mat)
+        fm = BimoduleMorphism.from_data(m, m, zero_mat)
         assert pushforward_m(fm, t, 1).is_zero()
 
     def test_multiplication_by_x_is_a_bimodule_morphism(self):
         # m -> x.m commutes with both actions over the commutative dual numbers
         t, m = fix_dd()
         x_mat = ((QQ.zero, QQ.zero), (QQ.one, QQ.zero))
-        fm = BimoduleMorphism(m, m, x_mat)
+        fm = BimoduleMorphism.from_data(m, m, x_mat)
         mat = pushforward_m(fm, t, 2)  # chain-map identity asserted inside
         assert not mat.is_zero()
 
     def test_functoriality_composition(self):
         t, m = fix_dd()
         x_mat = ((QQ.zero, QQ.zero), (QQ.one, QQ.zero))
-        fm = BimoduleMorphism(m, m, x_mat)
+        fm = BimoduleMorphism.from_data(m, m, x_mat)
         once = pushforward_m(fm, t, 1)
-        square = BimoduleMorphism(
+        square = BimoduleMorphism.from_data(
             m, m, ((QQ.zero, QQ.zero), (QQ.zero, QQ.zero))
         )
         assert once @ once == pushforward_m(square, t, 1)
@@ -344,7 +344,7 @@ class TestPushforwardM:
     def test_rejects_non_morphism(self):
         t, m = fix_dd()
         bad = ((QQ.zero, QQ.one), (QQ.zero, QQ.zero))  # projection onto x-line
-        fm = BimoduleMorphism(m, m, bad)
+        fm = BimoduleMorphism.from_data(m, m, bad)
         with pytest.raises(PreconditionError):
             pushforward_m(fm, t, 1)
 
