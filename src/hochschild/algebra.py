@@ -42,6 +42,15 @@ from .linalg import (
 from .report import Report
 
 
+def _from_dense_columns(field, cols, dim):
+    """The matrix whose columns are the dense cols.  It has as many rows
+    as each of them (dim when there are none), and one more than the
+    longest when their lengths differ, so a tensor of the wrong shape
+    shows in the matrix's shape."""
+    widths = {len(col) for col in cols} or {dim}
+    return SparseMatrix.from_columns(field, max(widths) + (len(widths) > 1), cols)
+
+
 def _tensor_view(m, count):
     """m as count planes of dense columns, the layout [i][j][k] of a
     structure tensor: entry k of column i * (m.cols / count) + j."""
@@ -61,14 +70,11 @@ class FiniteAlgebra:
 
     @classmethod
     def from_data(cls, field, basis_labels, table, unit):
-        """The algebra with dense structure constants table[i][j][k].  The
-        products have as many rows as each row of table, and one more than
-        the longest when their lengths differ, so a table that is not
-        dim^3 shows in their shape."""
+        """The algebra with dense structure constants table[i][j][k],
+        sized from the rows of table, so a table that is not dim^3 shows
+        in the shape of the products."""
         dim, cols = len(basis_labels), [row for plane in table for row in plane]
-        widths = {len(row) for row in cols} or {dim}
-        rows = max(widths) + (len(widths) > 1)
-        products = SparseMatrix.from_columns(field, rows, cols)
+        products = _from_dense_columns(field, cols, dim)
         return cls(field, dim, tuple(basis_labels), products, tuple(unit))
 
     @functools.cached_property
@@ -182,11 +188,14 @@ class Bimodule:
     @classmethod
     def from_data(cls, field, dim, left, right):
         """The bimodule with dense action tensors left[i][m][m'], the
-        coefficient of v_m' in e_i . v_m, and right likewise for v_m . e_i."""
+        coefficient of v_m' in e_i . v_m, and right likewise for v_m . e_i.
+        The action matrices are sized from the rows of the tensors, as the
+        products of `FiniteAlgebra.from_data` are, so a row of the wrong
+        length shows in their shape."""
 
         def action(tensor):
             cols = [row for plane in tensor for row in plane]
-            return SparseMatrix.from_columns(field, dim, cols)
+            return _from_dense_columns(field, cols, dim)
 
         return cls(action(left), action(right), len(left), len(right))
 
@@ -427,8 +436,14 @@ def validate_bimodule(m, t):
     Failures are listed by column, and by kind within a column."""
     report = Report("bimodule")
     a = t.A
-    if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
-        report.check("action shape", False, "action tensors do not match dim A")
+    shape = (m.dim, a.dim * m.dim)
+    if (
+        m.left_alg_dim != a.dim
+        or m.right_alg_dim != a.dim
+        or m.left_action.shape != shape
+        or m.right_action.shape != shape
+    ):
+        report.check("action shape", False, "action tensors are not dim A x dim M x dim M")
         return report
     field, dm = m.field, m.dim
     left, right = m.left_action, m.right_action

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .algebra import matrix_triple, validate_bimodule, validate_triple
@@ -67,6 +69,21 @@ def _write_text(path, text):
         Path(path).write_text(text)
     except OSError as exc:
         raise InstanceFormatError(f"cannot write {path}: {exc}") from None
+
+
+def _check_writable(path):
+    """An input error, raised before any work, unless path can be
+    written: an existing file must open for writing, and the directory
+    of a new one must take a file (a temporary one, removed at once)."""
+    target = Path(path)
+    try:
+        if target.exists():
+            os.close(os.open(target, os.O_WRONLY))
+        else:
+            with tempfile.TemporaryFile(dir=target.parent):
+                pass
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _instance_report(inst):
@@ -306,6 +323,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None):
+            _check_writable(args.output)
         return args.func(args)
     except (InstanceFormatError, ScalarError, PreconditionError) as exc:
         sys.stderr.write(f"input error: {exc}\n")

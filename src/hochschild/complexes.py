@@ -29,10 +29,34 @@ ker d_(n-1).  The check is the sparse product d_n d_(n+1), which the
 linalg kernel forms in `int` arithmetic without copying d_(n+1): over
 the rationals it clears the denominators of each row of d_n once and of
 each column of d_(n+1) as it reaches it, and divides each entry once.
+
+Elimination sees only the cyclic block paths.  Each basis vector x of A
+and of M gets a left and a right label, L(x) and R(x), joined with
+union-find over the nonzero structure constants (`_peirce_labels`):
+x y != 0 ties R(x) to L(y), and its support takes L(x) and R(y).  A
+junction between neighbouring slots of a chain, read cyclically from
+mu, is broken when the labels on its two sides differ, and a face that
+merges across it vanishes.  So the complex is the direct sum of C^s,
+the chains with no broken junction, and C^non, the rest (`PeirceSplit`,
+a mask of bytes per degree).  On C^non, inserting the idempotent e_q
+after the first broken junction k, q the label to its left and the unit
+of B in each new b-slot, with sign (-1)^k, is a contracting homotopy h.
+On the first rank or image request a `ChainComplex` checks that every
+nonzero boundary column stays in its part and that dh + hd = id on
+C^non below the top degree; a failure raises
+`ComplexInconsistencyError`.  Then C^non is exact there, so its rank is
+an alternating sum of dims and its part of im d_n is its part of
+ker d_(n-1), and only the nonzero cyclic columns are eliminated.
+Classically this is the complex relative to the separable subalgebra
+spanned by the e_q (Loday, Cyclic Homology, 1.2; Gerstenhaber-Schack,
+JPAA 1986); here the homotopy certifies it on each complex, secondary
+or classical.  When the unit of A has one nonzero coordinate, every
+label is one class and no split is made.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
@@ -56,6 +80,7 @@ from .linalg import (
 DEFAULT_DEGREE_CAP = 4
 DEFAULT_GUARD_BYTES = 1 << 30
 ENTRY_BYTES = 96  # coarse per-potential-entry cost of dict or table storage
+_FLIP = bytes([1]) + bytes(255)  # bytes.translate table swapping 0 and 1
 
 
 def _pairs(n):
@@ -236,6 +261,151 @@ def secondary_boundary(t, m, n):
     return _boundary(t.A, t.B, t.eps.sparse, m, n)
 
 
+def _insertion_sign(field, k):
+    """(-1)^k, the sign of the contracting homotopy at junction k."""
+    return field.one if k % 2 == 0 else field.neg(field.one)
+
+
+def _peirce_labels(a, eps, m):
+    """The (L, R) class of each basis vector of A and then of M, or None
+    when there is one class.  Classes are joined with union-find over the
+    nonzero structure constants: a nonzero x y ties R(x) to L(y), and
+    each basis vector in its support takes L(x) and R(y); the two actions
+    follow the same rule, and every basis vector in the support of eps
+    or of the unit of A has L = R.  When the unit of A has one nonzero
+    coordinate u, 1 e_j = e_j ties every label to R(u), so nothing is
+    joined; nor when it has none, as only the zero algebra has."""
+    if len(a.unit_vec()) < 2:
+        return None
+    da, dm = a.dim, m.dim
+    parent = list(range(2 * (da + dm)))  # L(v) is node 2v, R(v) is 2v + 1
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(x, y):
+        parent[find(x)] = find(y)
+
+    def bind(left, right, support):  # left * right has this support
+        union(2 * left + 1, 2 * right)
+        for k in support:
+            union(2 * k, 2 * left)
+            union(2 * k + 1, 2 * right + 1)
+
+    # A is vertices 0..da-1 and M is da..da+dm-1
+    for c, col in enumerate(a.products.columns()):
+        if col:
+            bind(c // da, c % da, col)
+    for c, col in enumerate(m.left_action.columns()):
+        if col:
+            bind(c // dm, da + c % dm, [da + k for k in col])
+    for c, col in enumerate(m.right_action.columns()):
+        if col:
+            bind(da + c % dm, c // dm, [da + k for k in col])
+    for col in eps.columns() + (a.unit_vec(),):
+        for k in col:
+            union(2 * k, 2 * k + 1)
+    roots = {}
+    labels = tuple(
+        tuple(roots.setdefault(find(x), len(roots)) for x in (2 * v, 2 * v + 1))
+        for v in range(da + dm)
+    )
+    return labels if len(roots) > 1 else None
+
+
+class PeirceSplit:
+    """The split C = C^s (+) C^non of a complex by Peirce labels.
+
+    A chain (mu; a_1..a_n; b..) reads its slots mu, a_1, .., a_n
+    cyclically; junction k joins slot k to slot k + 1 (slot n + 1 is mu
+    again) and is broken when R(slot k) != L(slot k + 1).  A face merges
+    the two slots of one junction, so it vanishes across a broken one and
+    keeps every other junction: C^s (every junction whole, the cyclic
+    block paths) and C^non (some junction broken) are subcomplexes.
+    masks[n][j] is 1 when chain j of degree n lies in C^s.  On C^non,
+    `homotopy` is a contracting homotopy: dh + hd = id there, which
+    `ChainComplex` checks before it relies on it."""
+
+    def __init__(self, a, b, m, labels, max_degree):
+        """The split to max_degree of the complex of (a, b, eps) with
+        coefficients in m, labels the `_peirce_labels` of a, eps and m."""
+        self.field = a.field
+        self.dim_m, self.dim_a, self.dim_b = m.dim, a.dim, b.dim
+        self.labels_a, self.labels_m = labels[: a.dim], labels[a.dim :]
+        units = [[] for _ in range(1 + max(q for pair in labels for q in pair))]
+        for i, c in a.unit_vec().items():
+            units[self.labels_a[i][0]].append((i, c))
+        self.units = units  # units[q]: the (index, coefficient) terms of e_q
+        self.unit_b = SparseMatrix(a.field, b.dim, 1, [b.unit_vec()])
+        masks, states = [], self.labels_m  # (L(mu), R(last slot)) of each prefix
+        for n in range(max_degree + 1):
+            if n:  # the top degree's prefixes are read once, as they are made
+                states = (
+                    (s[0], r) if s is not None and s[1] == l else None
+                    for s in states
+                    for l, r in self.labels_a
+                )
+                states = list(states) if n < max_degree else states
+            closed = bytes(s is not None and s[0] == s[1] for s in states)
+            rep = b.dim ** (n * (n - 1) // 2)  # the b-digits, least significant
+            mask = bytearray(len(closed) * rep)
+            for i in range(rep):
+                mask[i::rep] = closed
+            masks.append(bytes(mask))
+        self.masks = tuple(masks)
+
+    @classmethod
+    def of(cls, a, b, eps, m, max_degree):
+        """The split, or None when the labels form one class."""
+        labels = _peirce_labels(a, eps, m)
+        return None if labels is None else cls(a, b, m, labels, max_degree)
+
+    def noncyclic_rank(self, n):
+        """rank d_n on C^non, from its exactness below degree n:
+        sum over j < n of (-1)^(n-1-j) dim C^non_j."""
+        dims = [len(mask) - mask.count(1) for mask in self.masks[:n]]
+        return sum(d if (n - 1 - j) % 2 == 0 else -d for j, d in enumerate(dims))
+
+    def homotopy(self, n):
+        """h_n: C_n -> C_(n+1), zero on C^s.  A chain of C^non whose first
+        broken junction is k goes to (-1)^k times itself with e_q, q =
+        R(slot k), inserted as A-slot k + 1, and the unit of B in each new
+        b-slot: its b-slots take the Kronecker product of I_B on each
+        copied slot and 1_B on each new one, as in `morita._homotopy`."""
+        field, mul = self.field, self.field.mul
+        dm, da, db = self.dim_m, self.dim_a, self.dim_b
+        ident_b, unit = SparseMatrix.identity(field, db), SparseMatrix.identity(field, 1)
+        b_maps = []
+        for k in range(n + 1):
+            sources = [[p] for p in range(1, k + 1)] + [[]]
+            sources += [[p] for p in range(k + 1, n + 1)]
+            factors = [ident_b if ps else self.unit_b for ps in pair_layout(sources, n)]
+            b_maps.append(functools.reduce(SparseMatrix.kron, factors, unit).columns())
+        src_rep, tgt_rep = db ** (n * (n - 1) // 2), db ** (n * (n + 1) // 2)
+        mask, cols = self.masks[n], []
+        for p, digits in enumerate(itertools.product(range(dm), *[range(da)] * n)):
+            if mask[p * src_rep]:
+                cols += [{} for _ in range(src_rep)]
+                continue
+            slots = [self.labels_m[digits[0]]] + [self.labels_a[x] for x in digits[1:]]
+            # the first broken junction; slots[k - n] is slot (k + 1) mod (n + 1)
+            k = next(k for k in range(n + 1) if slots[k][1] != slots[k - n][0])
+            sign = _insertion_sign(field, k)
+            head = []
+            for e, c in self.units[slots[k][1]]:
+                idx = digits[0]
+                for x in digits[1 : k + 1] + (e,) + digits[k + 1 :]:
+                    idx = idx * da + x
+                head.append((idx * tgt_rep, mul(sign, c)))
+            cols += [
+                {h + o: mul(hc, bc) for h, hc in head for o, bc in b_col.items()}
+                for b_col in b_maps[k]
+            ]
+        return SparseMatrix(field, dm * da ** (n + 1) * tgt_rep, len(cols), cols)
+
+
 @dataclass(frozen=True)
 class HomologyResult:
     dim: int
@@ -253,17 +423,25 @@ class ChainComplex:
     as soon as its echelon reaches that dimension, with the same result.
     Likewise the cycle space of d_n stops eliminating rows at rank d_n
     once that is memoized.  No elimination is run only to learn a bound.
+
+    With a `PeirceSplit`, only the nonzero cyclic columns of d_n are
+    eliminated (see the module notes), bounded by dim ker d_(n-1) less
+    the rank of d_n on C^non; the image adds the cycle RREF rows with a
+    pivot in C^non, and the union of the two RREF bases is canonical
+    since their supports are disjoint.
     Rank, image and cycle computations are memoized; the object is
     immutable once built.
     """
 
-    def __init__(self, kind, field, dims, boundaries, schemes):
+    def __init__(self, kind, field, dims, boundaries, schemes, split=None):
         _verify_dd_zero(boundaries)
         self.kind = kind
         self.field = field
         self.dims = tuple(dims)
         self.boundaries = tuple(boundaries)
         self.schemes = tuple(schemes)
+        self.split = split
+        self._cyclic = None  # per degree, the nonzero columns of d_n in C^s
         self._ranks = {}
         self._images = {}
         self._cycles = {}
@@ -278,32 +456,94 @@ class ChainComplex:
             raise PreconditionError(f"no boundary at degree {n}")
         return self.boundaries[n]
 
-    def _rank_bound(self, n):
-        """dim ker d_(n-1), an upper bound on rank d_n, if already known."""
+    def _rank_bound(self, n, known):
+        """dim ker d_(n-1) less known, the rank of d_n on C^non: an upper
+        bound on the rank of the columns of d_n eliminated, if known."""
         if n == 1:
-            return self.dims[0]
+            return self.dims[0] - known
         if n - 1 in self._cycles:
-            return self._cycles[n - 1].dim
+            return self._cycles[n - 1].dim - known
         if n - 1 in self._ranks:
-            return self.dims[n - 1] - self._ranks[n - 1]
+            return self.dims[n - 1] - self._ranks[n - 1] - known
         return None
+
+    def _certify_split(self):
+        """Check the split once: the nonzero columns of each boundary in
+        C^s have every row in C^s, those in C^non none, and dh + hd is the
+        identity on C^non_n for every n < max_degree.  Keeps the nonzero
+        cyclic columns of each boundary."""
+        field, one, masks = self.field, self.field.one, self.split.masks
+        cyclic, noncyclic = [()], [()]
+        for n in range(1, self.max_degree + 1):
+            cols, rows = self.boundaries[n].columns(), masks[n - 1]
+            inside = list(filter(None, itertools.compress(cols, masks[n])))
+            outside = list(itertools.compress(cols, masks[n].translate(_FLIP)))
+            if not all(map(rows.__getitem__, set().union(*inside))) or any(
+                map(rows.__getitem__, set().union(*outside))
+            ):
+                raise ComplexInconsistencyError(
+                    f"complex inconsistency: a boundary column at degree {n} "
+                    "leaves its Peirce part"
+                )
+            cyclic.append(inside)
+            noncyclic.append(outside)
+        prev = None
+        for n in range(self.max_degree):
+            flip = masks[n].translate(_FLIP)
+            h = self.split.homotopy(n)
+            on_non = list(itertools.compress(h.columns(), flip))
+            count = len(on_non)
+            lhs = self.boundaries[n + 1] @ SparseMatrix(field, h.rows, count, on_non)
+            if prev is not None:
+                d = SparseMatrix(field, self.dims[n - 1], count, noncyclic[n])
+                lhs = lhs + prev @ d
+            ident = itertools.compress(range(self.dims[n]), flip)
+            if lhs != SparseMatrix(field, self.dims[n], count, [{j: one} for j in ident]):
+                raise ComplexInconsistencyError(
+                    "complex inconsistency: Peirce contracting homotopy fails "
+                    f"at degree {n}"
+                )
+            prev = h
+        self._cyclic = cyclic
+
+    def _eliminated(self, n):
+        """(d, known): the columns of d_n that elimination needs, all of
+        them without a split and its nonzero cyclic ones with one, and the
+        rank known of the others."""
+        d = self.boundary(n)
+        if self.split is None:
+            return d, 0
+        if self._cyclic is None:
+            self._certify_split()
+        cols = self._cyclic[n]
+        d = SparseMatrix(self.field, d.rows, len(cols), cols)
+        return d, self.split.noncyclic_rank(n)
 
     def boundary_rank(self, n, deadline=None):
         if n == 0:
             return 0
         if n not in self._ranks:
-            self._ranks[n] = rank(
-                self.boundary(n), deadline=deadline, bound=self._rank_bound(n)
-            )
+            d, known = self._eliminated(n)
+            bound = self._rank_bound(n, known)
+            self._ranks[n] = known + rank(d, deadline=deadline, bound=bound)
         return self._ranks[n]
 
     def boundary_image(self, n, deadline=None):
         """Image of d_n inside degree n-1 chains; it also fixes rank d_n."""
         if n not in self._images:
-            self._images[n] = image_basis(
-                self.boundary(n), deadline=deadline, bound=self._rank_bound(n)
-            )
-            self._ranks.setdefault(n, self._images[n].dim)
+            d, known = self._eliminated(n)
+            rest = []  # (pivot, row) of the cycle RREF rows in C^non
+            if known:
+                mask, cycles = self.split.masks[n - 1], self.cycle_space(n - 1, deadline)
+                rest = [(p, v) for p, v in zip(cycles.pivots, cycles.basis) if not mask[p]]
+            bound = self._rank_bound(n, known)
+            image = image_basis(d, deadline=deadline, bound=bound)
+            if rest:
+                rest += zip(image.pivots, image.basis)
+                pivots, basis = zip(*sorted(rest, key=itemgetter(0)))
+                image = Subspace(self.field, d.rows, basis, pivots)
+            self._images[n] = image
+            self._ranks.setdefault(n, image.dim)
         return self._images[n]
 
     def cycle_space(self, n, deadline=None):
@@ -382,24 +622,29 @@ def _verify_dd_zero(boundaries):
             )
 
 
-def _build(kind, field, scheme, boundary, args, max_degree, degree_cap, guard_bytes):
+def _build(
+    kind, field, scheme, boundary, args, structure, max_degree, degree_cap, guard_bytes
+):
     """The complex with degree-n chains scheme(*args, n) and boundaries
     boundary(*args, n) up to max_degree, size-guarded before anything is
-    built; `ChainComplex` verifies boundary-squared."""
+    built, with the `PeirceSplit` of structure = (A, B, eps, M);
+    `ChainComplex` verifies boundary-squared."""
     schemes = [scheme(*args, n) for n in range(max_degree + 1)]
     dims = [s.total for s in schemes]
     _check_guards(dims, max_degree, degree_cap, guard_bytes)
     boundaries = [SparseMatrix.zero(field, 0, dims[0])]
     boundaries += [boundary(*args, n) for n in range(1, max_degree + 1)]
-    return ChainComplex(kind, field, dims, boundaries, schemes)
+    split = PeirceSplit.of(*structure, max_degree)
+    return ChainComplex(kind, field, dims, boundaries, schemes, split)
 
 
 def build_classical_complex(
     a, m, max_degree, degree_cap=DEFAULT_DEGREE_CAP, guard_bytes=DEFAULT_GUARD_BYTES
 ):
+    k = field_algebra(a.field)
     return _build(
         "classical", a.field, classical_scheme, classical_boundary, (a, m),
-        max_degree, degree_cap, guard_bytes,
+        (a, k, unit_morphism(k, a).sparse, m), max_degree, degree_cap, guard_bytes,
     )
 
 
@@ -408,5 +653,5 @@ def build_secondary_complex(
 ):
     return _build(
         "secondary", t.A.field, secondary_scheme, secondary_boundary, (t, m),
-        max_degree, degree_cap, guard_bytes,
+        (t.A, t.B, t.eps.sparse, m), max_degree, degree_cap, guard_bytes,
     )

@@ -45,9 +45,10 @@ Over GF(p) it sums raw `int` products and reduces mod p once per entry.
 Over Q it scales each row of the left factor that holds a fraction by
 the lcm of its denominators, once per product, and each right column by
 the lcm of its own as it reaches it; it adds in `int` and divides each
-entry once, so an integral value stays an `int`.  An empty right column
-costs one test, and the right factor is never copied: in the d∘d check
-d_n d_(n+1) it is the larger boundary.
+entry once, so an integral value stays an `int`.  When the right factor
+is the narrower, only the left columns it reads are cleared.  An empty
+right column costs one test, and the right factor is never copied: in
+the d∘d check d_n d_(n+1) it is the larger boundary.
 
 Everything here is immutable after construction and all operations are
 pure, so concurrent use on distinct inputs is safe.
@@ -274,10 +275,15 @@ class SparseMatrix:
         return _products(self.field, cols, (vec,))[0]
 
     def __matmul__(self, other):
+        """self @ other; over Q, when other is the narrower factor, only the
+        columns of self that it reads are cleared, as in `apply`."""
         _check_same_field(self, other)
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        cols = _products(self.field, self._columns, other._columns)
+        cols = self._columns
+        if isinstance(self.field, Rationals) and other.cols < self.cols:
+            cols = {j: cols[j] for j in set().union(*other._columns)}
+        cols = _products(self.field, cols, other._columns)
         return SparseMatrix(self.field, self.rows, other.cols, cols)
 
     def __add__(self, other):

@@ -231,6 +231,29 @@ class TestValidateBimodule:
         ]
 
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_an_action_row_of_the_wrong_length_is_an_action_shape(self, side, extra, where):
+        # built through the API: instance files cannot carry these shapes.
+        # A row of FIX-DD's regular module one entry too long, or one too
+        # short, shows in the shape of its action matrix
+        t, m = fix_dd()
+        tensors = {
+            s: [[list(row) for row in plane] for plane in getattr(m, s)]
+            for s in ("left", "right")
+        }
+        row = tensors[side][where][where]
+        if extra:
+            row.append(QQ.one)
+        else:
+            row.pop()
+        bad = Bimodule.from_data(QQ, m.dim, tensors["left"], tensors["right"])
+        assert [(v.label, v.detail) for v in validate_bimodule(bad, t).violations] == [
+            ("action shape", "action tensors are not dim A x dim M x dim M")
+        ]
+
+
 class TestCenter:
     def test_commutative_algebra_is_its_own_center(self):
         a = truncated_polynomial_algebra(QQ, 3)

@@ -206,6 +206,29 @@ def test_unwritable_output_is_input_error(fixture_dir, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"input error: cannot write {afile}")
 
 
+
+def test_unwritable_output_is_found_before_the_command_runs(
+    fixture_dir, tmp_path, capsys, monkeypatch
+):
+    """`homology` on a lift with an --output under a regular file exits 2
+    at once: no complex is built and no report is printed."""
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a complex was built")
+
+    monkeypatch.setattr(cli, "build_secondary_complex", no_build)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    path = str(fixture_dir / "FIX-DD-M2.json")
+    output = str(afile / "x.json")
+    assert main(["homology", path, "--max-degree", "3", "--output", output]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: cannot write {output}: Not a directory\n"
+    assert main(["homology", path, "--output", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: cannot write {tmp_path}")
+    assert afile.read_text() == ""
+
 def test_unwritable_fixtures_outdir_is_input_error(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("")

@@ -1,3 +1,4 @@
+import copy
 import time
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +14,7 @@ from oracle_naive import (
     naive_secondary_boundary,
 )
 
+from hochschild import complexes
 from hochschild.algebra import (
     AlgebraMorphism,
     Bimodule,
@@ -440,6 +442,128 @@ class TestClosedForms:
         t, m = Triple(a, a, AlgebraMorphism.identity(a)), regular_bimodule(a)
         cx = build_secondary_complex(t, m, top + 1, degree_cap=top + 1)
         assert [homology(cx, n).dim for n in range(top + 1)] == [m.dim] + [0] * top
+
+
+def _lifts(named_instances):
+    """The 2x2 matrix lifts of the named fixtures and of random_instances(7, 6)."""
+    bases = list(named_instances.items())
+    bases += [(f"random {i}", tm) for i, tm in enumerate(random_instances(7, 6))]
+    lifts = {}
+    for name, (t, m) in bases:
+        lifted, lift = matrix_triple(t, 2)
+        lifts[f"{name}-M2"] = (lifted, lift(m))
+    return lifts
+
+
+def _build_kind(kind, t, m, top):
+    if kind == "classical":
+        return build_classical_complex(t.A, m, top)
+    return build_secondary_complex(t, m, top)
+
+
+class TestPeirceSplit:
+    """A complex whose unit has several coordinates eliminates only its
+    cyclic block paths; a checked contracting homotopy covers the rest."""
+
+    @pytest.mark.parametrize("kind", ["secondary", "classical"])
+    @pytest.mark.parametrize(
+        "field", [QQ, GF(2), GF(3), F1009], ids=["Q", "GF2", "GF3", "GF1009"]
+    )
+    def test_split_answers_equal_full_elimination(self, named_instances, field, kind):
+        """On every lift, images, ranks, cycle spaces and representatives
+        equal `image_basis`, `rank` and `kernel_basis` of the full
+        boundaries.  Homology is taken to degree 2, or to degree 1 where
+        degree 3 has more than 10^4 chains."""
+        for name, (t, m) in _lifts(named_instances).items():
+            try:
+                t, m = t.over(field), m.over(field)
+            except ScalarError:  # a literal with no image in field
+                continue
+            degree_3 = m.dim * t.A.dim**3 * (t.B.dim**3 if kind == "secondary" else 1)
+            top = 2 if degree_3 <= 10**4 else 1
+            cx, fresh = (_build_kind(kind, t, m, top + 1) for _ in range(2))
+            assert cx.split is not None, name
+            d = cx.boundaries
+            for n in range(top + 1):
+                reps = homology(cx, n, with_reps=True).reps
+                cycles = kernel_basis(d[n]) if n else cx.cycle_space(0)
+                image = image_basis(d[n + 1])
+                assert cx.boundary_image(n + 1) == image, (name, n)
+                assert cx.cycle_space(n) == cycles, (name, n)
+                assert reps == HomologyBasis(cycles, image).reps, (name, n)
+                assert fresh.boundary_rank(n + 1) == rank(d[n + 1]), (name, n)
+                assert homology(fresh, n).dim == len(reps), (name, n)
+
+    @pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "GF2"])
+    def test_units_of_two_coordinates_in_a_and_b(self, field):
+        """(k x k, k x k, id) with M = A and its 2x2 lift: every new b-slot
+        of h holds the unit of B, a sum of two basis vectors.  The answers
+        equal full elimination, and both have H_0 = M and H_n = 0 above."""
+        one, zero = field.one, field.zero
+        table = [[[one, zero], [zero, zero]], [[zero, zero], [zero, one]]]
+        kk = FiniteAlgebra.from_data(field, ("e1", "e2"), table, (one, one))
+        t, m = Triple(kk, kk, AlgebraMorphism.identity(kk)), regular_bimodule(kk)
+        lifted, lift = matrix_triple(t, 2)
+        for t, m, top in ((t, m, 3), (lifted, lift(m), 1)):
+            cx = build_secondary_complex(t, m, top + 1)
+            assert len(set(cx.split.labels_a)) > 1
+            d = cx.boundaries
+            for n in range(top + 1):
+                assert cx.boundary_image(n + 1) == image_basis(d[n + 1]), n
+            assert [homology(cx, n).dim for n in range(top + 1)] == [2] + [0] * top
+
+    @pytest.mark.parametrize("kind", ["secondary", "classical"])
+    def test_a_unit_with_one_coordinate_splits_nothing(self, named_instances, kind):
+        cases = dict(named_instances)
+        cases.update((f"random {i}", tm) for i, tm in enumerate(random_instances(7, 6)))
+        for name, (t, m) in cases.items():
+            assert len(t.A.unit_vec()) == 1, name
+            assert _build_kind(kind, t, m, 2).split is None, name
+
+    def test_only_cyclic_columns_are_eliminated(self, monkeypatch):
+        """Spanning d_3 of FIX-DD-M2 inserts its nonzero cyclic columns
+        only, at most 2,048 of its 32,768 columns."""
+        cx = build_secondary_complex(*_lifted(fix_dd), 3)
+        cyclic = [col for col, c in zip(cx.boundary(3).columns(), cx.split.masks[3]) if c]
+        assert len(cyclic) == 2048
+        expected = image_basis(cx.boundary(3))
+        cx.cycle_space(2)
+        inserted = []
+        insert = Echelon.insert
+
+        def recording_insert(self, vec):
+            inserted.append(vec)
+            return insert(self, vec)
+
+        monkeypatch.setattr(Echelon, "insert", recording_insert)
+        assert cx.boundary_image(3) == expected
+        assert 0 < len(inserted) <= 2048
+        ids = {id(col) for col in cyclic}
+        assert all(vec and id(vec) in ids for vec in inserted)
+
+    def test_a_homotopy_with_the_wrong_sign_is_refused(self, monkeypatch):
+        """With (-1)^k replaced by +1, dh + hd = id fails on the chains
+        whose first broken junction is odd, and the first rank or image
+        request raises."""
+        monkeypatch.setattr(complexes, "_insertion_sign", lambda field, k: field.one)
+        for request in ("boundary_rank", "boundary_image"):
+            cx = build_secondary_complex(*_lifted(fix_dd), 2)
+            with pytest.raises(ComplexInconsistencyError, match="homotopy fails at degree"):
+                getattr(cx, request)(1)
+
+    def test_a_column_that_crosses_parts_is_refused(self):
+        """A chain of degree 1 moved into the other part, while its
+        boundary column is not zero, leaves d_1 crossing the parts."""
+        cx = build_secondary_complex(*_lifted(fix_dd), 2)
+        split = cx.split
+        j = next(j for j, col in enumerate(cx.boundary(1).columns()) if col)
+        mask = bytearray(split.masks[1])
+        mask[j] ^= 1
+        bad = copy.copy(split)
+        bad.masks = (split.masks[0], bytes(mask), split.masks[2])
+        moved = ChainComplex(cx.kind, cx.field, cx.dims, cx.boundaries, cx.schemes, bad)
+        with pytest.raises(ComplexInconsistencyError, match="at degree 1 leaves its Peirce"):
+            moved.boundary_rank(1)
 
 
 def _assert_canonical_rationals(vectors, where):

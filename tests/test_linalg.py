@@ -659,3 +659,36 @@ def test_sparse_product_drops_sums_that_cancel(field, left, right, expected):
     assert list(product.columns()) == expected
     assert [a.apply(col) for col in right] == expected
     assert _canonical(field, product.columns())
+
+
+@st.composite
+def wide_left_products(draw):
+    """(a, b) over Q: a has up to 12 columns of ints and Fractions.  A
+    narrow b has at most 2 columns, which read at most 2 of a's 5 or
+    more; a wide b has up to 4 columns, which read any of a's."""
+    narrow = draw(st.booleans())
+    r, s = draw(st.integers(1, 4)), draw(st.integers(5 if narrow else 1, 12))
+    scalars = st.sampled_from(_Q_SCALARS)
+    a = SparseMatrix(
+        QQ, r, s, [{i: v for i in range(r) if (v := draw(scalars))} for _ in range(s)]
+    )
+    read, c = range(s), draw(st.integers(0, 4))
+    if narrow:
+        read = draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=2, unique=True))
+        c = draw(st.integers(0, 2))
+    b = SparseMatrix(
+        QQ, s, c, [{k: v for k in read if (v := draw(scalars))} for _ in range(c)]
+    )
+    return a, b
+
+
+@given(wide_left_products())
+@settings(max_examples=300, deadline=None)
+def test_a_product_over_q_clears_only_the_columns_it_reads(factors):
+    """Over Q, a @ b equals the dense product on Fractions whether b reads
+    a few columns of a or all of them; the columns it does not read,
+    fractions or not, change nothing."""
+    a, b = factors
+    product = a @ b
+    assert product == SparseMatrix(QQ, a.rows, b.cols, dense_product(QQ, a, b))
+    assert _canonical(QQ, product.columns())
