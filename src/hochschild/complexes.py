@@ -52,6 +52,18 @@ spanned by the e_q (Loday, Cyclic Homology, 1.2; Gerstenhaber-Schack,
 JPAA 1986); here the homotopy certifies it on each complex, secondary
 or classical.  When the unit of A has one nonzero coordinate, every
 label is one class and no split is made.
+
+So of the top boundary d_T of a split complex only two sets of columns
+are read: those at C^s_T, by elimination, and those at the support of
+h_(T-1), by the certificate (`TopColumns`).  Only they are built and
+d-d-checked when the complex is made; the rest are built, checked and
+joined to them when the full d_T is first asked for, which homology
+and the verifiers never do.  The columns left out all lie in C^non_T,
+and their images stay in C^non_(T-1) by the labels alone: every term of
+a face is a product of structure constants, and a nonzero x y forces
+R(x) = L(y), so a face that merges across a broken junction vanishes
+and one that merges elsewhere keeps, on either side of the broken
+junction, a slot whose outer label is unchanged.
 """
 
 from __future__ import annotations
@@ -159,17 +171,18 @@ def pair_layout(sources, src_degree):
     )
 
 
-def _boundary(a, b, eps, m, n):
+def _boundary(a, b, eps, m, n, mask=None):
     """d_n = sum (-1)^i d_i on the chains of (A, B, eps) with coefficients
-    in m, eps given by its matrix E.  With P the products, F the
-    (n-1)-fold product of B and G = P_A(I_A (x) E)(I_A (x) F), the head
-    of an interior face is P_A(P_A(I_A (x) E) (x) I_A) on (a, b, a'),
-    that of face 0 is R_M(G (x) I_M)K and that of face n is L_M(G (x)
-    I_M)K on (mu, a, b..), K moving mu past the rest.  A face's term
-    table is the columns of head (x) P_B (x) ... (x) P_B, one P_B per
-    b-pair it merges, and a row of it lands at the offset its digits
-    give through the target's strides; the slots it copies enter as a
-    base offset."""
+    in m, eps given by its matrix E; with mask, a bytes of one flag per
+    chain, only its columns at the flagged chains, in index order.  With
+    P the products, F the (n-1)-fold product of B and G = P_A(I_A (x)
+    E)(I_A (x) F), the head of an interior face is P_A(P_A(I_A (x) E)
+    (x) I_A) on (a, b, a'), that of face 0 is R_M(G (x) I_M)K and that
+    of face n is L_M(G (x) I_M)K on (mu, a, b..), K moving mu past the
+    rest.  A face's term table is the columns of head (x) P_B (x) ...
+    (x) P_B, one P_B per b-pair it merges, and a row of it lands at the
+    offset its digits give through the target's strides; the slots it
+    copies enter as a base offset."""
     if n < 1:
         raise PreconditionError("boundary needs degree >= 1")
     if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
@@ -229,7 +242,8 @@ def _boundary(a, b, eps, m, n):
         faces.append((itemgetter(*keys), terms, copies))
     add, zero = field.add, field.zero
     cols = []
-    for d in src.digits():
+    digits = src.digits()
+    for d in digits if mask is None else itertools.compress(digits, mask):
         col = {}
         for key, terms, copies in faces:
             face_terms = terms[key(d)]
@@ -246,19 +260,21 @@ def _boundary(a, b, eps, m, n):
                     else:
                         col[idx] = c
         cols.append(col)
-    return SparseMatrix(field, tgt.total, src.total, cols)
+    return SparseMatrix(field, tgt.total, len(cols), cols)
 
 
-def classical_boundary(a, m, n):
+def classical_boundary(a, m, n, mask=None):
     """Matrix of d_n: M (x) A^n -> M (x) A^(n-1), the secondary boundary
-    with B the ground field and eps its unit."""
+    with B the ground field and eps its unit; with mask, its columns at
+    the chains mask flags."""
     k = field_algebra(a.field)
-    return _boundary(a, k, unit_morphism(k, a).sparse, m, n)
+    return _boundary(a, k, unit_morphism(k, a).sparse, m, n, mask)
 
 
-def secondary_boundary(t, m, n):
-    """Matrix of the degree-n secondary boundary under the index scheme."""
-    return _boundary(t.A, t.B, t.eps.sparse, m, n)
+def secondary_boundary(t, m, n, mask=None):
+    """Matrix of the degree-n secondary boundary under the index scheme;
+    with mask, its columns at the chains mask flags."""
+    return _boundary(t.A, t.B, t.eps.sparse, m, n, mask)
 
 
 def _insertion_sign(field, k):
@@ -406,6 +422,49 @@ class PeirceSplit:
         return SparseMatrix(field, dm * da ** (n + 1) * tgt_rep, len(cols), cols)
 
 
+def _check_parts(n, rows, inside, outside):
+    """ComplexInconsistencyError unless the columns of d_n inside have
+    every row in C^s_(n-1), rows its part mask, and those outside none."""
+    if not all(map(rows.__getitem__, set().union(*inside))) or any(
+        map(rows.__getitem__, set().union(*outside))
+    ):
+        raise ComplexInconsistencyError(
+            f"complex inconsistency: a boundary column at degree {n} "
+            "leaves its Peirce part"
+        )
+
+
+@dataclass(frozen=True)
+class TopColumns:
+    """The columns of the top boundary d_T of a split complex that are
+    read: those at C^s_T, which elimination reads, and those at the
+    support of h_(T-1), which the certificate reads.
+
+    mask flags them among the degree-T chains and matrix holds them in
+    index order; homotopy is h_(T-1) with its rows renumbered to the
+    columns of matrix, and build(mask) builds the columns of d_T at the
+    chains a mask flags."""
+
+    mask: bytes
+    matrix: SparseMatrix
+    homotopy: SparseMatrix
+    build: object
+
+    @classmethod
+    def of(cls, split, build):
+        top = len(split.masks) - 1
+        h = split.homotopy(top - 1)
+        mask = bytearray(split.masks[top])
+        for r in set().union(*h.columns()):
+            mask[r] = 1
+        mask = bytes(mask)
+        chains = itertools.compress(range(len(mask)), mask)
+        position = dict(zip(chains, itertools.count()))
+        cols = [{position[r]: c for r, c in col.items()} for col in h.columns()]
+        matrix = build(mask)
+        return cls(mask, matrix, SparseMatrix(h.field, matrix.cols, h.cols, cols), build)
+
+
 @dataclass(frozen=True)
 class HomologyResult:
     dim: int
@@ -428,17 +487,27 @@ class ChainComplex:
     eliminated (see the module notes), bounded by dim ker d_(n-1) less
     the rank of d_n on C^non; the image adds the cycle RREF rows with a
     pivot in C^non, and the union of the two RREF bases is canonical
-    since their supports are disjoint.
-    Rank, image and cycle computations are memoized; the object is
-    immutable once built.
+    since their supports are disjoint.  Its top boundary d_T is made
+    only at C^s_T and at the support of h_(T-1) (a `TopColumns`), which
+    is all that elimination and the certificate read; the certificate
+    reuses that h_(T-1).  `boundary(T)` and `boundaries` still give the
+    full d_T: on first request the other columns, all in C^non_T, are
+    built, checked against d_(T-1) and the parts (the labels keep them
+    in C^non, see the module notes), and joined to the built ones.
+    Rank, image and cycle computations are memoized; the answers do not
+    change once built.
     """
 
-    def __init__(self, kind, field, dims, boundaries, schemes, split=None):
-        _verify_dd_zero(boundaries)
+    def __init__(self, kind, field, dims, boundaries, schemes, split=None, top=None):
+        """With top, a `TopColumns`, boundaries stop below the top
+        degree T and d_T is built only at top.mask until it is asked
+        for."""
+        self._boundaries = tuple(boundaries)
+        self._top = top
+        _verify_dd_zero(self._boundaries + ((top.matrix,) if top else ()))
         self.kind = kind
         self.field = field
         self.dims = tuple(dims)
-        self.boundaries = tuple(boundaries)
         self.schemes = tuple(schemes)
         self.split = split
         self._cyclic = None  # per degree, the nonzero columns of d_n in C^s
@@ -451,10 +520,39 @@ class ChainComplex:
     def max_degree(self):
         return len(self.dims) - 1
 
+    @property
+    def boundaries(self):
+        """Every boundary, d_T in full."""
+        if len(self._boundaries) <= self.max_degree:
+            self.boundary(self.max_degree)
+        return self._boundaries
+
     def boundary(self, n):
         if not 1 <= n <= self.max_degree:
             raise PreconditionError(f"no boundary at degree {n}")
-        return self.boundaries[n]
+        if n == len(self._boundaries):
+            self._complete_top()
+        return self._boundaries[n]
+
+    def _complete_top(self):
+        """Build the columns of d_T outside top.mask, check that d_(T-1)
+        kills them and that they stay in C^non, and join them to the
+        built columns."""
+        top, n = self._top, self.max_degree
+        rest = top.build(top.mask.translate(_FLIP))
+        _verify_dd_zero(self._boundaries + (rest,), start=n - 1)
+        _check_parts(n, self.split.masks[n - 1], (), rest.columns())
+        built, new = iter(top.matrix.columns()), iter(rest.columns())
+        cols = [next(built) if b else next(new) for b in top.mask]
+        self._boundaries += (SparseMatrix(self.field, rest.rows, len(cols), cols),)
+
+    def _built(self, n):
+        """(d, part): the columns of d_n read by elimination and the
+        certificate, and the C^s flag of each."""
+        masks, top = self.split.masks, self._top
+        if top is not None and n == self.max_degree:
+            return top.matrix, bytes(itertools.compress(masks[n], top.mask))
+        return self._boundaries[n], masks[n]
 
     def _rank_bound(self, n, known):
         """dim ker d_(n-1) less known, the rank of d_n on C^non: an upper
@@ -468,32 +566,27 @@ class ChainComplex:
         return None
 
     def _certify_split(self):
-        """Check the split once: the nonzero columns of each boundary in
-        C^s have every row in C^s, those in C^non none, and dh + hd is the
-        identity on C^non_n for every n < max_degree.  Keeps the nonzero
-        cyclic columns of each boundary."""
-        field, one, masks = self.field, self.field.one, self.split.masks
+        """Check the split once: the nonzero built columns of each
+        boundary in C^s have every row in C^s, those in C^non none, and
+        dh + hd is the identity on C^non_n for every n < max_degree.
+        Keeps the nonzero cyclic columns of each boundary."""
+        field, one, masks, top = self.field, self.field.one, self.split.masks, self._top
         cyclic, noncyclic = [()], [()]
         for n in range(1, self.max_degree + 1):
-            cols, rows = self.boundaries[n].columns(), masks[n - 1]
-            inside = list(filter(None, itertools.compress(cols, masks[n])))
-            outside = list(itertools.compress(cols, masks[n].translate(_FLIP)))
-            if not all(map(rows.__getitem__, set().union(*inside))) or any(
-                map(rows.__getitem__, set().union(*outside))
-            ):
-                raise ComplexInconsistencyError(
-                    f"complex inconsistency: a boundary column at degree {n} "
-                    "leaves its Peirce part"
-                )
+            (d, part), rows = self._built(n), masks[n - 1]
+            inside = list(filter(None, itertools.compress(d.columns(), part)))
+            outside = list(itertools.compress(d.columns(), part.translate(_FLIP)))
+            _check_parts(n, rows, inside, outside)
             cyclic.append(inside)
             noncyclic.append(outside)
         prev = None
         for n in range(self.max_degree):
             flip = masks[n].translate(_FLIP)
-            h = self.split.homotopy(n)
+            last = top is not None and n == self.max_degree - 1
+            h = top.homotopy if last else self.split.homotopy(n)
             on_non = list(itertools.compress(h.columns(), flip))
             count = len(on_non)
-            lhs = self.boundaries[n + 1] @ SparseMatrix(field, h.rows, count, on_non)
+            lhs = self._built(n + 1)[0] @ SparseMatrix(field, h.rows, count, on_non)
             if prev is not None:
                 d = SparseMatrix(field, self.dims[n - 1], count, noncyclic[n])
                 lhs = lhs + prev @ d
@@ -510,13 +603,12 @@ class ChainComplex:
         """(d, known): the columns of d_n that elimination needs, all of
         them without a split and its nonzero cyclic ones with one, and the
         rank known of the others."""
-        d = self.boundary(n)
-        if self.split is None:
-            return d, 0
+        if self.split is None or not 1 <= n <= self.max_degree:
+            return self.boundary(n), 0  # which raises on a degree out of range
         if self._cyclic is None:
             self._certify_split()
         cols = self._cyclic[n]
-        d = SparseMatrix(self.field, d.rows, len(cols), cols)
+        d = SparseMatrix(self.field, self.dims[n - 1], len(cols), cols)
         return d, self.split.noncyclic_rank(n)
 
     def boundary_rank(self, n, deadline=None):
@@ -590,6 +682,9 @@ def homology(complex_, n, with_reps=False, deadline=None):
 
 
 def estimate_build_bytes(dims):
+    """ENTRY_BYTES per potential entry of the full boundaries of dims.
+    It over-estimates a split complex, whose top boundary is built only
+    in part; calibrating it is ROADMAP item 7."""
     return ENTRY_BYTES * sum(
         dims[n] * (n + 1) for n in range(1, len(dims))
     )
@@ -614,8 +709,9 @@ def check_size_guard(est, guard_bytes):
         )
 
 
-def _verify_dd_zero(boundaries):
-    for n in range(1, len(boundaries) - 1):
+def _verify_dd_zero(boundaries, start=1):
+    """d_n d_(n+1) = 0 for n >= start, or ComplexInconsistencyError."""
+    for n in range(start, len(boundaries) - 1):
         if not (boundaries[n] @ boundaries[n + 1]).is_zero():
             raise ComplexInconsistencyError(
                 f"complex inconsistency: boundary composite nonzero at degree {n + 1}"
@@ -627,15 +723,19 @@ def _build(
 ):
     """The complex with degree-n chains scheme(*args, n) and boundaries
     boundary(*args, n) up to max_degree, size-guarded before anything is
-    built, with the `PeirceSplit` of structure = (A, B, eps, M);
+    built, with the `PeirceSplit` of structure = (A, B, eps, M); with a
+    split, the top boundary is built at its `TopColumns` only.
     `ChainComplex` verifies boundary-squared."""
     schemes = [scheme(*args, n) for n in range(max_degree + 1)]
     dims = [s.total for s in schemes]
     _check_guards(dims, max_degree, degree_cap, guard_bytes)
-    boundaries = [SparseMatrix.zero(field, 0, dims[0])]
-    boundaries += [boundary(*args, n) for n in range(1, max_degree + 1)]
     split = PeirceSplit.of(*structure, max_degree)
-    return ChainComplex(kind, field, dims, boundaries, schemes, split)
+    top = None
+    if split is not None and max_degree:
+        top = TopColumns.of(split, functools.partial(boundary, *args, max_degree))
+    boundaries = [SparseMatrix.zero(field, 0, dims[0])]
+    boundaries += [boundary(*args, n) for n in range(1, max_degree + (top is None))]
+    return ChainComplex(kind, field, dims, boundaries, schemes, split, top)
 
 
 def build_classical_complex(

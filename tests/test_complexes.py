@@ -1,4 +1,5 @@
 import copy
+import itertools
 import time
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,7 @@ from hochschild.algebra import (
 from hochschild.complexes import (
     ChainComplex,
     ChainIndexScheme,
+    PeirceSplit,
     _verify_dd_zero,
     build_classical_complex,
     build_secondary_complex,
@@ -68,6 +70,7 @@ from hochschild.linalg import (
     kernel_basis,
     rank,
 )
+from hochschild.morita import standard_matrix_morita, verify_morita_invariance
 from hochschild.serialize import Instance, parse_instance, serialize_instance
 
 F1009 = GF(1009)
@@ -564,6 +567,131 @@ class TestPeirceSplit:
         moved = ChainComplex(cx.kind, cx.field, cx.dims, cx.boundaries, cx.schemes, bad)
         with pytest.raises(ComplexInconsistencyError, match="at degree 1 leaves its Peirce"):
             moved.boundary_rank(1)
+
+
+def _recording_builds(monkeypatch):
+    """(first argument, degree, masked, matrix) of each boundary build."""
+    calls = []
+    for name in ("secondary_boundary", "classical_boundary"):
+
+        def recording(first, m, n, mask=None, _build=getattr(complexes, name)):
+            d = _build(first, m, n, mask)
+            calls.append((first, n, mask is not None, d))
+            return d
+
+        monkeypatch.setattr(complexes, name, recording)
+    return calls
+
+
+def _corrupting(monkeypatch, change):
+    """Builds of d_3 with a mask pass their columns through change(mask, cols)."""
+    build = complexes._boundary
+
+    def corrupted(a, b, eps, m, n, mask=None):
+        d = build(a, b, eps, m, n, mask)
+        if n != 3 or mask is None:
+            return d
+        return SparseMatrix(d.field, d.rows, d.cols, change(mask, list(d.columns())))
+
+    monkeypatch.setattr(complexes, "_boundary", corrupted)
+
+
+class TestTopColumns:
+    """A split complex builds d_T only at C^s_T and at the support of
+    h_(T-1), until the full d_T is asked for."""
+
+    @pytest.mark.parametrize("fixture, built", [(fix_dd, 2944), (fix_p3, 2808)])
+    def test_the_top_is_built_at_the_columns_read(self, monkeypatch, fixture, built):
+        """Homology with representatives reads no other column of d_3;
+        asking for d_3 builds the rest once, and its columns equal a
+        separately built d_3, the built ones the very same objects."""
+        calls = _recording_builds(monkeypatch)
+        t, m = _lifted(fixture)
+        cx = build_secondary_complex(t, m, 3)
+        for n in range(3):
+            homology(cx, n, with_reps=True)
+        assert [(masked, d.cols) for _, n, masked, d in calls if n == 3] == [(True, built)]
+        full = cx.boundary(3)
+        assert cx.boundaries[3] is full and cx.boundary(3) is full
+        assert full == secondary_boundary(t, m, 3)
+        tops = [d for _, n, _, d in calls if n == 3]
+        assert [d.cols for d in tops] == [built, cx.dims[3] - built]
+        kept = {id(col) for col in tops[0].columns()}
+        assert len(kept & {id(col) for col in full.columns()}) == built
+
+    def test_morita_invariance_builds_no_full_top(self, monkeypatch):
+        """To degree 2 the lifted side of FIX-DD is built to degree 3,
+        only at the columns it reads."""
+        t, m = fix_dd()
+        context = standard_matrix_morita(t, 2)
+        calls = _recording_builds(monkeypatch)
+        assert verify_morita_invariance(context, m, 2).ok
+        top = [(masked, d.cols) for who, n, masked, d in calls if who is context.target and n == 3]
+        assert top == [(True, 2944)]
+
+    @pytest.mark.parametrize("kind", ["secondary", "classical"])
+    @pytest.mark.parametrize(
+        "field", [QQ, GF(2), GF(3), F1009], ids=["Q", "GF2", "GF3", "GF1009"]
+    )
+    def test_answers_equal_the_full_top(self, monkeypatch, field, kind):
+        """Where the full d_3 was never asked for, image, rank, cycles and
+        representatives equal full elimination of a d_3 built apart."""
+        for fixture in (fix_dd, fix_p3):
+            t, m = (x.over(field) for x in _lifted(fixture))
+            if kind == "secondary":
+                full = secondary_boundary(t, m, 3)
+            else:
+                full = classical_boundary(t.A, m, 3)
+            calls = _recording_builds(monkeypatch)
+            cx, fresh = (_build_kind(kind, t, m, 3) for _ in range(2))
+            cycles, image = kernel_basis(cx.boundary(2)), image_basis(full)
+            assert cx.boundary_image(3) == image
+            assert cx.cycle_space(2) == cycles
+            assert homology(cx, 2, with_reps=True).reps == HomologyBasis(cycles, image).reps
+            assert fresh.boundary_rank(3) == rank(full)
+            tops = [(masked, d.cols) for _, n, masked, d in calls if n == 3]
+            assert tops == [(True, tops[0][1])] * 2 and tops[0][1] < full.cols
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize(
+        "row_in, message",
+        [("noncyclic", "boundary composite nonzero at degree 3"),
+         ("cyclic", "column at degree 3 leaves its Peirce part")],
+    )
+    def test_a_corrupted_unbuilt_column_is_caught(self, monkeypatch, row_in, message):
+        """A term added to a column left out at first: one in C^non_2
+        where d_2 is not zero breaks d d = 0, one in C^s_2 where it is
+        zero leaves C^non; asking for d_3 raises either way."""
+        cx = build_secondary_complex(*_lifted(fix_dd), 3)
+        d2, cyclic = cx.boundary(2), cx.split.masks[2]
+        want = row_in == "cyclic"
+        row = next(
+            r for r, col in enumerate(d2.columns()) if cyclic[r] == want and bool(col) != want
+        )
+        one = cx.field.one
+        _corrupting(monkeypatch, lambda mask, cols: [{**cols[0], row: one}] + cols[1:])
+        with pytest.raises(ComplexInconsistencyError, match=message):
+            cx.boundary(3)
+
+    def test_a_term_moved_across_parts_is_caught(self, monkeypatch):
+        """A nonzero cyclic column of d_3, a cycle in C^s_2, added to a
+        built column outside C^s_3 keeps d d = 0, and the certificate
+        refuses it on the first rank request."""
+        t, m = _lifted(fix_dd)
+        split = PeirceSplit.of(t.A, t.B, t.eps.sparse, m, 3)
+
+        def move(mask, cols):
+            chains = itertools.compress(range(len(mask)), mask)
+            flags = [split.masks[3][j] for j in chains]
+            inside = next(p for p, col in enumerate(cols) if flags[p] and col)
+            outside = next(p for p, col in enumerate(cols) if not flags[p] and col)
+            cols[outside] = {**cols[outside], **cols[inside]}
+            return cols
+
+        _corrupting(monkeypatch, move)
+        cx = build_secondary_complex(t, m, 3)
+        with pytest.raises(ComplexInconsistencyError, match="at degree 3 leaves its Peirce"):
+            cx.boundary_rank(3)
 
 
 def _assert_canonical_rationals(vectors, where):
