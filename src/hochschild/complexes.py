@@ -64,6 +64,18 @@ a face is a product of structure constants, and a nonzero x y forces
 R(x) = L(y), so a face that merges across a broken junction vanishes
 and one that merges elsewhere keeps, on either side of the broken
 junction, a slot whose outer label is unchanged.
+
+Homology with representatives reads only C^s.  Its cycles are the
+kernel of the C^s columns of d_n and its boundaries the image of the
+nonzero cyclic columns of d_(n+1); C^non_n, where every cycle is a
+boundary and so no representative lies, is the `ExactPart` of its
+`HomologyBasis`.  A vector there is a cycle (a boundary) when its C^s
+part is one and its C^non part is a cycle, and its class is that of its
+C^s part.  The cycles of C^non_n, which an induced map must carry to
+cycles and to boundaries too, are spanned by the columns of d_(n+1) at
+the support of h_n, since z = d(hz) for each of them; at n = T-1 these
+are the `TopColumns` outside C^s_T.  The public `cycle_space` and
+`boundary_image` still give the full subspaces.
 """
 
 from __future__ import annotations
@@ -80,6 +92,7 @@ from .errors import (
     SizeGuardError,
 )
 from .linalg import (
+    ExactPart,
     HomologyBasis,
     SparseMatrix,
     Subspace,
@@ -494,6 +507,11 @@ class ChainComplex:
     full d_T: on first request the other columns, all in C^non_T, are
     built, checked against d_(T-1) and the parts (the labels keep them
     in C^non, see the module notes), and joined to the built ones.
+    `homology_basis` reads C^s only: its cycles are the kernel of the
+    C^s columns of d_n, stopped at rank d_n less the rank on C^non, and
+    its boundaries the image of the cyclic columns of d_(n+1), stopped
+    at the dimension of those cycles, while `cycle_space` and
+    `boundary_image` stay the full subspaces.
     Rank, image and cycle computations are memoized; the answers do not
     change once built.
     """
@@ -511,9 +529,12 @@ class ChainComplex:
         self.schemes = tuple(schemes)
         self.split = split
         self._cyclic = None  # per degree, the nonzero columns of d_n in C^s
+        self._exact_cycles = None  # per degree n < T, d_(n+1) at supp h_n
         self._ranks = {}
         self._images = {}
+        self._cyclic_images = {}  # im d_n on C^s, all of im d_n without a split
         self._cycles = {}
+        self._cyclic_cycles = {}  # ker d_n on C^s
         self._homology = {}
 
     @property
@@ -559,6 +580,8 @@ class ChainComplex:
         bound on the rank of the columns of d_n eliminated, if known."""
         if n == 1:
             return self.dims[0] - known
+        if n - 1 in self._cyclic_cycles:
+            return self._cyclic_cycles[n - 1].dim
         if n - 1 in self._cycles:
             return self._cycles[n - 1].dim - known
         if n - 1 in self._ranks:
@@ -569,7 +592,9 @@ class ChainComplex:
         """Check the split once: the nonzero built columns of each
         boundary in C^s have every row in C^s, those in C^non none, and
         dh + hd is the identity on C^non_n for every n < max_degree.
-        Keeps the nonzero cyclic columns of each boundary."""
+        Keeps the nonzero cyclic columns of each boundary, and the nonzero
+        columns of d_(n+1) at the support of h_n, which span the cycles of
+        C^non_n: z = d(hz) for each of them."""
         field, one, masks, top = self.field, self.field.one, self.split.masks, self._top
         cyclic, noncyclic = [()], [()]
         for n in range(1, self.max_degree + 1):
@@ -579,17 +604,17 @@ class ChainComplex:
             _check_parts(n, rows, inside, outside)
             cyclic.append(inside)
             noncyclic.append(outside)
-        prev = None
+        prev, exact = None, []
         for n in range(self.max_degree):
             flip = masks[n].translate(_FLIP)
             last = top is not None and n == self.max_degree - 1
             h = top.homotopy if last else self.split.homotopy(n)
             on_non = list(itertools.compress(h.columns(), flip))
             count = len(on_non)
-            lhs = self._built(n + 1)[0] @ SparseMatrix(field, h.rows, count, on_non)
+            d = self._built(n + 1)[0]
+            lhs = d @ SparseMatrix(field, h.rows, count, on_non)
             if prev is not None:
-                d = SparseMatrix(field, self.dims[n - 1], count, noncyclic[n])
-                lhs = lhs + prev @ d
+                lhs = lhs + prev @ SparseMatrix(field, self.dims[n - 1], count, noncyclic[n])
             ident = itertools.compress(range(self.dims[n]), flip)
             if lhs != SparseMatrix(field, self.dims[n], count, [{j: one} for j in ident]):
                 raise ComplexInconsistencyError(
@@ -597,7 +622,8 @@ class ChainComplex:
                     f"at degree {n}"
                 )
             prev = h
-        self._cyclic = cyclic
+            exact.append(tuple(filter(None, map(d.column, sorted(set().union(*on_non))))))
+        self._cyclic, self._exact_cycles = cyclic, exact
 
     def _eliminated(self, n):
         """(d, known): the columns of d_n that elimination needs, all of
@@ -620,22 +646,28 @@ class ChainComplex:
             self._ranks[n] = known + rank(d, deadline=deadline, bound=bound)
         return self._ranks[n]
 
+    def _cyclic_image(self, n, deadline=None):
+        """Image of the eliminated columns of d_n; it fixes rank d_n."""
+        if n not in self._cyclic_images:
+            d, known = self._eliminated(n)
+            bound = self._rank_bound(n, known)
+            image = self._cyclic_images[n] = image_basis(d, deadline=deadline, bound=bound)
+            self._ranks.setdefault(n, known + image.dim)
+        return self._cyclic_images[n]
+
     def boundary_image(self, n, deadline=None):
         """Image of d_n inside degree n-1 chains; it also fixes rank d_n."""
         if n not in self._images:
-            d, known = self._eliminated(n)
             rest = []  # (pivot, row) of the cycle RREF rows in C^non
-            if known:
+            if self.split is not None and 1 <= n <= self.max_degree:
                 mask, cycles = self.split.masks[n - 1], self.cycle_space(n - 1, deadline)
                 rest = [(p, v) for p, v in zip(cycles.pivots, cycles.basis) if not mask[p]]
-            bound = self._rank_bound(n, known)
-            image = image_basis(d, deadline=deadline, bound=bound)
+            image = self._cyclic_image(n, deadline)
             if rest:
                 rest += zip(image.pivots, image.basis)
                 pivots, basis = zip(*sorted(rest, key=itemgetter(0)))
-                image = Subspace(self.field, d.rows, basis, pivots)
+                image = Subspace(self.field, image.ambient_dim, basis, pivots)
             self._images[n] = image
-            self._ranks.setdefault(n, image.dim)
         return self._images[n]
 
     def cycle_space(self, n, deadline=None):
@@ -648,14 +680,41 @@ class ChainComplex:
                 )
         return self._cycles[n]
 
+    def _cyclic_cycle_space(self, n, deadline=None):
+        """ker d_n on C^s: the kernel of the C^s columns of d_n, its rows
+        and columns renumbered to C^s and back monotonically, so that it
+        is still the canonical RREF, stopped at rank d_n less the rank on
+        C^non once rank d_n is known."""
+        if n not in self._cyclic_cycles:
+            if self._cyclic is None:
+                self._certify_split()
+            field, masks, (d, part) = self.field, self.split.masks, self._built(n)
+            at = dict(zip(itertools.compress(range(d.rows), masks[n - 1]), itertools.count()))
+            cols = itertools.compress(d.columns(), part)
+            cols = [{at[r]: v for r, v in col.items()} for col in cols]
+            bound = self._ranks[n] - self.split.noncyclic_rank(n) if n in self._ranks else None
+            kernel = kernel_basis(SparseMatrix(field, len(at), len(cols), cols), deadline, bound)
+            chains = list(itertools.compress(range(self.dims[n]), masks[n]))
+            basis = [{chains[k]: v for k, v in row.items()} for row in kernel.basis]
+            pivots = map(chains.__getitem__, kernel.pivots)
+            self._cyclic_cycles[n] = Subspace(field, self.dims[n], basis, pivots)
+        return self._cyclic_cycles[n]
+
     def homology_basis(self, n, deadline=None):
-        """The HomologyBasis at degree n, kept like the spaces it is over."""
+        """The HomologyBasis at degree n, kept like the spaces it is over.
+        With a split it is over the cycles and boundaries in C^s_n only,
+        and C^non_n is its `ExactPart`, whose cycles are spanned by the
+        columns of d_(n+1) at the support of h_n."""
         if n not in self._homology:
-            self._homology[n] = HomologyBasis(
-                self.cycle_space(n, deadline=deadline),
-                self.boundary_image(n + 1, deadline=deadline),
-                deadline=deadline,
-            )
+            exact = None
+            if self.split is None:
+                spaces = self.cycle_space(n, deadline), self.boundary_image(n + 1, deadline)
+            else:
+                cycles = self._cyclic_cycle_space(n, deadline)
+                spaces = cycles, self._cyclic_image(n + 1, deadline)
+                d = self._boundaries[n]
+                exact = ExactPart(self.split.masks[n], d, self._exact_cycles[n])
+            self._homology[n] = HomologyBasis(*spaces, deadline=deadline, exact=exact)
         return self._homology[n]
 
 

@@ -57,7 +57,9 @@ pure, so concurrent use on distinct inputs is safe.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, inf, lcm
 
 from .errors import (
@@ -699,18 +701,38 @@ class QuotientSpace:
         return {self.free[i]: v for i, v in qvec.items()}
 
 
+@dataclass(frozen=True)
+class ExactPart:
+    """A summand of the degree-n chains on which the complex is exact, so
+    that a `HomologyBasis` can leave it out: the chains where mask is 0.
+    boundary is d_n, and cycles are vectors that span the cycles of the
+    summand, each of them a boundary."""
+
+    mask: bytes
+    boundary: SparseMatrix
+    cycles: tuple
+
+
 class HomologyBasis:
     """Representatives for cycles modulo boundaries, with class coordinates.
 
     Representatives are the cycle RREF basis vectors whose classes are
-    not already spanned, taken in canonical order.
+    not already spanned, taken in canonical order.  With an `ExactPart`,
+    cycles and boundaries are those of the other summand only, and a
+    vector is read in two parts: it is a cycle (a boundary) when its part
+    off the exact summand lies in cycles (boundaries) and its part on it
+    is a cycle, so a boundary too, and its class is that of the first
+    part.  `exact_cycles` then completes the cycle basis to a spanning
+    set of all cycles, and the boundary basis to one of all boundaries.
     """
 
-    def __init__(self, cycles, boundaries, deadline=None):
+    def __init__(self, cycles, boundaries, deadline=None, exact=None):
         if not boundaries.leq(cycles):  # leq rejects mixed fields and ambients
             raise PreconditionError("boundaries not contained in cycles")
         self.field = cycles.field
         self.cycles, self.boundaries = cycles, boundaries
+        self._exact = exact
+        self.exact_cycles = () if exact is None else exact.cycles
         self._te = TaggedEchelon(self.field, cycles.ambient_dim, cycles.dim, deadline)
         for b in boundaries.basis:
             self._te.insert(b, {})
@@ -724,9 +746,32 @@ class HomologyBasis:
     def dim(self):
         return len(self.reps)
 
+    def _part(self, vec):
+        """vec off the exact summand, or None when its part on the summand
+        is not a cycle."""
+        exact = self._exact
+        if exact is None:
+            return vec
+        mask = exact.mask
+        rest = {k: v for k, v in vec.items() if not mask[k]}
+        if not rest:
+            return vec
+        if exact.boundary.apply(rest):
+            return None
+        return {k: v for k, v in vec.items() if mask[k]}
+
+    def is_cycle(self, vec):
+        part = self._part(vec)
+        return part is not None and self.cycles.contains(part)
+
+    def is_boundary(self, vec):
+        part = self._part(vec)
+        return part is not None and self.boundaries.contains(part)
+
     def class_coordinates(self, vec):
         """Coordinates of [vec] on the representative classes."""
-        acc = self._te.express(vec)
+        part = self._part(vec)
+        acc = None if part is None else self._te.express(part)
         if acc is None:
             raise PreconditionError("vector is not a cycle for this basis")
         return acc
@@ -746,16 +791,15 @@ def induced_quotient_map(
 
 
 def _induced_map(f, src, tgt):
-    """`induced_quotient_map` between two HomologyBasis objects."""
+    """`induced_quotient_map` between two HomologyBasis objects.  Every
+    cycle of src is checked before any boundary, each through spanning
+    vectors, the `exact_cycles` among them."""
     if f.cols != src.cycles.ambient_dim or f.rows != tgt.cycles.ambient_dim:
         raise AmbientMismatchError("map shape does not match ambient spaces")
-    for b in src.cycles.basis:
-        if not tgt.cycles.contains(f.apply(b)):
-            raise NotAChainMapError("not a chain map at this degree: cycles escape")
-    for b in src.boundaries.basis:
-        if not tgt.boundaries.contains(f.apply(b)):
-            raise NotAChainMapError(
-                "not a chain map at this degree: boundaries escape"
-            )
+    exact = [f.apply(b) for b in src.exact_cycles]
+    if not all(map(tgt.is_cycle, chain(map(f.apply, src.cycles.basis), exact))):
+        raise NotAChainMapError("not a chain map at this degree: cycles escape")
+    if not all(map(tgt.is_boundary, chain(map(f.apply, src.boundaries.basis), exact))):
+        raise NotAChainMapError("not a chain map at this degree: boundaries escape")
     cols = [tgt.class_coordinates(f.apply(rep)) for rep in src.reps]
     return SparseMatrix(f.field, tgt.dim, src.dim, cols)

@@ -64,11 +64,13 @@ from hochschild.linalg import (
     Echelon,
     HomologyBasis,
     SparseMatrix,
+    TaggedEchelon,
     _clear_rows,
     image_basis,
     induced_quotient_map,
     kernel_basis,
     rank,
+    vec_add_scaled,
 )
 from hochschild.morita import standard_matrix_morita, verify_morita_invariance
 from hochschild.serialize import Instance, parse_instance, serialize_instance
@@ -371,11 +373,13 @@ class TestHomology:
         assert dims == [homology(fresh, n).dim for n in range(3)]
 
     def test_homology_basis_honours_the_deadline(self):
-        """With the cycles and boundaries of FIX-DD-M2 at degree 2 already
-        built, its representatives still reduce 966 dependent cycles
-        against 966 boundary rows, more row steps than the 512 between
-        deadline checks: a past deadline stops the basis, `homology` with
-        representatives and `induced_quotient_map`, and a later call
+        """With the full cycles and boundaries of FIX-DD-M2 at degree 2
+        already built, a basis over them still reduces 966 dependent
+        cycles against 966 boundary rows, more row steps than the 512
+        between deadline checks, and `homology` with representatives,
+        which reads C^s only, still eliminates the 128 cyclic columns of
+        d_2 for its kernel: a past deadline stops the basis, `homology`
+        with representatives and `induced_quotient_map`, and a later call
         without one succeeds."""
         c = build_secondary_complex(*_lifted(fix_dd), 3)
         cycles, image = c.cycle_space(2), c.boundary_image(3)
@@ -692,6 +696,102 @@ class TestTopColumns:
         cx = build_secondary_complex(t, m, 3)
         with pytest.raises(ComplexInconsistencyError, match="at degree 3 leaves its Peirce"):
             cx.boundary_rank(3)
+
+
+def _rational_lift(field):
+    """The 2x2 lift, over field, of the first triple of random_instances(1, 8)
+    with a non-integer structure constant that has an image in field, as
+    the `rational-cycles` benchmark lifts one."""
+    for t, m in random_instances(1, 8):
+        values = [v for row in t.eps.matrix for v in row]
+        for table in (t.A.table, t.B.table, m.left, m.right):
+            values += [v for plane in table for row in plane for v in row]
+        if any(type(v) is Fraction for v in values):
+            try:
+                t, m = t.over(field), m.over(field)
+            except ScalarError:
+                continue
+            lifted, lift = matrix_triple(t, 2)
+            return lifted, lift(m)
+    raise AssertionError(f"no non-integer triple with an image in {field!r}")
+
+
+class TestCyclicHomology:
+    """On a split complex, homology with representatives reads C^s only."""
+
+    @pytest.mark.parametrize(
+        "field", [QQ, GF(2), GF(3), F1009], ids=["Q", "GF2", "GF3", "GF1009"]
+    )
+    @pytest.mark.parametrize("instance", ["FIX-DD-M2", "FIX-P3-M2", "FIX-KB-M2", "RAND-Q-M2"])
+    def test_bases_equal_those_of_the_full_spaces(self, instance, field):
+        """For every n < T, the dims and representatives equal those of a
+        HomologyBasis over the public full cycle space and boundary image,
+        and so do the class coordinates of cycles with parts in both C^s
+        and C^non; a vector whose C^non part is no cycle is refused by
+        both."""
+        fixtures = {"FIX-DD-M2": fix_dd, "FIX-P3-M2": fix_p3, "FIX-KB-M2": fix_kb}
+        if instance in fixtures:
+            t, m = (x.over(field) for x in _lifted(fixtures[instance]))
+        else:
+            t, m = _rational_lift(field)
+        cx = build_secondary_complex(t, m, 3)
+        mixed = refused = 0
+        for n in range(3):
+            res = homology(cx, n, with_reps=True)
+            full = HomologyBasis(cx.cycle_space(n), cx.boundary_image(n + 1))
+            assert (res.dim, res.reps) == (full.dim, full.reps), (instance, n)
+            split, mask = cx.homology_basis(n), cx.split.masks[n]
+            rows = full.cycles.basis
+            cyclic = [v for v in rows if mask[min(v)]]
+            noncyclic = [v for v in rows if not mask[min(v)]]
+            vectors = list(rows)
+            for u, w in zip(cyclic, itertools.cycle(noncyclic or [{}])):
+                v = dict(u)
+                vec_add_scaled(cx.field, v, cx.field.neg(cx.field.one), w)
+                vectors.append(v)
+                mixed += bool(w)
+            for v in vectors:
+                assert split.class_coordinates(v) == full.class_coordinates(v), (instance, n)
+            if n and cyclic:
+                d = cx.boundary(n)
+                j = next(j for j in range(cx.dims[n]) if not mask[j] and d.column(j))
+                bad = {**cyclic[0], j: cx.field.one}
+                for basis in (split, full):
+                    with pytest.raises(PreconditionError, match="not a cycle"):
+                        basis.class_coordinates(bad)
+                refused += 1
+        assert mixed and refused, instance
+
+    def test_no_kernel_or_tagged_echelon_sees_a_noncyclic_chain(self, monkeypatch):
+        """With representatives on FIX-DD-M2 built to degree 3, each
+        kernel is taken of the C^s columns only (4, 16 and 128 of them,
+        not 8, 64 and 1,024), and every row a tagged echelon receives lies
+        in C^s: the boundary and cycle rows of the three bases, once each."""
+        cx = build_secondary_complex(*_lifted(fix_dd), 3)
+        kernels, tagged = [], []
+        kernel, insert = complexes.kernel_basis, TaggedEchelon.insert
+
+        def recording_kernel(m, *args, **kwargs):
+            kernels.append(m.cols)
+            return kernel(m, *args, **kwargs)
+
+        def recording_insert(self, vec, tag):
+            tagged.append(vec)
+            return insert(self, vec, tag)
+
+        monkeypatch.setattr(complexes, "kernel_basis", recording_kernel)
+        monkeypatch.setattr(TaggedEchelon, "insert", recording_insert)
+        for n in range(3):
+            homology(cx, n, with_reps=True)
+        assert kernels == [4, 16, 128]
+        assert kernels == [cx.split.masks[n].count(1) for n in range(3)]
+        rows = []
+        for n in range(3):
+            basis, mask = cx.homology_basis(n), cx.split.masks[n]
+            rows += basis.boundaries.basis + basis.cycles.basis
+            assert all(mask[k] for v in rows[-basis.cycles.dim :] for k in v)
+            assert all(mask[k] for v in basis.boundaries.basis for k in v)
+        assert [id(v) for v in tagged] == [id(v) for v in rows]
 
 
 def _assert_canonical_rationals(vectors, where):
