@@ -15,18 +15,21 @@ merges.  Once per call, each face is compiled into a term table: the
 columns of head (x) P_B (x) ... (x) P_B, one product P_B of B per merged
 b-pair, are the terms of each value of the source digits the face reads
 (its head key and the merged b-digits), each row mapped once to its
-target offset through the target's strides.  A column then costs one
-lookup per face, the copied digits entering as a base offset; only
-terms of different faces that land on one index are added.  A table
-has at most as many keys as d_n has columns, and it lives for one call.
+target offset through the target's strides.  An interior face of d_n
+merges n-2 b-pairs and an outer face none, so every interior face has
+the table +-interior (x) P_B (x) ... (x) P_B, built once per call.  A
+column then costs one lookup per face, the copied digits entering as a
+base offset; only terms of different faces that land on one index are
+added.  A table has at most as many keys as d_n has columns, and it
+lives for one call.
 The chain maps that act slot by slot (the Morita and sequence maps) are
 Kronecker products too, and `pair_layout` gives a homotopy its b-slot
 factors.
 
-Boundary-squared is verified exactly whenever a `ChainComplex` is made,
-and elimination of d_n relies on it: it stops once the image fills
-ker d_(n-1).  The check is the sparse product d_n d_(n+1), which the
-linalg kernel forms in `int` arithmetic without copying d_(n+1): over
+Boundary-squared is verified exactly on every built column before it
+is read, and elimination of d_n relies on it: it stops once the image
+fills ker d_(n-1).  The check is the sparse product d_n d_(n+1), which
+the linalg kernel forms in `int` arithmetic without copying d_(n+1): over
 the rationals it clears the denominators of each row of d_n once and of
 each column of d_(n+1) as it reaches it, and divides each entry once.
 
@@ -65,6 +68,15 @@ R(x) = L(y), so a face that merges across a broken junction vanishes
 and one that merges elsewhere keeps, on either side of the broken
 junction, a slot whose outer label is unchanged.
 
+Without a split, d_T is built as elimination reads it, in index order:
+a block of TOP_BLOCK chains, then blocks as large as all built so far,
+each d-d-checked before it is read, until the rank bound is met; with
+no bound known, the rest is built in one call.  A top of N chains read
+in full takes 1 + log2(N / TOP_BLOCK) calls.  The rank bound then
+speaks for columns that are never built, and rests on d d = 0 there, as
+it does for the unbuilt C^non_T columns of a split top; asking for the
+full d_T builds and checks them.
+
 Homology with representatives reads only C^s.  Its cycles are the
 kernel of the C^s columns of d_n and its boundaries the image of the
 nonzero cyclic columns of d_(n+1); C^non_n, where every cycle is a
@@ -82,6 +94,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -104,8 +117,10 @@ from .linalg import (
 
 DEFAULT_DEGREE_CAP = 4
 DEFAULT_GUARD_BYTES = 1 << 30
+TOP_BLOCK = 256  # chains in the first block of an unsplit top read as it is built
 ENTRY_BYTES = 96  # coarse per-potential-entry cost of dict or table storage
 _FLIP = bytes([1]) + bytes(255)  # bytes.translate table swapping 0 and 1
+_Growing = namedtuple("_Growing", "field rows columns")  # a matrix built as it is read
 
 
 def _pairs(n):
@@ -193,9 +208,10 @@ def _boundary(a, b, eps, m, n, mask=None):
     (x) I_A) on (a, b, a'), that of face 0 is R_M(G (x) I_M)K and that
     of face n is L_M(G (x) I_M)K on (mu, a, b..), K moving mu past the
     rest.  A face's term table is the columns of head (x) P_B (x) ...
-    (x) P_B, one P_B per b-pair it merges, and a row of it lands at the
-    offset its digits give through the target's strides; the slots it
-    copies enter as a base offset."""
+    (x) P_B, one P_B per b-pair it merges (n-2 for an interior face,
+    none for an outer one), and a row of it lands at the offset its
+    digits give through the target's strides; the slots it copies enter
+    as a base offset."""
     if n < 1:
         raise PreconditionError("boundary needs degree >= 1")
     if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
@@ -210,6 +226,8 @@ def _boundary(a, b, eps, m, n, mask=None):
     )
     a_eps = a.products @ ident_a.kron(eps)  # a_x eps(b_y) at x * dim B + y
     interior = a.products @ a_eps.kron(ident_a)
+    merged = functools.reduce(SparseMatrix.kron, [b.products] * (n - 2), interior)
+    tables = (merged, -merged)  # the table of every interior face, by sign
     fold = SparseMatrix(field, b.dim, 1, [b.unit_vec()]) if n == 1 else ident_b
     for _ in range(n - 2):
         fold = b.products @ fold.kron(ident_b)
@@ -221,27 +239,26 @@ def _boundary(a, b, eps, m, n, mask=None):
             sources = [[k] for k in range(1, i)] + [[i, i + 1]]
             sources += [[k] for k in range(i + 2, n + 1)]
             keys = (i, b_at[(i, i + 1)], i + 1)
-            head, radices = interior, (a.dim, b.dim, a.dim)
-            out, copies = i, [(0, strides[0])]
-        else:  # m a_1 eps(prod_j b_(1,j)) or a_n eps(prod_j b_(j,n)) m
+            table, radices = tables[i % 2], (a.dim, b.dim, a.dim)
+            out, copies, rows = i, [(0, strides[0])], a.dim
+        else:  # m a_1 eps(prod_j b_(1,j)) or a_n eps(prod_j b_(j,n)) m, merging none
             end = 1 if i == 0 else n
             sources = [[k] for k in range(1, n + 1) if k != end]
             keys = (0, end) + tuple(b_at[pair] for pair in src.pairs if end in pair)
-            head = (m.right_action if i == 0 else m.left_action) @ outer
+            table = (m.right_action if i == 0 else m.left_action) @ outer
+            table = table if i % 2 == 0 else -table
             radices = (m.dim, a.dim) + (b.dim,) * (n - 1)
-            out, copies = 0, []
+            out, copies, rows = 0, [], m.dim
         copies += [
             (ps[0], strides[k]) for k, ps in enumerate(sources, 1) if len(ps) == 1
         ]
-        table = head if i % 2 == 0 else -head
-        slots = [(head.rows, strides[out])]
+        slots = [(rows, strides[out])]
         for s, ps in enumerate(pair_layout(sources, n), n):
             if len(ps) == 1:
                 copies.append((n + 1 + ps[0], strides[s]))
             else:
                 keys += (n + 1 + ps[0], n + 1 + ps[1])
                 radices += (b.dim, b.dim)
-                table = table.kron(b.products)
                 slots.append((b.dim, strides[s]))
         offsets = [0]
         for radix, stride in slots:
@@ -449,18 +466,20 @@ def _check_parts(n, rows, inside, outside):
 
 @dataclass(frozen=True)
 class TopColumns:
-    """The columns of the top boundary d_T of a split complex that are
-    read: those at C^s_T, which elimination reads, and those at the
-    support of h_(T-1), which the certificate reads.
+    """The built columns of the top boundary d_T.
 
     mask flags them among the degree-T chains and matrix holds them in
-    index order; homotopy is h_(T-1) with its rows renumbered to the
-    columns of matrix, and build(mask) builds the columns of d_T at the
-    chains a mask flags."""
+    index order; build(mask) builds the columns of d_T at the chains a
+    mask flags.  Of a split complex (`of`) they are the columns read:
+    those at C^s_T, which elimination reads, and those at the support of
+    h_(T-1), which the certificate reads; homotopy is h_(T-1) with its
+    rows renumbered to the columns of matrix.  Of an unsplit one none
+    is built at first, and `ChainComplex` builds them in index order as
+    elimination reads them."""
 
     mask: bytes
     matrix: SparseMatrix
-    homotopy: SparseMatrix
+    homotopy: SparseMatrix | None
     build: object
 
     @classmethod
@@ -477,6 +496,16 @@ class TopColumns:
         matrix = build(mask)
         return cls(mask, matrix, SparseMatrix(h.field, matrix.cols, h.cols, cols), build)
 
+    def joined(self, mask, new):
+        """The top with new, the columns at the chains mask flags, none of
+        them built, joined to the built columns, which stay the same
+        objects, in index order."""
+        built, fresh = iter(self.matrix.columns()), iter(new.columns())
+        cols = [next(built) if b else next(fresh) for b, f in zip(self.mask, mask) if b or f]
+        union = int.from_bytes(self.mask, "big") | int.from_bytes(mask, "big")
+        matrix = SparseMatrix(new.field, new.rows, len(cols), cols)
+        return TopColumns(union.to_bytes(len(mask), "big"), matrix, self.homotopy, self.build)
+
 
 @dataclass(frozen=True)
 class HomologyResult:
@@ -489,9 +518,9 @@ class ChainComplex:
 
     boundaries[n] maps degree n to degree n-1; boundaries[0] is the zero
     map to a rank-0 space, so H_0 = C_0 / im d_1.  d_n d_(n+1) = 0 is
-    verified exactly when the complex is made, so im d_n lies in
-    ker d_(n-1): once dim ker d_(n-1) is known (from a memoized cycle
-    space or rank, or dims[0] at n = 1), ranking or spanning d_n stops
+    verified exactly on every built column before it is read, so im d_n
+    lies in ker d_(n-1): once dim ker d_(n-1) is known (from a memoized
+    cycle space or rank, or dims[0] at n = 1), ranking or spanning d_n stops
     as soon as its echelon reaches that dimension, with the same result.
     Likewise the cycle space of d_n stops eliminating rows at rank d_n
     once that is memoized.  No elimination is run only to learn a bound.
@@ -507,6 +536,8 @@ class ChainComplex:
     full d_T: on first request the other columns, all in C^non_T, are
     built, checked against d_(T-1) and the parts (the labels keep them
     in C^non, see the module notes), and joined to the built ones.
+    Without a split, d_T is built in blocks as ranking or spanning it
+    reads them, and only up to the rank bound (see the module notes).
     `homology_basis` reads C^s only: its cycles are the kernel of the
     C^s columns of d_n, stopped at rank d_n less the rank on C^non, and
     its boundaries the image of the cyclic columns of d_(n+1), stopped
@@ -518,8 +549,8 @@ class ChainComplex:
 
     def __init__(self, kind, field, dims, boundaries, schemes, split=None, top=None):
         """With top, a `TopColumns`, boundaries stop below the top
-        degree T and d_T is built only at top.mask until it is asked
-        for."""
+        degree T and d_T is built only at top.mask until more of it is
+        read or it is asked for."""
         self._boundaries = tuple(boundaries)
         self._top = top
         _verify_dd_zero(self._boundaries + ((top.matrix,) if top else ()))
@@ -556,16 +587,39 @@ class ChainComplex:
         return self._boundaries[n]
 
     def _complete_top(self):
-        """Build the columns of d_T outside top.mask, check that d_(T-1)
-        kills them and that they stay in C^non, and join them to the
-        built columns."""
+        """Build every column of d_T outside top.mask, in one call."""
+        self._extend_top(self._top.mask.translate(_FLIP))
+
+    def _extend_top(self, mask):
+        """Build the columns of d_T at the chains mask flags, none of them
+        built yet; check that d_(T-1) kills them and, with a split, that
+        they stay in C^non (the labels keep them there, see the module
+        notes); and join them to the built columns, d_T in full once every
+        chain is built, while the top stays what the certificate reads.
+        Returns the new columns."""
         top, n = self._top, self.max_degree
-        rest = top.build(top.mask.translate(_FLIP))
-        _verify_dd_zero(self._boundaries + (rest,), start=n - 1)
-        _check_parts(n, self.split.masks[n - 1], (), rest.columns())
-        built, new = iter(top.matrix.columns()), iter(rest.columns())
-        cols = [next(built) if b else next(new) for b in top.mask]
-        self._boundaries += (SparseMatrix(self.field, rest.rows, len(cols), cols),)
+        new = top.build(mask)
+        _verify_dd_zero(self._boundaries + (new,), start=n - 1)
+        if self.split is not None:
+            _check_parts(n, self.split.masks[n - 1], (), new.columns())
+        top = top.joined(mask, new)
+        if top.matrix.cols == self.dims[n]:
+            self._boundaries += (top.matrix,)
+        else:
+            self._top = top
+        return new
+
+    def _top_columns(self):
+        """The columns of d_T in index order, each block built and checked
+        as it is first read: TOP_BLOCK chains, then each block as many as
+        are built so far."""
+        yield from self._top.matrix.columns()
+        total = self.dims[-1]
+        while len(self._boundaries) == self.max_degree:
+            built = self._top.matrix.cols
+            end = min(total, built + max(built, TOP_BLOCK))
+            mask = bytes(built) + b"\x01" * (end - built) + bytes(total - end)
+            yield from self._extend_top(mask).columns()
 
     def _built(self, n):
         """(d, part): the columns of d_n read by elimination and the
@@ -626,31 +680,35 @@ class ChainComplex:
         self._cyclic, self._exact_cycles = cyclic, exact
 
     def _eliminated(self, n):
-        """(d, known): the columns of d_n that elimination needs, all of
-        them without a split and its nonzero cyclic ones with one, and the
-        rank known of the others."""
-        if self.split is None or not 1 <= n <= self.max_degree:
-            return self.boundary(n), 0  # which raises on a degree out of range
-        if self._cyclic is None:
-            self._certify_split()
-        cols = self._cyclic[n]
-        d = SparseMatrix(self.field, self.dims[n - 1], len(cols), cols)
-        return d, self.split.noncyclic_rank(n)
+        """(d, known, bound): the columns of d_n that elimination needs,
+        all of them without a split and its nonzero cyclic ones with one;
+        the rank known of the others; and a bound on the rank of d, or
+        None.  Without a split, a top not yet built in full is built as
+        it is read when there is a bound to stop at, and in full first
+        when there is none."""
+        if self.split is not None and 1 <= n <= self.max_degree:
+            if self._cyclic is None:
+                self._certify_split()
+            cols, known = self._cyclic[n], self.split.noncyclic_rank(n)
+            d = SparseMatrix(self.field, self.dims[n - 1], len(cols), cols)
+            return d, known, self._rank_bound(n, known)
+        bound = self._rank_bound(n, 0)
+        if bound is not None and n == len(self._boundaries) == self.max_degree:
+            return _Growing(self.field, self.dims[n - 1], self._top_columns), 0, bound
+        return self.boundary(n), 0, bound  # which raises on a degree out of range
 
     def boundary_rank(self, n, deadline=None):
         if n == 0:
             return 0
         if n not in self._ranks:
-            d, known = self._eliminated(n)
-            bound = self._rank_bound(n, known)
+            d, known, bound = self._eliminated(n)
             self._ranks[n] = known + rank(d, deadline=deadline, bound=bound)
         return self._ranks[n]
 
     def _cyclic_image(self, n, deadline=None):
         """Image of the eliminated columns of d_n; it fixes rank d_n."""
         if n not in self._cyclic_images:
-            d, known = self._eliminated(n)
-            bound = self._rank_bound(n, known)
+            d, known, bound = self._eliminated(n)
             image = self._cyclic_images[n] = image_basis(d, deadline=deadline, bound=bound)
             self._ranks.setdefault(n, known + image.dim)
         return self._cyclic_images[n]
@@ -742,8 +800,9 @@ def homology(complex_, n, with_reps=False, deadline=None):
 
 def estimate_build_bytes(dims):
     """ENTRY_BYTES per potential entry of the full boundaries of dims.
-    It over-estimates a split complex, whose top boundary is built only
-    in part; calibrating it is ROADMAP item 7."""
+    It over-estimates a complex whose top boundary is built only in
+    part: a split one, and an unsplit one whose elimination stops at its
+    rank bound; calibrating it is ROADMAP item 7."""
     return ENTRY_BYTES * sum(
         dims[n] * (n + 1) for n in range(1, len(dims))
     )
@@ -782,18 +841,20 @@ def _build(
 ):
     """The complex with degree-n chains scheme(*args, n) and boundaries
     boundary(*args, n) up to max_degree, size-guarded before anything is
-    built, with the `PeirceSplit` of structure = (A, B, eps, M); with a
-    split, the top boundary is built at its `TopColumns` only.
-    `ChainComplex` verifies boundary-squared."""
+    built, with the `PeirceSplit` of structure = (A, B, eps, M); the top
+    boundary is built at its `TopColumns` only, none of it without a
+    split.  `ChainComplex` verifies boundary-squared."""
     schemes = [scheme(*args, n) for n in range(max_degree + 1)]
     dims = [s.total for s in schemes]
     _check_guards(dims, max_degree, degree_cap, guard_bytes)
     split = PeirceSplit.of(*structure, max_degree)
-    top = None
+    top, build = None, functools.partial(boundary, *args, max_degree)
     if split is not None and max_degree:
-        top = TopColumns.of(split, functools.partial(boundary, *args, max_degree))
+        top = TopColumns.of(split, build)
+    elif max_degree:  # nothing built
+        top = TopColumns(bytes(dims[-1]), SparseMatrix.zero(field, dims[-2], 0), None, build)
     boundaries = [SparseMatrix.zero(field, 0, dims[0])]
-    boundaries += [boundary(*args, n) for n in range(1, max_degree + (top is None))]
+    boundaries += [boundary(*args, n) for n in range(1, max_degree)]
     return ChainComplex(kind, field, dims, boundaries, schemes, split, top)
 
 

@@ -9,9 +9,10 @@ later pivot row updates it, which keeps stored entries small without
 dense Bareiss bookkeeping or a gcd pass per step.  `rank` and
 `image_basis` take an optional upper bound on the rank from their
 caller and stop inserting once the echelon reaches it: every later
-column already lies in the span, so the result is the same.  A chain
-complex passes dim ker d_(n-1) for d_n.  Stored echelon rows are kept
-fully reduced, zero at every other pivot: an insert makes one pass over
+column already lies in the span, so the result is the same.  They draw
+no column past it, so the columns may be built as they are drawn.  A
+chain complex passes dim ker d_(n-1) for d_n.  Stored echelon rows are
+kept fully reduced, zero at every other pivot: an insert makes one pass over
 the pivots in the vector's own support, and a new pivot row is stepped
 out of the stored rows that hold its column.  So the canonical RREF
 only divides each row by its lead, exactly: an entry the lead divides
@@ -529,9 +530,7 @@ class Subspace:
         its dimension: once the echelon reaches it, every later vector
         already lies in the span and is not inserted."""
         ech = Echelon(field, deadline=deadline)
-        for v in vectors:
-            if ech.rank == bound:
-                break
+        for v in _below(ech, bound, vectors):
             for k in v:
                 if k < 0 or k >= ambient_dim:
                     raise ValueError("coordinate index out of range")
@@ -598,13 +597,22 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
+def _below(ech, bound, vectors):
+    """vectors, each drawn only while the rank of ech is below bound, so
+    that a source which builds its vectors as they are drawn builds none
+    past it."""
+    if ech.rank != bound:
+        for v in vectors:
+            yield v
+            if ech.rank == bound:
+                return
+
+
 def rank(m, deadline=None, bound=None):
     """Rank of a sparse matrix; deterministic, exact.  bound, when given,
     is an upper bound on the rank: elimination stops once it is reached."""
     ech = Echelon(m.field, deadline=deadline)
-    for col in m.columns():
-        if ech.rank == bound:
-            break
+    for col in _below(ech, bound, m.columns()):
         ech.insert(col)
     return ech.rank
 
@@ -620,9 +628,7 @@ def kernel_basis(m, deadline=None, bound=None):
     already the canonical RREF basis, so nothing is re-spanned."""
     field, last = m.field, m.cols - 1
     ech = Echelon(field, deadline=deadline)
-    for row in m.transpose().columns():
-        if ech.rank == bound:
-            break
+    for row in _below(ech, bound, m.transpose().columns()):
         ech.insert({last - j: v for j, v in row.items()})
     pivots, rref = ech.rref_rows()
     pivot_set = {last - p for p in pivots}

@@ -10,9 +10,15 @@ from fractions import Fraction
 from itertools import product
 
 
-def naive_rank(rows):
-    """Row count of a dense echelon form, textbook elimination."""
-    m = [list(map(Fraction, r)) for r in rows]
+def naive_rank(rows, p=None):
+    """Row count of a dense echelon form, textbook elimination; with p,
+    over GF(p), each rational entry reduced mod p first."""
+    if p is None:
+        m = [list(map(Fraction, r)) for r in rows]
+        inv = lambda x: 1 / x  # noqa: E731
+    else:
+        m = [[_mod(v, p) for v in r] for r in rows]
+        inv = lambda x: pow(x, -1, p)  # noqa: E731
     if not m:
         return 0
     ncols = len(m[0])
@@ -29,11 +35,18 @@ def naive_rank(rows):
         pv = m[rank][col]
         for r in range(len(m)):
             if r != rank and m[r][col] != 0:
-                f = m[r][col] / pv
+                f = m[r][col] * inv(pv)
                 for c in range(ncols):
                     m[r][c] -= f * m[rank][c]
+                    if p is not None:
+                        m[r][c] %= p
         rank += 1
     return rank
+
+
+def _mod(value, p):
+    value = Fraction(value)
+    return value.numerator * pow(value.denominator, -1, p) % p
 
 
 def alg_mul(a, x, y):

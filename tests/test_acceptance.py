@@ -69,8 +69,8 @@ def test_criterion_01_boundary_squared_zero():
     instances = random_instances(seed=101, count=20)
     assert len(instances) >= 20
     for t, m in instances:
-        build_secondary_complex(t, m, 4)  # raises on any nonzero composite
-        build_classical_complex(t.A, m, 4)
+        build_secondary_complex(t, m, 4).boundaries  # raises on any nonzero composite
+        build_classical_complex(t.A, m, 4).boundaries
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"took {elapsed:.1f}s"
     passline(1, "boundary squared is zero on 20 randomized triples to degree 4")

@@ -297,9 +297,32 @@ class TestBuildComplex:
         assert c.dims == (2, 4, 16, 128)
 
     def test_boundary_squared_zero_on_random_instances(self):
-        # the builder raises if any composite is nonzero
+        # asking for every boundary raises if any composite is nonzero
         for t, m in random_instances(seed=5, count=8):
-            build_secondary_complex(t, m, 3)
+            build_secondary_complex(t, m, 3).boundaries
+
+    @pytest.mark.parametrize(
+        "field", [QQ, GF(2), GF(3), F1009], ids=["Q", "GF2", "GF3", "GF1009"]
+    )
+    def test_full_degree_four_tops_pass_the_dd_check(self, monkeypatch, field):
+        """Homology builds d_4 only as far as it reads it; asking for
+        every boundary of FIX-DD, FIX-P3 and FIX-EXT to degree 4, whose
+        interior faces merge two b-pairs, checks d_3 d_4 = 0 on all of
+        d_4."""
+        checked = []
+        verify = complexes._verify_dd_zero
+
+        def recording(boundaries, start=1):
+            checked.append((start, boundaries[-1].cols))
+            return verify(boundaries, start)
+
+        monkeypatch.setattr(complexes, "_verify_dd_zero", recording)
+        for fixture in (fix_dd, fix_p3, fix_ext):
+            t, m = (x.over(field) for x in fixture())
+            checked.clear()
+            cx = build_secondary_complex(t, m, 4)
+            assert cx.boundaries[4] == secondary_boundary(t, m, 4)
+            assert checked == [(1, 0), (3, cx.dims[4])]
 
     def test_size_guard(self):
         t, m = fix_dd()
@@ -587,13 +610,14 @@ def _recording_builds(monkeypatch):
     return calls
 
 
-def _corrupting(monkeypatch, change):
-    """Builds of d_3 with a mask pass their columns through change(mask, cols)."""
+def _corrupting(monkeypatch, change, degree=3):
+    """Builds of d_degree with a mask pass their columns through
+    change(mask, cols)."""
     build = complexes._boundary
 
     def corrupted(a, b, eps, m, n, mask=None):
         d = build(a, b, eps, m, n, mask)
-        if n != 3 or mask is None:
+        if n != degree or mask is None:
             return d
         return SparseMatrix(d.field, d.rows, d.cols, change(mask, list(d.columns())))
 
@@ -696,6 +720,123 @@ class TestTopColumns:
         cx = build_secondary_complex(t, m, 3)
         with pytest.raises(ComplexInconsistencyError, match="at degree 3 leaves its Peirce"):
             cx.boundary_rank(3)
+
+
+class TestUnsplitTop:
+    """A complex without a split builds d_T in blocks, in index order, as
+    elimination reads it, and no further than its rank bound."""
+
+    def test_homology_builds_two_blocks_of_d4(self, monkeypatch):
+        """FIX-DD has H_3 = 0, so ranking d_4 stops at its bound after 464
+        of its 2,048 columns: two blocks of 256 hold them."""
+        calls = _recording_builds(monkeypatch)
+        cx = build_secondary_complex(*fix_dd(), 4)
+        assert cx.split is None
+        assert [homology(cx, n).dim for n in range(4)] == [2, 0, 0, 0]
+        assert [(masked, d.cols) for _, n, masked, d in calls if n == 4] == [(True, 256)] * 2
+
+    @pytest.mark.parametrize("kind", ["secondary", "classical"])
+    @pytest.mark.parametrize(
+        "field", [QQ, GF(2), GF(3), F1009], ids=["Q", "GF2", "GF3", "GF1009"]
+    )
+    def test_answers_equal_full_elimination(self, field, kind):
+        """Dims, rank d_4, the image of d_4 and the representatives of H_3
+        equal full elimination of a d_4 built apart."""
+        cases = {"FIX-DD": fix_dd(), "FIX-KB": fix_kb(), "FIX-EXT": fix_ext()}
+        cases.update((f"random {i}", tm) for i, tm in enumerate(random_instances(7, 6)))
+        for name, (t, m) in cases.items():
+            try:
+                t, m = t.over(field), m.over(field)
+            except ScalarError:  # a literal with no image in field
+                continue
+            if kind == "secondary":
+                full = secondary_boundary(t, m, 4)
+            else:
+                full = classical_boundary(t.A, m, 4)
+            cx, fresh = (_build_kind(kind, t, m, 4) for _ in range(2))
+            assert cx.split is None, name
+            cycles, image = kernel_basis(cx.boundary(3)), image_basis(full)
+            reps = homology(cx, 3, with_reps=True).reps
+            assert reps == HomologyBasis(cycles, image).reps, name
+            assert cx.boundary_image(4) == image, name
+            ranks = [0] + [rank(fresh.boundary(n)) for n in (1, 2, 3)] + [rank(full)]
+            dims = [fresh.dims[n] - ranks[n] - ranks[n + 1] for n in range(4)]
+            assert [homology(fresh, n).dim for n in range(4)] == dims, name
+            assert fresh.boundary_rank(4) == ranks[4], name
+
+    def test_a_corrupted_column_of_the_first_block_is_caught(self, monkeypatch):
+        """A term added where d_3 is not zero, to the first column of the
+        first block, breaks d d = 0 before elimination reads the block."""
+        cx = build_secondary_complex(*fix_dd(), 4)
+        field = cx.field
+        row = next(r for r, col in enumerate(cx.boundary(3).columns()) if col)
+
+        def change(mask, cols):
+            if mask[0]:
+                cols[0] = {**cols[0], row: field.add(cols[0].get(row, field.zero), field.one)}
+            return cols
+
+        _corrupting(monkeypatch, change, degree=4)
+        cx.boundary_rank(3)
+        with pytest.raises(ComplexInconsistencyError, match="composite nonzero at degree 4"):
+            cx.boundary_rank(4)
+
+    def test_a_corrupted_unbuilt_column_is_caught(self, monkeypatch):
+        """Homology never builds d_4 past its first 512 columns; a column
+        corrupted after them raises once the full d_4 is asked for."""
+        cx = build_secondary_complex(*fix_dd(), 4)
+        field = cx.field
+        row = next(r for r, col in enumerate(cx.boundary(3).columns()) if col)
+
+        def change(mask, cols):
+            if mask.find(1) >= 512:
+                cols[-1] = {**cols[-1], row: field.add(cols[-1].get(row, field.zero), field.one)}
+            return cols
+
+        _corrupting(monkeypatch, change, degree=4)
+        for n in range(4):
+            homology(cx, n, with_reps=True)
+        with pytest.raises(ComplexInconsistencyError, match="composite nonzero at degree 4"):
+            cx.boundary(4)
+
+    def test_the_full_top_keeps_the_built_columns(self, monkeypatch):
+        """boundary(4) builds the rest in one call and equals a d_4 built
+        apart; the columns built for elimination are the very same
+        objects, in index order."""
+        calls = _recording_builds(monkeypatch)
+        t, m = fix_dd()
+        cx = build_secondary_complex(t, m, 4)
+        for n in range(4):
+            homology(cx, n, with_reps=True)
+        full = cx.boundary(4)
+        assert cx.boundaries[4] is full and cx.boundary(4) is full
+        assert full == secondary_boundary(t, m, 4)
+        tops = [d for _, n, _, d in calls if n == 4]
+        assert [d.cols for d in tops] == [256, 256, 1536]
+        built = [id(col) for d in tops[:2] for col in d.columns()]
+        assert built == [id(col) for col in full.columns()[:512]]
+
+    def test_block_sizes(self, monkeypatch):
+        """A top read in full, FIX-EXT's 65,536 columns with H_3 = 2, is
+        built in 9 calls, each block as large as all built before it;
+        with no rank bound known it is built in one call."""
+        calls = _recording_builds(monkeypatch)
+        t, m = fix_ext()
+        cx = build_secondary_complex(t, m, 4)
+        assert homology(cx, 3, with_reps=True).dim == 2
+        assert [d.cols for _, n, _, d in calls if n == 4] == [256, 256] + [2**k for k in range(9, 16)]
+        calls.clear()
+        fresh = build_secondary_complex(t, m, 4)
+        assert fresh.boundary_rank(4) == cx.boundary_rank(4)
+        assert [(masked, d.cols) for _, n, masked, d in calls if n == 4] == [(True, 65536)]
+
+    def test_no_rank_above_the_top(self):
+        """With ker d_T known, d_(T+1) is still no boundary of the complex."""
+        cx = build_secondary_complex(*fix_dd(), 2)
+        cx.cycle_space(2)
+        for request in ("boundary_rank", "boundary_image"):
+            with pytest.raises(PreconditionError, match="no boundary at degree 3"):
+                getattr(cx, request)(3)
 
 
 def _rational_lift(field):

@@ -1,8 +1,11 @@
 from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from helpers import subspace_leq
+from oracle_naive import naive_classical_boundary, naive_rank, naive_secondary_boundary
 
 from hochschild import sequences
 from hochschild.algebra import (
@@ -24,7 +27,7 @@ from hochschild.complexes import (
     secondary_boundary,
 )
 from hochschild.errors import NotAChainMapError, PreconditionError
-from hochschild.fields import QQ
+from hochschild.fields import GF, QQ
 from hochschild.fixtures import (
     fix_d,
     fix_dd,
@@ -34,6 +37,7 @@ from hochschild.fixtures import (
     fix_p3,
     random_instances,
 )
+from hochschild.kahler import verify_fundamental_sequence, verify_h1_kahler
 from hochschild.linalg import (
     Echelon,
     HomologyBasis,
@@ -478,3 +482,86 @@ class TestPushforwardFg:
         tm = TripleMorphism(t, t, AlgebraMorphism.identity(t.A), bad_g)
         with pytest.raises(PreconditionError):
             pushforward_fg(tm, m, 1)
+
+
+def _rank_of(entries, p=None):
+    """Rank of a boundary given as {(src_key, tgt_key): coeff}, over Q or,
+    with p, over GF(p)."""
+    targets, columns = {}, {}
+    for (src, tgt), c in entries.items():
+        columns.setdefault(src, {})[targets.setdefault(tgt, len(targets))] = c
+    rows = [[col.get(i, 0) for i in range(len(targets))] for col in columns.values()]
+    return naive_rank(rows, p)
+
+
+def _pulled_back(t, m):
+    """M as a B-bimodule through eps, as dense tables."""
+    eps = t.eps.matrix
+
+    def pull(tensor):
+        return [
+            [
+                [sum(Fraction(eps[u][j]) * Fraction(tensor[u][mu][k]) for u in range(t.A.dim))
+                 for k in range(m.dim)]
+                for mu in range(m.dim)
+            ]
+            for j in range(t.B.dim)
+        ]
+
+    return SimpleNamespace(dim=m.dim, left=pull(m.left), right=pull(m.right))
+
+
+def _regular(a):
+    """A as a bimodule over itself, as dense tables: a_i mu and mu a_i."""
+    right = [[a.table[mu][i] for mu in range(a.dim)] for i in range(a.dim)]
+    return SimpleNamespace(dim=a.dim, left=a.table, right=right)
+
+
+def _oracle_h1_h2(boundary, dims, p):
+    """{1: dim H_1, 2: dim H_2} from the oracle's boundaries d_1..d_3, the
+    chain dims and GF(p)."""
+    ranks = [0] + [_rank_of(boundary(n), p) for n in (1, 2, 3)]
+    return {n: dims[n] - ranks[n] - ranks[n + 1] for n in (1, 2)}
+
+
+def _stated(report):
+    """The dims a report states, by label."""
+    return {item.label: int(item.detail) for item in report.items if item.ok is None}
+
+
+@pytest.mark.parametrize("fixture", [fix_k, fix_d, fix_dd, fix_p3, fix_kb, fix_ext])
+@pytest.mark.parametrize("p", [2, 3])
+def test_reports_state_the_oracle_dims_mod_p(fixture, p):
+    """Over GF(2) and GF(3) the exact sequence, H_1 against the Kaehler
+    differentials and the fundamental sequence hold on each base fixture,
+    and every dim they state equals the naive oracle's in that field:
+    M (x)_A Omega_{A|B} is H_1 of the secondary complex, M (x)_A
+    Omega_{A|k} that of the classical one, and for M = A, A (x)_B
+    Omega_{B|k} is H_1(B, A)."""
+    t, m = (x.over(GF(p)) for x in fixture())
+    a, b, da, db = t.A, t.B, t.A.dim, t.B.dim
+    m_b, reg = _pulled_back(t, m), _regular(a)
+
+    def secondary(module):
+        dims = [module.dim * da**n * db ** (n * (n - 1) // 2) for n in range(4)]
+        return _oracle_h1_h2(lambda n: naive_secondary_boundary(t, module, n), dims, p)
+
+    def classical(alg, module):
+        dims = [module.dim * alg.dim**n for n in range(4)]
+        return _oracle_h1_h2(lambda n: naive_classical_boundary(alg, module, n), dims, p)
+
+    sec, ca, cb = secondary(m), classical(a, m), classical(b, m_b)
+    reports = [verify_exact_sequence(t, m), verify_h1_kahler(t, m), verify_fundamental_sequence(t)]
+    assert all(r.ok for r in reports)
+    assert _stated(reports[0]) == {
+        "H2(A,M)": ca[2], "H2(sec)": sec[2], "H1(B,M)": cb[1], "H1(A,M)": ca[1], "H1(sec)": sec[1],
+    }
+    assert _stated(reports[1]) == {
+        "dim H1((A,B,eps);M)": sec[1], "dim M (x)_A Omega^1_{A|B}": sec[1],
+        "dim H1(A,M)": ca[1], "dim M (x)_A Omega^1_{A|k}": ca[1],
+    }
+    assert _stated(reports[2]) == {
+        "dim A (x)_B Omega^1_{B|k}": classical(b, _pulled_back(t, reg))[1],
+        "dim Omega^1_{A|k}": classical(a, reg)[1],
+        "dim Omega^1_{A|B}": secondary(reg)[1],
+    }
