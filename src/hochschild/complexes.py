@@ -4,7 +4,8 @@ Degree-n secondary chains are tuples (mu; a_1..a_n; b_(1,2)..b_(n-1,n))
 with the b-slots ordered lexicographically by pair (i, j), i < j; the
 linear index is mixed-radix with mu most significant.  The classical
 complex is the secondary complex with B the ground field, so its
-b-digits are always 0.
+b-digits are always 0: `build_classical_complex` builds the secondary
+complex of `trivial_triple(a)`.
 
 One builder makes both boundaries, from `SparseMatrix.kron` and `@`
 like every other structure map.  Each face is a head matrix on the
@@ -23,8 +24,8 @@ base offset; only terms of different faces that land on one index are
 added.  A table has at most as many keys as d_n has columns, and it
 lives for one call.
 The chain maps that act slot by slot (the Morita and sequence maps) are
-Kronecker products too, and `pair_layout` gives a homotopy its b-slot
-factors.
+Kronecker products too, and a homotopy that inserts an A-slot takes
+`insertion_b_slots` on its b-slots.
 
 Boundary-squared is verified exactly on every built column before it
 is read, and elimination of d_n relies on it: it stops once the image
@@ -98,7 +99,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .algebra import field_algebra, unit_morphism
+from .algebra import trivial_triple
 from .errors import (
     ComplexInconsistencyError,
     PreconditionError,
@@ -199,6 +200,18 @@ def pair_layout(sources, src_degree):
     )
 
 
+def insertion_b_slots(b, n, i):
+    """The b-slot factor of a map C_n -> C_(n+1) that inserts an A-slot
+    at position i + 1: over the target b-slots, in index order, the
+    Kronecker product of I_B on each slot kept, in the source's order,
+    and the unit of B on each new one."""
+    sources = [[k] for k in range(1, i + 1)] + [[]] + [[k] for k in range(i + 1, n + 1)]
+    field, ident = b.field, SparseMatrix.identity(b.field, b.dim)
+    unit = SparseMatrix(field, b.dim, 1, [b.unit_vec()])
+    factors = [ident if ps else unit for ps in pair_layout(sources, n)]
+    return functools.reduce(SparseMatrix.kron, factors, SparseMatrix.identity(field, 1))
+
+
 def _boundary(a, b, eps, m, n, mask=None):
     """d_n = sum (-1)^i d_i on the chains of (A, B, eps) with coefficients
     in m, eps given by its matrix E; with mask, a bytes of one flag per
@@ -294,11 +307,10 @@ def _boundary(a, b, eps, m, n, mask=None):
 
 
 def classical_boundary(a, m, n, mask=None):
-    """Matrix of d_n: M (x) A^n -> M (x) A^(n-1), the secondary boundary
-    with B the ground field and eps its unit; with mask, its columns at
-    the chains mask flags."""
-    k = field_algebra(a.field)
-    return _boundary(a, k, unit_morphism(k, a).sparse, m, n, mask)
+    """Matrix of d_n: M (x) A^n -> M (x) A^(n-1), that of `trivial_triple(a)`;
+    with mask, its columns at the chains mask flags."""
+    t = trivial_triple(a)
+    return _boundary(a, t.B, t.eps.sparse, m, n, mask)
 
 
 def secondary_boundary(t, m, n, mask=None):
@@ -377,14 +389,13 @@ class PeirceSplit:
     def __init__(self, a, b, m, labels, max_degree):
         """The split to max_degree of the complex of (a, b, eps) with
         coefficients in m, labels the `_peirce_labels` of a, eps and m."""
-        self.field = a.field
-        self.dim_m, self.dim_a, self.dim_b = m.dim, a.dim, b.dim
+        self.field, self.b = a.field, b
+        self.dim_m, self.dim_a = m.dim, a.dim
         self.labels_a, self.labels_m = labels[: a.dim], labels[a.dim :]
         units = [[] for _ in range(1 + max(q for pair in labels for q in pair))]
         for i, c in a.unit_vec().items():
             units[self.labels_a[i][0]].append((i, c))
         self.units = units  # units[q]: the (index, coefficient) terms of e_q
-        self.unit_b = SparseMatrix(a.field, b.dim, 1, [b.unit_vec()])
         masks, states = [], self.labels_m  # (L(mu), R(last slot)) of each prefix
         for n in range(max_degree + 1):
             if n:  # the top degree's prefixes are read once, as they are made
@@ -417,19 +428,12 @@ class PeirceSplit:
     def homotopy(self, n):
         """h_n: C_n -> C_(n+1), zero on C^s.  A chain of C^non whose first
         broken junction is k goes to (-1)^k times itself with e_q, q =
-        R(slot k), inserted as A-slot k + 1, and the unit of B in each new
-        b-slot: its b-slots take the Kronecker product of I_B on each
-        copied slot and 1_B on each new one, as in `morita._homotopy`."""
+        R(slot k), inserted as A-slot k + 1 and `insertion_b_slots` on its
+        b-slots."""
         field, mul = self.field, self.field.mul
-        dm, da, db = self.dim_m, self.dim_a, self.dim_b
-        ident_b, unit = SparseMatrix.identity(field, db), SparseMatrix.identity(field, 1)
-        b_maps = []
-        for k in range(n + 1):
-            sources = [[p] for p in range(1, k + 1)] + [[]]
-            sources += [[p] for p in range(k + 1, n + 1)]
-            factors = [ident_b if ps else self.unit_b for ps in pair_layout(sources, n)]
-            b_maps.append(functools.reduce(SparseMatrix.kron, factors, unit).columns())
-        src_rep, tgt_rep = db ** (n * (n - 1) // 2), db ** (n * (n + 1) // 2)
+        dm, da = self.dim_m, self.dim_a
+        b_maps = [insertion_b_slots(self.b, n, k) for k in range(n + 1)]
+        src_rep, tgt_rep = b_maps[0].cols, b_maps[0].rows
         mask, cols = self.masks[n], []
         for p, digits in enumerate(itertools.product(range(dm), *[range(da)] * n)):
             if mask[p * src_rep]:
@@ -447,7 +451,7 @@ class PeirceSplit:
                 head.append((idx * tgt_rep, mul(sign, c)))
             cols += [
                 {h + o: mul(hc, bc) for h, hc in head for o, bc in b_col.items()}
-                for b_col in b_maps[k]
+                for b_col in b_maps[k].columns()
             ]
         return SparseMatrix(field, dm * da ** (n + 1) * tgt_rep, len(cols), cols)
 
@@ -836,42 +840,33 @@ def _verify_dd_zero(boundaries, start=1):
             )
 
 
-def _build(
-    kind, field, scheme, boundary, args, structure, max_degree, degree_cap, guard_bytes
-):
-    """The complex with degree-n chains scheme(*args, n) and boundaries
-    boundary(*args, n) up to max_degree, size-guarded before anything is
-    built, with the `PeirceSplit` of structure = (A, B, eps, M); the top
-    boundary is built at its `TopColumns` only, none of it without a
-    split.  `ChainComplex` verifies boundary-squared."""
-    schemes = [scheme(*args, n) for n in range(max_degree + 1)]
+def _build(kind, t, m, max_degree, degree_cap, guard_bytes):
+    """The secondary complex of (t, m) up to max_degree, size-guarded
+    before anything is built, with its `PeirceSplit`; the top boundary is
+    built at its `TopColumns` only, none of it without a split.
+    `ChainComplex` verifies boundary-squared."""
+    field = t.A.field
+    schemes = [secondary_scheme(t, m, n) for n in range(max_degree + 1)]
     dims = [s.total for s in schemes]
     _check_guards(dims, max_degree, degree_cap, guard_bytes)
-    split = PeirceSplit.of(*structure, max_degree)
-    top, build = None, functools.partial(boundary, *args, max_degree)
+    split = PeirceSplit.of(t.A, t.B, t.eps.sparse, m, max_degree)
+    top, build = None, functools.partial(secondary_boundary, t, m, max_degree)
     if split is not None and max_degree:
         top = TopColumns.of(split, build)
     elif max_degree:  # nothing built
         top = TopColumns(bytes(dims[-1]), SparseMatrix.zero(field, dims[-2], 0), None, build)
     boundaries = [SparseMatrix.zero(field, 0, dims[0])]
-    boundaries += [boundary(*args, n) for n in range(1, max_degree)]
+    boundaries += [secondary_boundary(t, m, n) for n in range(1, max_degree)]
     return ChainComplex(kind, field, dims, boundaries, schemes, split, top)
 
 
 def build_classical_complex(
     a, m, max_degree, degree_cap=DEFAULT_DEGREE_CAP, guard_bytes=DEFAULT_GUARD_BYTES
 ):
-    k = field_algebra(a.field)
-    return _build(
-        "classical", a.field, classical_scheme, classical_boundary, (a, m),
-        (a, k, unit_morphism(k, a).sparse, m), max_degree, degree_cap, guard_bytes,
-    )
+    return _build("classical", trivial_triple(a), m, max_degree, degree_cap, guard_bytes)
 
 
 def build_secondary_complex(
     t, m, max_degree, degree_cap=DEFAULT_DEGREE_CAP, guard_bytes=DEFAULT_GUARD_BYTES
 ):
-    return _build(
-        "secondary", t.A.field, secondary_scheme, secondary_boundary, (t, m),
-        (t.A, t.B, t.eps.sparse, m), max_degree, degree_cap, guard_bytes,
-    )
+    return _build("secondary", t, m, max_degree, degree_cap, guard_bytes)

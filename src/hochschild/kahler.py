@@ -20,7 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import is_a_symmetric, trivial_triple
-from .complexes import build_classical_complex, build_secondary_complex, homology
+from .complexes import (
+    DEFAULT_GUARD_BYTES,
+    build_classical_complex,
+    build_secondary_complex,
+    homology,
+)
 from .errors import PreconditionError
 from .linalg import (
     QuotientSpace,
@@ -107,9 +112,9 @@ def tensor_m_kahler(m, omega):
     return g * m.dim - rank(moved)
 
 
-def verify_h1_kahler(t, m, guard_bytes=None):
+def verify_h1_kahler(t, m, guard_bytes=DEFAULT_GUARD_BYTES):
     """H_1 in both theories against the differential-module dimensions.
-    guard_bytes, when given, is the memory guard of the two complexes."""
+    guard_bytes is the memory guard of the two complexes."""
     if not t.A.is_commutative():
         raise PreconditionError("A not commutative")
     if not is_a_symmetric(m, t.A):
@@ -119,9 +124,8 @@ def verify_h1_kahler(t, m, guard_bytes=None):
     omega_ak = kahler_module(trivial_triple(t.A))
     t_ab = tensor_m_kahler(m, omega_ab)
     t_ak = tensor_m_kahler(m, omega_ak)
-    kwargs = {"guard_bytes": guard_bytes} if guard_bytes is not None else {}
-    sec = build_secondary_complex(t, m, 2, **kwargs)
-    ca = build_classical_complex(t.A, m, 2, **kwargs)
+    sec = build_secondary_complex(t, m, 2, guard_bytes=guard_bytes)
+    ca = build_classical_complex(t.A, m, 2, guard_bytes=guard_bytes)
     h1_sec = homology(sec, 1).dim
     h1_cl = homology(ca, 1).dim
     report.info("dim H1((A,B,eps);M)", str(h1_sec))

@@ -25,17 +25,18 @@ heads of psi and phi) are matrix expressions in the sparse actions and
 pairings, with a `lift` matrix of basis tensors and `project` back to
 classes.  The standard matrix context is made of tensor products over
 the ground field (`algebra.tensor_bimodule`, `linalg.tensor_bilinear`):
-P = k^n rows (x) A and Q = k^n columns (x) A.  Each chain map and
-homotopy is a sum of Kronecker chains (`SparseMatrix.kron`) of small
-per-slot matrices built once per call: a head matrix on the module
-slot, slot matrices on the A-slots, and eta, eta^-1, I_B or the unit of
-B on the b-slots.  The head and slot matrices are themselves Kronecker
-expressions in f or g, the dual vectors as one-column matrices, the
-actions and the products, such as f(x (x) L_Y(I (x) y)) for a slot of
-psi or phi; the Kronecker order is the chain index order, so no index
-is decoded here.  psi and phi are one routine on the two sides, and l
-is h on the target side.  The axioms of a context are matrix identities
-between the pairings, the actions and the products.
+P = k^n rows (x) A and Q = k^n columns (x) A.  `_paths` is the path sum
+over dual indices that builds each chain map and homotopy from per-slot
+matrices made once per call: a head matrix on the module slot, then
+acc'[c'] = sum_c acc[c] (x) slot[c][c'] for each A-slot; eta, eta^-1 or
+`complexes.insertion_b_slots` act on the b-slots.  The head and slot
+matrices are themselves Kronecker expressions in f or g, the dual
+vectors as one-column matrices, the actions and the products, such as
+f(x (x) L_Y(I (x) y)) for a slot of psi or phi; the Kronecker order is
+the chain index order, so no index is decoded here.  psi and phi are
+one routine on the two sides, and l is h on the target side.  The
+axioms of a context are matrix identities between the pairings, the
+actions and the products.
 """
 
 from __future__ import annotations
@@ -58,7 +59,12 @@ from .algebra import (
     regular_bimodule,
     tensor_bimodule,
 )
-from .complexes import build_secondary_complex, homology, pair_layout
+from .complexes import (
+    DEFAULT_GUARD_BYTES,
+    build_secondary_complex,
+    homology,
+    insertion_b_slots,
+)
 from .errors import PreconditionError
 from .linalg import (
     QuotientSpace,
@@ -513,24 +519,36 @@ def _dual_families(d):
     )
 
 
-def _kron_sum(chains, tail):
-    """(sum over chains of the Kronecker product of each chain's factors)
-    (x) tail[0] (x) tail[1] (x) ...: the chains act on the leading slots
-    of a chain index, the tail on the rest, slot by slot."""
-    terms = (functools.reduce(SparseMatrix.kron, chain) for chain in chains)
-    total = functools.reduce(operator.add, terms)
-    return functools.reduce(SparseMatrix.kron, tail, total)
+def _sum(terms):
+    return functools.reduce(operator.add, terms)
+
+
+def _paths(start, edges, steps):
+    """acc[c]: the sum over the dual-index paths c_0..c_steps that end at
+    c of start[c_0] (x) edges[c_0][c_1] (x) ... (x) edges[c_(steps-1)][c].
+    Each step extends every path by one slot, acc'[c'] = sum_c acc[c] (x)
+    edges[c][c'], so a path sum over t indices costs t^2 Kronecker
+    products per slot, not one product per path."""
+    acc = start
+    for _ in range(steps):
+        acc = [_sum(a.kron(row[c]) for a, row in zip(acc, edges)) for c in range(len(edges))]
+    return acc
 
 
 def _transfer(head, slot, b_map, n):
     """Degree-n chain map from per-slot matrices: the sum over dual
     indices j_0..j_n, read cyclically, of head[j_0][j_1] (x)
-    slot[j_1][j_2] (x) ... (x) slot[j_n][j_0], then b_map on each b-slot."""
-    chains = []
-    for jj in itertools.product(range(len(head)), repeat=n + 1):
-        first, *rest = zip(jj, jj[1:] + jj[:1])
-        chains.append([head[first[0]][first[1]]] + [slot[j][k] for j, k in rest])
-    return _kron_sum(chains, [b_map] * (n * (n - 1) // 2))
+    slot[j_1][j_2] (x) ... (x) slot[j_n][j_0], then b_map on each b-slot.
+    The cycles through j_0 = j are the paths from head[j], closed by
+    slot[c][j]; at degree 0 the cycle is head[j][j]."""
+    if n == 0:
+        total = _sum(head[j][j] for j in range(len(head)))
+    else:
+        total = _sum(
+            _sum(a.kron(row[j]) for a, row in zip(_paths(head[j], slot, n - 1), slot))
+            for j in range(len(head))
+        )
+    return functools.reduce(SparseMatrix.kron, [b_map] * (n * (n - 1) // 2), total)
 
 
 def _slot_matrices(pair, xs, y_mod, ys):
@@ -588,12 +606,11 @@ def _homotopy(triple, mod, pair, first, second, n, i):
     """h_i: C_n -> C_(n+1) on the complex of (triple, mod), from a pairing
     X (x) Y -> A and two dual families first = (x_j, y_j), second =
     (x'_m, y'_m) of one-column matrices.  With c = (j, m), the columns
-    v_c = pair(x_j (x) y'_m) and u_c = pair(x'_m (x) y_j), h_i sums over
-    c_0..c_i the Kronecker chain H_c0 (x) S_c0c1 (x) ... (x) S_c(i-1)ci
-    (x) u_ci, with H_c = R_M(v_c (x) I) the matrix of mu -> mu v_c and
-    S_cc' = P(P(u_c (x) I) (x) v_c') that of a -> u_c a v_c', then
-    applies I_A to a_(i+1)..a_n and, on each target b-slot, I_B where it
-    copies a source b-slot or the unit of B where it is new."""
+    v_c = pair(x_j (x) y'_m) and u_c = pair(x'_m (x) y_j), h_i is the path
+    sum over c_0..c_i of H_c0 (x) S_c0c1 (x) ... (x) S_c(i-1)ci (x) u_ci,
+    with H_c = R_M(v_c (x) I) the matrix of mu -> mu v_c and S_cc' =
+    P(P(u_c (x) I) (x) v_c') that of a -> u_c a v_c', then applies I_A to
+    a_(i+1)..a_n and `insertion_b_slots` to the b-slots."""
     if not 0 <= i <= n:
         raise PreconditionError("homotopy index out of range")
     field = pair.field
@@ -607,19 +624,9 @@ def _homotopy(triple, mod, pair, first, second, n, i):
     slot = [
         [a.products @ (a.products @ uc.kron(ident_a)).kron(vc) for vc in v] for uc in u
     ]
-    chains = [
-        [head[cc[0]]] + [slot[c0][c1] for c0, c1 in zip(cc, cc[1:])] + [u[cc[-1]]]
-        for cc in itertools.product(range(len(duals)), repeat=i + 1)
-    ]
-    # a unit enters at A-position i+1; the source b-slots keep their order
-    # among the target's, so the copies are plain I_B factors
-    sources = [[k] for k in range(1, i + 1)] + [[]] + [[k] for k in range(i + 1, n + 1)]
-    unit_b = SparseMatrix(field, b.dim, 1, [b.unit_vec()])
-    b_slots = [
-        SparseMatrix.identity(field, b.dim) if ps else unit_b
-        for ps in pair_layout(sources, n)
-    ]
-    return _kron_sum(chains, [ident_a] * (n - i) + b_slots)
+    total = _sum(a.kron(uc) for a, uc in zip(_paths(head, slot, i), u))
+    tail = [ident_a] * (n - i) + [insertion_b_slots(b, n, i)]
+    return functools.reduce(SparseMatrix.kron, tail, total)
 
 
 def homotopy_h(d, m, n, i):
@@ -653,27 +660,20 @@ def alternating_homotopy(parts):
 # the invariance report
 
 
-def verify_morita_invariance(d, m, max_n, field=None, guard_bytes=None, deadline=None):
+def verify_morita_invariance(d, m, max_n, guard_bytes=DEFAULT_GUARD_BYTES, deadline=None):
     """Check homology dims on both sides, the chain-map identities for
     psi/phi, and the homotopy identities for h/l, up to degree max_n."""
     if max_n < 0:
         raise PreconditionError("negative degree")
-    if field is not None and field != d.field:
-        d = d.over(field)
-        m = m.over(field)
     report = Report("morita invariance")
-    kwargs = {}
-    if guard_bytes is not None:
-        kwargs["guard_bytes"] = guard_bytes
     ind = induced_module(d, m)
-    src_complex = build_secondary_complex(d.source, m, max_n + 1, **kwargs)
-    tgt_complex = build_secondary_complex(d.target, ind.module, max_n + 1, **kwargs)
-    dims_src = [
-        homology(src_complex, k, deadline=deadline).dim for k in range(max_n + 1)
+    src_complex, tgt_complex = built = [
+        build_secondary_complex(side, mod, max_n + 1, guard_bytes=guard_bytes)
+        for side, mod in ((d.source, m), (d.target, ind.module))
     ]
-    dims_tgt = [
-        homology(tgt_complex, k, deadline=deadline).dim for k in range(max_n + 1)
-    ]
+    dims_src, dims_tgt = (
+        [homology(cx, k, deadline=deadline).dim for k in range(max_n + 1)] for cx in built
+    )
     report.check(
         "homology dims agree",
         dims_src == dims_tgt,

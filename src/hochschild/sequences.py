@@ -31,6 +31,7 @@ from .algebra import (
     validate_bimodule,
 )
 from .complexes import (
+    DEFAULT_GUARD_BYTES,
     build_classical_complex,
     build_secondary_complex,
     classical_scheme,
@@ -107,7 +108,7 @@ def phi1_chain(t, m):
     return SparseMatrix.identity(field, n)
 
 
-def verify_exact_sequence(t, m, guard_bytes=None):
+def verify_exact_sequence(t, m, guard_bytes=DEFAULT_GUARD_BYTES):
     """Exactness of the five-term sequence on a concrete instance.
 
     Reports each junction as a subspace equality with dimensions, plus
@@ -116,11 +117,10 @@ def verify_exact_sequence(t, m, guard_bytes=None):
     the complexes keep, and surfaces as a failure here if a map is not
     well defined.
     """
-    kwargs = {"guard_bytes": guard_bytes} if guard_bytes is not None else {}
-    sec = build_secondary_complex(t, m, 3, **kwargs)
-    ca = build_classical_complex(t.A, m, 3, **kwargs)
+    sec = build_secondary_complex(t, m, 3, guard_bytes=guard_bytes)
+    ca = build_classical_complex(t.A, m, 3, guard_bytes=guard_bytes)
     m_b = pullback_bimodule(t.eps, m)
-    cb = build_classical_complex(t.B, m_b, 2, **kwargs)
+    cb = build_classical_complex(t.B, m_b, 2, guard_bytes=guard_bytes)
 
     report = Report("five-term exact sequence")
     dims = {  # from the bases the induced maps use below

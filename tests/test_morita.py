@@ -1,6 +1,11 @@
 import dataclasses
+import functools
 import gc
+import itertools
+import operator
+import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -18,7 +23,7 @@ from hochschild.algebra import (
 from hochschild.complexes import build_secondary_complex, homology
 from hochschild.errors import PreconditionError
 from hochschild.fields import GF, QQ
-from hochschild.fixtures import NAMED_FIXTURES, fix_d, fix_dd
+from hochschild.fixtures import NAMED_FIXTURES, fix_d, fix_dd, fix_kb
 from hochschild.linalg import SparseMatrix, induced_quotient_map
 from hochschild.morita import (
     alternating_homotopy,
@@ -288,6 +293,51 @@ class TestChainMaps:
             assert fwd @ back == SparseMatrix.identity(QQ, hdim)
 
 
+def _typed(mat):
+    """The entries of each column with their scalar types."""
+    return [sorted((r, type(v), v) for r, v in col.items()) for col in mat.columns()]
+
+
+class TestPathSums:
+    @staticmethod
+    def _random_matrices(rng, field, rows, cols, count):
+        pool = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 5)]
+        out = []
+        for _ in range(count):
+            columns = [
+                {r: v for r in range(rows) if (v := field.from_rational(rng.choice(pool)))}
+                for _ in range(cols)
+            ]
+            out.append(SparseMatrix(field, rows, cols, columns))
+        return out
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    @pytest.mark.parametrize("steps", [0, 1, 2, 3])
+    def test_paths_equal_the_sum_over_index_paths(self, field, t, steps):
+        """acc[c] is the sum over the index paths c_0..c_steps = c of
+        start[c_0] (x) edges[c_0][c_1] (x) ... (x) edges[c_(steps-1)][c],
+        with the same scalar types as that sum."""
+        rng = random.Random(100 * t + steps)
+        start = self._random_matrices(rng, field, 2, 3, t)
+        edges = [self._random_matrices(rng, field, 3, 2, t) for _ in range(t)]
+        acc = morita._paths(start, edges, steps)
+        assert len(acc) == t
+        for c in range(t):
+            paths = (prefix + (c,) for prefix in itertools.product(range(t), repeat=steps))
+            terms = [
+                functools.reduce(
+                    SparseMatrix.kron,
+                    [edges[j][k] for j, k in zip(path, path[1:])],
+                    start[path[0]],
+                )
+                for path in paths
+            ]
+            expected = functools.reduce(operator.add, terms)
+            assert acc[c] == expected
+            assert _typed(acc[c]) == _typed(expected)
+
+
 class TestHomotopies:
     def test_identity_data_inserts_units(self):
         t, m = fix_dd()
@@ -390,6 +440,17 @@ class TestInvariance:
         rep = verify_morita_invariance(standard_matrix_morita(t, 2), m, 2)
         assert rep.ok, rep.render()
 
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+    def test_composed_matrix_contexts_with_four_dual_pairs(self, field):
+        """The 2x2 context of FIX-KB composed with the 2x2 context of its
+        lift: t = 4 dual pairs, with psi, phi, h and l to degree 2."""
+        t, m = (x.over(field) for x in fix_kb())
+        std = standard_matrix_morita(t, 2)
+        d = compose_morita(std, standard_matrix_morita(std.target, 2))
+        assert (d.s, d.t) == (1, 4)
+        rep = verify_morita_invariance(d, m, 2)
+        assert rep.ok, rep.render()
+
     @pytest.mark.parametrize(
         "name, p", list(LIFT_DIMS), ids=[f"{name}-GF{p}" for name, p in LIFT_DIMS]
     )
@@ -398,7 +459,7 @@ class TestInvariance:
         FIX-EXT read other dims in characteristic 2 or 3 than over Q."""
         t, m = NAMED_FIXTURES[name]()
         d = standard_matrix_morita(t, 2)
-        rep_p = verify_morita_invariance(d, m, 1, field=GF(p))
+        rep_p = verify_morita_invariance(d.over(GF(p)), m.over(GF(p)), 1)
         assert rep_p.ok, rep_p.render()
         dims = LIFT_DIMS[(name, p)]
         agree = next(i for i in rep_p.items if i.label == "homology dims agree")
