@@ -16,7 +16,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .algebra import matrix_triple, validate_bimodule, validate_triple
+from .algebra import matrix_triple, trivial_triple, validate_bimodule, validate_triple
 from .complexes import (
     DEFAULT_GUARD_BYTES,
     ENTRY_BYTES,
@@ -59,7 +59,7 @@ def _read_instance(args):
         text = Path(args.path).read_text()
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {args.path}: {exc}") from None
-    override = field_from_name(args.field) if getattr(args, "field", None) else None
+    override = field_from_name(args.field) if args.field else None
     return parse_instance(text, field_override=override)
 
 
@@ -155,10 +155,13 @@ def cmd_homology(args):
         cx = build_classical_complex(
             t.A, m, args.max_degree, guard_bytes=args.guard_bytes
         )
+        # the secondary complex of trivial_triple(A): its B is the ground field
+        labels_b = trivial_triple(t.A).B.basis_labels
     else:
         cx = build_secondary_complex(
             t, m, args.max_degree, guard_bytes=args.guard_bytes
         )
+        labels_b = t.B.basis_labels
     report = Report(f"homology ({args.kind})")
     report.info("chain dims", str(list(cx.dims)))
     labels_m = [f"m{i}" for i in range(m.dim)]
@@ -173,7 +176,7 @@ def cmd_homology(args):
                         cx.schemes[n],
                         labels_m,
                         t.A.basis_labels,
-                        t.B.basis_labels,
+                        labels_b,
                         rep,
                         inst.field,
                     ),
@@ -267,13 +270,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_field=True):
+    def add_common(p):
         p.add_argument("path", help="instance file")
-        if with_field:
-            p.add_argument(
-                "--field",
-                help="override the scalar field (Q or Fp:<prime>) for cross-checks",
-            )
+        p.add_argument(
+            "--field",
+            help="override the scalar field (Q or Fp:<prime>) for cross-checks",
+        )
         p.add_argument("--output", help="write a JSON report to this path")
         p.add_argument(
             "--guard-bytes",

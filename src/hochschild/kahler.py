@@ -8,7 +8,9 @@ the free module A^g = k^g (x) A is stored flat: coordinate g_i*dimA + u
 is the u-th component of the A-coefficient of generator g_i.  The
 relations, the action of A on A^g (`linalg.tensor_bilinear` of I_g and
 the products) and M (x)_A Omega^1 are matrix expressions in the
-products, eps and the actions of M.
+products, eps and the actions of M.  Every A-module closure, of the
+Omega relations and of the domain of the fundamental sequence, is one
+span of images (`module_closure`).
 
 The degree-one homology of both complexes is tied to these modules:
 H_1(A, M) = M (x)_A Omega^1_{A|k} and, for the secondary theory,
@@ -58,21 +60,16 @@ class PresentedModule:
 
 def module_closure(a, vectors, gen_count):
     """A-module closure of a vector family in A^gen_count, as a Subspace:
-    the span of the family and its images under the basis of A.  A is
-    unital and associative, so e_k (e_i r) = (e_k e_i) r lies in that
-    span again and one pass suffices."""
-    field, ambient = a.field, gen_count * a.dim
-    current = Subspace.span(field, ambient, vectors)
+    the span of the images of the family under the basis of A.  A is
+    unital, so the family lies in that span, and associative, so
+    e_k (e_i r) = (e_k e_i) r lies in it again: one span suffices."""
+    field, g, da = a.field, gen_count, a.dim
     ident = SparseMatrix.identity
+    family = SparseMatrix(field, g * da, len(vectors), vectors)
     # e_i . r on A^g = k^g (x) A: (I_g (x) P)(K (x) I_A), P the products
-    g, da = gen_count, a.dim
     act = tensor_bilinear(ident(field, g), 1, g, a.products, da, da)
-    basis = SparseMatrix(field, ambient, current.dim, current.basis)
-    images = act @ ident(field, da).kron(basis)
-    extra = [img for img in images.columns() if not current.contains(img)]
-    if not extra:
-        return current
-    return Subspace.span(field, ambient, [*current.basis, *extra])
+    images = act @ ident(field, da).kron(family)
+    return Subspace.span(field, g * da, images.columns())
 
 
 def kahler_module(t):
@@ -152,16 +149,13 @@ def verify_fundamental_sequence(t):
     q1 = QuotientSpace(omega_ak.relation_space)
     q2 = QuotientSpace(omega_ab.relation_space)
 
-    # domain A (x)_B Omega^1_{B|k}: A^g_b modulo the images under the basis
-    # of A of the relations of Omega_B, moved into A through eps
+    # domain A (x)_B Omega^1_{B|k}: A^g_b modulo the A-module closure of
+    # the relations of Omega_B, moved into A through eps
     rel_b = omega_b.relation_space
     rel_b = SparseMatrix(field, g_b * b.dim, rel_b.dim, rel_b.basis)
     ident = SparseMatrix.identity
     base = ident(field, g_b).kron(eps.sparse) @ rel_b
-    act = tensor_bilinear(ident(field, g_b), 1, g_b, a.products, da, da)
-    moved = act @ ident(field, da).kron(base)
-    dom_rel = [col for col in moved.columns() if col]
-    dom_space = QuotientSpace(Subspace.span(field, g_b * da, dom_rel))
+    dom_space = QuotientSpace(module_closure(a, base.columns(), g_b))
 
     # first map: a (x) d(b_v) -> a . d(eps(b_v)), on the unquotiented domain
     first = eps.sparse.kron(ident(field, da))

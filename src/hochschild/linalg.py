@@ -40,8 +40,9 @@ identity, and `tensor_bilinear` is the structure tensor that two of
 them make on tensor products, the one primitive behind tensor algebras,
 tensor bimodules and the pairings of the matrix Morita context.
 
-Sparse products have one accumulation kernel, behind `apply` and `@`,
-which adds in the scalars' own arithmetic with no field call per term.
+Sparse products have one accumulation kernel, behind `apply` and `@`
+(and so behind `bilinear`, one `apply`), which adds in the scalars' own
+arithmetic with no field call per term.
 Over GF(p) it sums raw `int` products and reduces mod p once per entry.
 Over Q it scales each row of the left factor that holds a fraction by
 the lcm of its denominators, once per product, and each right column by
@@ -49,7 +50,9 @@ the lcm of its own as it reaches it; it adds in `int` and divides each
 entry once, so an integral value stays an `int`.  When the right factor
 is the narrower, only the left columns it reads are cleared.  An empty
 right column costs one test, and the right factor is never copied: in
-the d∘d check d_n d_(n+1) it is the larger boundary.
+the d∘d check d_n d_(n+1) it is the larger boundary.  Sums have a
+kernel of their own, `vec_add_scaled`, behind `+`, `-` and
+`Subspace.reduce`: routed through the product kernel they ran slower.
 
 Everything here is immutable after construction and all operations are
 pure, so concurrent use on distinct inputs is safe.
@@ -86,14 +89,12 @@ def vec_add_scaled(field, acc, scale, vec):
 def bilinear(m, y_dim, x, y):
     """m applied to x (x) y, the tensor whose basis vector e_i (x) e_j is
     column i * y_dim + j of m.  Every product, action and pairing given
-    by structure constants is this contraction of its sparse form."""
-    field = m.field
-    mul, columns = field.mul, m.columns()
-    out = {}
-    for i, xi in x.items():
-        for j, yj in y.items():
-            vec_add_scaled(field, out, mul(xi, yj), columns[i * y_dim + j])
-    return out
+    by structure constants is this contraction of its sparse form, one
+    `apply` of the Kronecker vector."""
+    mul = m.field.mul
+    return m.apply(
+        {i * y_dim + j: mul(xi, yj) for i, xi in x.items() for j, yj in y.items()}
+    )
 
 
 def commutation(field, m, n):
@@ -114,12 +115,6 @@ def tensor_bilinear(m1, x1, y1, m2, x2, y2):
     ident = SparseMatrix.identity
     shuffle = ident(field, x1).kron(commutation(field, x2, y1)).kron(ident(field, y2))
     return m1.kron(m2) @ shuffle
-
-
-def vec_scale(field, scale, vec):
-    if scale == field.zero:
-        return {}
-    return {k: field.mul(scale, v) for k, v in vec.items()}
 
 
 def _check_same_field(a, b):
@@ -308,12 +303,11 @@ class SparseMatrix:
         return self.scale(self.field.neg(self.field.one))
 
     def scale(self, a):
-        return SparseMatrix(
-            self.field,
-            self.rows,
-            self.cols,
-            [vec_scale(self.field, a, col) for col in self._columns],
-        )
+        mul = self.field.mul
+        cols = [
+            {k: w for k, v in col.items() if (w := mul(a, v))} for col in self._columns
+        ]
+        return SparseMatrix(self.field, self.rows, self.cols, cols)
 
     @property
     def shape(self):

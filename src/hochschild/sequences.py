@@ -34,9 +34,7 @@ from .complexes import (
     DEFAULT_GUARD_BYTES,
     build_classical_complex,
     build_secondary_complex,
-    classical_scheme,
     secondary_boundary,
-    secondary_scheme,
 )
 from .errors import NotAChainMapError, PreconditionError
 from .linalg import (
@@ -102,10 +100,7 @@ def epsilon_star_chain(t, m):
 
 def phi1_chain(t, m):
     """C_1(A,M) -> C_1((A,B,eps);M): the canonical identification."""
-    field = t.A.field
-    n = classical_scheme(t.A, m, 1).total
-    assert n == secondary_scheme(t, m, 1).total
-    return SparseMatrix.identity(field, n)
+    return SparseMatrix.identity(t.A.field, m.dim * t.A.dim)
 
 
 def verify_exact_sequence(t, m, guard_bytes=DEFAULT_GUARD_BYTES):

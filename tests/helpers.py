@@ -4,7 +4,14 @@ from fractions import Fraction
 
 from hochschild.complexes import build_classical_complex, build_secondary_complex
 from hochschild.errors import PreconditionError
-from hochschild.linalg import Echelon, SparseMatrix, kernel_basis, vec_add_scaled
+from hochschild.linalg import (
+    Echelon,
+    SparseMatrix,
+    Subspace,
+    kernel_basis,
+    tensor_bilinear,
+    vec_add_scaled,
+)
 
 
 def from_entries(field, rows, cols, entries):
@@ -165,3 +172,21 @@ def dense_product(field, a, b):
                 entries[i] = x.numerator if x.denominator == 1 else x
         out.append(entries)
     return out
+
+
+def two_step_closure(a, vectors, gen_count):
+    """A-module closure of a vector family in A^gen_count in two steps: the
+    span of the family, then, if the images of its basis under the basis
+    of A leave it, a second span with them; a reference for
+    `kahler.module_closure`."""
+    field, ambient = a.field, gen_count * a.dim
+    current = Subspace.span(field, ambient, vectors)
+    ident = SparseMatrix.identity
+    g, da = gen_count, a.dim
+    act = tensor_bilinear(ident(field, g), 1, g, a.products, da, da)
+    basis = SparseMatrix(field, ambient, current.dim, current.basis)
+    images = act @ ident(field, da).kron(basis)
+    extra = [img for img in images.columns() if not current.contains(img)]
+    if not extra:
+        return current
+    return Subspace.span(field, ambient, [*current.basis, *extra])

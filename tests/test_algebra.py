@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from helpers import act_left_basis, center
+from oracle_naive import act_left as naive_act_left
+from oracle_naive import act_right as naive_act_right
+from oracle_naive import alg_mul as naive_mul
 
 from hochschild.algebra import (
     AlgebraMorphism,
@@ -25,9 +28,9 @@ from hochschild.algebra import (
     validate_bimodule,
     validate_triple,
 )
-from hochschild.errors import PreconditionError
-from hochschild.fields import QQ
-from hochschild.fixtures import fix_d, fix_dd, random_instances
+from hochschild.errors import PreconditionError, ScalarError
+from hochschild.fields import GF, QQ
+from hochschild.fixtures import NAMED_FIXTURES, fix_d, fix_dd, random_instances
 
 
 def _frac(data):
@@ -421,3 +424,68 @@ def test_center_always_contains_the_unit():
     from hochschild.algebra import matrix_algebra as _ma
 
     assert center(_ma(QQ, 3)).contains(_ma(QQ, 3).unit_vec())
+
+
+def _instances_over(field):
+    """The named fixtures, their 2x2 lifts and random_instances(7, 6) in
+    field; those whose literals have no image there are left out."""
+    base = [fn() for fn in NAMED_FIXTURES.values()] + random_instances(7, 6)
+    lifts = []
+    for t, m in base[: len(NAMED_FIXTURES)]:
+        lifted, lift = matrix_triple(t, 2)
+        lifts.append((lifted, lift(m)))
+    out = []
+    for t, m in base + lifts:
+        try:
+            out.append((t.over(field), m.over(field)))
+        except ScalarError:
+            pass
+    assert len(out) >= len(base + lifts) - 1
+    return out
+
+
+def _random_vec(rng, field, dim):
+    """A dense Fraction list and the same vector in sparse form in field."""
+    pool = (0, 0, 1, -1, 2, -3)
+    if field is QQ:
+        pool += (Fraction(1, 2), Fraction(2, 3))
+    dense = [Fraction(rng.choice(pool)) for _ in range(dim)]
+    conv = field.from_rational
+    return dense, {i: conv(v) for i, v in enumerate(dense) if conv(v) != field.zero}
+
+
+def _naive_in(field, dense):
+    """A dense Fraction result of the oracle as a sparse vector: residues
+    mod p over GF(p); over Q an integral value as an int."""
+    p = getattr(field, "p", None)
+    out = {}
+    for i, v in enumerate(dense):
+        if p is not None:
+            v = v.numerator * pow(v.denominator, -1, p) % p
+        if v:
+            out[i] = v.numerator if v.denominator == 1 else v
+    return out
+
+
+def _same_typed(got, expected):
+    assert got == expected
+    assert all(type(got[k]) is type(expected[k]) for k in expected)
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(2), GF(3), GF(1009)], ids=["Q", "GF2", "GF3", "GF1009"]
+)
+def test_products_and_actions_match_the_dense_oracle(field):
+    """FiniteAlgebra.mul, act_left and act_right (one `apply` of the
+    Kronecker vector each) equal the oracle's dense loops, in value and
+    in scalar type: an int wherever the value is integral."""
+    rng = random.Random(5)
+    for t, m in _instances_over(field):
+        a = t.A
+        for _ in range(4):
+            xd, x = _random_vec(rng, field, a.dim)
+            yd, y = _random_vec(rng, field, a.dim)
+            _same_typed(a.mul(x, y), _naive_in(field, naive_mul(a, xd, yd)))
+            vd, v = _random_vec(rng, field, m.dim)
+            _same_typed(m.act_left(x, v), _naive_in(field, naive_act_left(m, xd, vd)))
+            _same_typed(m.act_right(v, x), _naive_in(field, naive_act_right(m, vd, xd)))

@@ -97,6 +97,34 @@ def test_homology_classical_with_reps(fixture_dir, capsys):
     assert "rep" in out
 
 
+def test_classical_reps_label_b_slots_by_the_ground_field(
+    fixture_dir, tmp_path, capsys
+):
+    """The classical complex is the secondary complex of trivial_triple(A),
+    so its b-slots hold the unit of k: FIX-DD with B's basis reordered to
+    (x, 1) prints them as 1, as the unreordered file does."""
+    path = fixture_dir / "FIX-DD.json"
+    data = json.loads(path.read_text())
+    swap = (1, 0)
+    b = data["B"]
+    table = b["table"]
+    b["basis"] = [b["basis"][k] for k in swap]
+    b["unit"] = ["0", "1"]
+    b["table"] = [[[table[i][j][k] for k in swap] for j in swap] for i in swap]
+    data["epsilon"] = [[row[k] for k in swap] for row in data["epsilon"]]
+    reordered = tmp_path / "FIX-DD-B-reordered.json"
+    reordered.write_text(json.dumps(data))
+    assert main(["validate", str(reordered)]) == 0
+    capsys.readouterr()
+    outs = []
+    for p in (path, reordered):
+        argv = ["homology", str(p), "--kind", "classical", "--reps"]
+        assert main([*argv, "--max-degree", "3"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert "H_2 rep 0: 1*(m1 ; x,x ; 1)" in outs[1]
+    assert outs[1] == outs[0]
+
+
 def test_homology_size_guard_exit_code(fixture_dir, capsys):
     assert main(
         [
@@ -134,6 +162,19 @@ def test_morita(fixture_dir, capsys):
     ) == 0
     out = capsys.readouterr().out
     assert "homology dims agree" in out
+
+
+def test_morita_matrix_size_option(fixture_dir, capsys):
+    """--n sets the matrix size of a file with no morita section; the
+    context needs n >= 1."""
+    path = str(fixture_dir / "FIX-D-M2.json")
+    assert "morita" not in json.loads((fixture_dir / "FIX-D-M2.json").read_text())
+    assert main(["morita", path, "--n", "1", "--max-degree", "1"]) == 0
+    assert "homology dims agree" in capsys.readouterr().out
+    assert main(["morita", path, "--n", "0", "--max-degree", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: matrix context needs n >= 1\n"
 
 
 def test_morita_negative_degree_is_input_error(fixture_dir, capsys):

@@ -1,5 +1,8 @@
 import pytest
 
+from helpers import two_step_closure
+
+from hochschild import kahler
 from hochschild.algebra import (
     Bimodule,
     field_algebra,
@@ -8,9 +11,16 @@ from hochschild.algebra import (
     trivial_triple,
     truncated_polynomial_algebra,
 )
-from hochschild.errors import PreconditionError, SizeGuardError
-from hochschild.fields import QQ
-from hochschild.fixtures import fix_d, fix_dd, fix_ext, fix_p3, random_instances
+from hochschild.errors import PreconditionError, ScalarError, SizeGuardError
+from hochschild.fields import GF, QQ
+from hochschild.fixtures import (
+    NAMED_FIXTURES,
+    fix_d,
+    fix_dd,
+    fix_ext,
+    fix_p3,
+    random_instances,
+)
 from hochschild.kahler import (
     kahler_module,
     module_closure,
@@ -50,6 +60,35 @@ class TestKahlerModule:
             t.A, list(omega.relation_space.basis), omega.free_rank
         )
         assert closed_again == omega.relation_space
+
+    @pytest.mark.parametrize(
+        "field", [QQ, GF(2), GF(3), GF(1009)], ids=["Q", "GF2", "GF3", "GF1009"]
+    )
+    def test_closure_equals_the_two_step_closure(self, field, monkeypatch):
+        """module_closure, one span of the images under the basis of A,
+        equals the span of the family closed up in a second span, on every
+        family the Kaehler modules and the fundamental sequence close: the
+        relations of Omega_{A|B}, Omega_{A|k} and Omega_{B|k}, and those of
+        Omega_{B|k} moved into A^g through eps."""
+        closed = []
+
+        def checked(a, vectors, gen_count):
+            got = module_closure(a, vectors, gen_count)
+            assert got == two_step_closure(a, vectors, gen_count)
+            closed.append(got.dim)
+            return got
+
+        monkeypatch.setattr(kahler, "module_closure", checked)
+        cases = [fn()[0] for fn in NAMED_FIXTURES.values()]
+        cases += [t for t, _ in random_instances(7, 6)]
+        for t in cases:
+            try:
+                t = t.over(field)
+            except ScalarError:
+                continue
+            if t.A.is_commutative():
+                verify_fundamental_sequence(t)
+        assert len(closed) >= 4 * (len(cases) - 1) and any(closed)
 
     def test_base_equal_to_ground_field_matches_classical(self):
         for t, m in random_instances(seed=31, count=8):
