@@ -16,12 +16,17 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .algebra import matrix_triple, trivial_triple, validate_bimodule, validate_triple
+from .algebra import (
+    AlgebraMorphism,
+    matrix_triple,
+    trivial_triple,
+    validate_bimodule,
+    validate_triple,
+)
 from .complexes import (
     DEFAULT_GUARD_BYTES,
     ENTRY_BYTES,
     ChainIndexScheme,
-    build_classical_complex,
     build_secondary_complex,
     check_size_guard,
     estimate_build_bytes,
@@ -123,8 +128,6 @@ def cmd_validate(args):
     inst = _read_instance(args)
     report = _instance_report(inst)
     if inst.morphism is not None:
-        from .algebra import AlgebraMorphism
-
         tm = TripleMorphism(
             inst.triple,
             inst.triple,
@@ -151,17 +154,9 @@ def _format_chain(scheme, labels_m, labels_a, labels_b, vec, field):
 def cmd_homology(args):
     inst = _read_valid_instance(args)
     t, m = inst.triple, inst.module
-    if args.kind == "classical":
-        cx = build_classical_complex(
-            t.A, m, args.max_degree, guard_bytes=args.guard_bytes
-        )
-        # the secondary complex of trivial_triple(A): its B is the ground field
-        labels_b = trivial_triple(t.A).B.basis_labels
-    else:
-        cx = build_secondary_complex(
-            t, m, args.max_degree, guard_bytes=args.guard_bytes
-        )
-        labels_b = t.B.basis_labels
+    if args.kind == "classical":  # the secondary complex of (A, k, unit)
+        t = trivial_triple(t.A)
+    cx = build_secondary_complex(t, m, args.max_degree, guard_bytes=args.guard_bytes)
     report = Report(f"homology ({args.kind})")
     report.info("chain dims", str(list(cx.dims)))
     labels_m = [f"m{i}" for i in range(m.dim)]
@@ -176,7 +171,7 @@ def cmd_homology(args):
                         cx.schemes[n],
                         labels_m,
                         t.A.basis_labels,
-                        labels_b,
+                        t.B.basis_labels,
                         rep,
                         inst.field,
                     ),

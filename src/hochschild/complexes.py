@@ -45,6 +45,10 @@ the chains with no broken junction, and C^non, the rest (`PeirceSplit`,
 a mask of bytes per degree).  On C^non, inserting the idempotent e_q
 after the first broken junction k, q the label to its left and the unit
 of B in each new b-slot, with sign (-1)^k, is a contracting homotopy h.
+One walk of the labels, prefix by prefix, gives both: each prefix of
+slots keeps L(mu), its first broken junction k and q, so the masks
+read whether a chain closes and h reads k and q, placing e_q as one
+more digit of the prefix index.
 On the first rank or image request a `ChainComplex` checks that every
 nonzero boundary column stays in its part and that dh + hd = id on
 C^non below the top degree; a failure raises
@@ -168,15 +172,12 @@ class ChainIndexScheme:
         return itertools.product(*map(range, self.radices))
 
     def decode(self, idx):
-        betas = [0] * self.num_pairs
-        for s in range(self.num_pairs - 1, -1, -1):
-            idx, betas[s] = divmod(idx, self.dim_b)
-        alphas = [0] * self.degree
-        for s in range(self.degree - 1, -1, -1):
-            idx, alphas[s] = divmod(idx, self.dim_a)
-        if not 0 <= idx < self.dim_m:
+        """(mu, alphas, betas): the digits of chain idx, read through
+        `strides` and `radices`."""
+        if not 0 <= idx < self.total:
             raise ValueError("chain index out of range")
-        return idx, tuple(alphas), tuple(betas)
+        digits = [idx // s % r for r, s in zip(self.radices, self.strides)]
+        return digits[0], tuple(digits[1 : self.degree + 1]), tuple(digits[self.degree + 1 :])
 
 
 def classical_scheme(a, m, n):
@@ -382,42 +383,47 @@ class PeirceSplit:
     the two slots of one junction, so it vanishes across a broken one and
     keeps every other junction: C^s (every junction whole, the cyclic
     block paths) and C^non (some junction broken) are subcomplexes.
-    masks[n][j] is 1 when chain j of degree n lies in C^s.  On C^non,
-    `homotopy` is a contracting homotopy: dh + hd = id there, which
-    `ChainComplex` checks before it relies on it."""
+    The labels are walked once, prefix by prefix: the state of a prefix
+    (mu, a_1..a_n) is (L(mu), R(slot k), k), k its first broken junction,
+    or n when junctions 0..n-1 are whole.  states[n] lists them in index
+    order for n below the top.  masks[n][j] is 1 when chain j of degree n
+    lies in C^s: its prefix has k = n and closes, L(mu) = R(slot n).  On
+    C^non, `homotopy` is a contracting homotopy: dh + hd = id there,
+    which `ChainComplex` checks before it relies on it."""
 
-    def __init__(self, a, b, m, labels, max_degree):
+    def __init__(self, a, b, labels, max_degree):
         """The split to max_degree of the complex of (a, b, eps) with
-        coefficients in m, labels the `_peirce_labels` of a, eps and m."""
-        self.field, self.b = a.field, b
-        self.dim_m, self.dim_a = m.dim, a.dim
-        self.labels_a, self.labels_m = labels[: a.dim], labels[a.dim :]
+        coefficients in a bimodule m, labels the `_peirce_labels` of a,
+        eps and m."""
+        self.field, self.b, self.dim_a = a.field, b, a.dim
+        self.labels_a = labels[: a.dim]
         units = [[] for _ in range(1 + max(q for pair in labels for q in pair))]
         for i, c in a.unit_vec().items():
             units[self.labels_a[i][0]].append((i, c))
         self.units = units  # units[q]: the (index, coefficient) terms of e_q
-        masks, states = [], self.labels_m  # (L(mu), R(last slot)) of each prefix
+        masks, kept, states = [], [], [(l, r, 0) for l, r in labels[a.dim :]]
         for n in range(max_degree + 1):
-            if n:  # the top degree's prefixes are read once, as they are made
+            if n:  # a prefix whole so far extends across junction n - 1 or breaks there
                 states = (
-                    (s[0], r) if s is not None and s[1] == l else None
+                    (s[0], r, n) if s[2] == n - 1 and s[1] == l else s
                     for s in states
                     for l, r in self.labels_a
                 )
-                states = list(states) if n < max_degree else states
-            closed = bytes(s is not None and s[0] == s[1] for s in states)
+            if n < max_degree:  # the top degree's prefixes are read once, as they are made
+                kept.append(states := list(states))
+            closed = bytes(s[2] == n and s[0] == s[1] for s in states)
             rep = b.dim ** (n * (n - 1) // 2)  # the b-digits, least significant
             mask = bytearray(len(closed) * rep)
             for i in range(rep):
                 mask[i::rep] = closed
             masks.append(bytes(mask))
-        self.masks = tuple(masks)
+        self.masks, self.states = tuple(masks), tuple(kept)
 
     @classmethod
     def of(cls, a, b, eps, m, max_degree):
         """The split, or None when the labels form one class."""
         labels = _peirce_labels(a, eps, m)
-        return None if labels is None else cls(a, b, m, labels, max_degree)
+        return None if labels is None else cls(a, b, labels, max_degree)
 
     def noncyclic_rank(self, n):
         """rank d_n on C^non, from its exactness below degree n:
@@ -426,34 +432,29 @@ class PeirceSplit:
         return sum(d if (n - 1 - j) % 2 == 0 else -d for j, d in enumerate(dims))
 
     def homotopy(self, n):
-        """h_n: C_n -> C_(n+1), zero on C^s.  A chain of C^non whose first
-        broken junction is k goes to (-1)^k times itself with e_q, q =
-        R(slot k), inserted as A-slot k + 1 and `insertion_b_slots` on its
-        b-slots."""
-        field, mul = self.field, self.field.mul
-        dm, da = self.dim_m, self.dim_a
+        """h_n: C_n -> C_(n+1), zero on C^s.  A chain of C^non whose prefix
+        state is (l, q, k) goes to (-1)^k times itself with e_q inserted
+        as A-slot k + 1, one digit placed between the prefix digits of
+        slots ..k and k + 1.., and `insertion_b_slots` on its b-slots."""
+        field, mul, da = self.field, self.field.mul, self.dim_a
         b_maps = [insertion_b_slots(self.b, n, k) for k in range(n + 1)]
         src_rep, tgt_rep = b_maps[0].cols, b_maps[0].rows
-        mask, cols = self.masks[n], []
-        for p, digits in enumerate(itertools.product(range(dm), *[range(da)] * n)):
-            if mask[p * src_rep]:
+        states, cols = self.states[n], []
+        for p, (l, q, k) in enumerate(states):
+            if k == n and l == q:
                 cols += [{} for _ in range(src_rep)]
                 continue
-            slots = [self.labels_m[digits[0]]] + [self.labels_a[x] for x in digits[1:]]
-            # the first broken junction; slots[k - n] is slot (k + 1) mod (n + 1)
-            k = next(k for k in range(n + 1) if slots[k][1] != slots[k - n][0])
-            sign = _insertion_sign(field, k)
-            head = []
-            for e, c in self.units[slots[k][1]]:
-                idx = digits[0]
-                for x in digits[1 : k + 1] + (e,) + digits[k + 1 :]:
-                    idx = idx * da + x
-                head.append((idx * tgt_rep, mul(sign, c)))
+            sign, weight = _insertion_sign(field, k), da ** (n - k)  # of slot k + 1
+            hi, lo = divmod(p, weight)
+            head = [
+                (((hi * da + e) * weight + lo) * tgt_rep, mul(sign, c))
+                for e, c in self.units[q]
+            ]
             cols += [
                 {h + o: mul(hc, bc) for h, hc in head for o, bc in b_col.items()}
                 for b_col in b_maps[k].columns()
             ]
-        return SparseMatrix(field, dm * da ** (n + 1) * tgt_rep, len(cols), cols)
+        return SparseMatrix(field, len(states) * da * tgt_rep, len(cols), cols)
 
 
 def _check_parts(n, rows, inside, outside):

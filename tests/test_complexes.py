@@ -92,6 +92,13 @@ class TestIndexScheme:
             mu, alphas, betas = s.decode(idx)
             assert encode(s, mu, alphas, betas) == idx
 
+    @pytest.mark.parametrize("degree", [0, 1, 3])
+    def test_an_index_out_of_range_is_refused(self, degree):
+        s = ChainIndexScheme(degree, 2, 3, 2)
+        for idx in (s.total, -1):
+            with pytest.raises(ValueError, match="chain index out of range"):
+                s.decode(idx)
+
     @given(
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=6),
@@ -594,6 +601,32 @@ class TestPeirceSplit:
         moved = ChainComplex(cx.kind, cx.field, cx.dims, cx.boundaries, cx.schemes, bad)
         with pytest.raises(ComplexInconsistencyError, match="at degree 1 leaves its Peirce"):
             moved.boundary_rank(1)
+
+
+@pytest.mark.parametrize("mutant", ["a later junction", "two e_q swapped"])
+def test_a_homotopy_with_the_wrong_insertion_is_refused(monkeypatch, mutant):
+    """h with each C^non chain's e_q inserted one junction after its
+    first broken one, where there is one, or with the e_q of two
+    label classes swapped: dh + hd = id fails, and the first rank or
+    image request raises."""
+    init = PeirceSplit.__init__
+
+    def mutated(self, *args):
+        init(self, *args)
+        if mutant == "a later junction":
+            self.states = tuple(
+                [(l, q, k + 1) if k < n else (l, q, k) for l, q, k in states]
+                for n, states in enumerate(self.states)
+            )
+        else:
+            p, q = [c for c, terms in enumerate(self.units) if terms][:2]
+            self.units[p], self.units[q] = self.units[q], self.units[p]
+
+    monkeypatch.setattr(PeirceSplit, "__init__", mutated)
+    for request in ("boundary_rank", "boundary_image"):
+        cx = build_secondary_complex(*_lifted(fix_dd), 2)
+        with pytest.raises(ComplexInconsistencyError, match="homotopy fails at degree"):
+            getattr(cx, request)(1)
 
 
 def _recording_builds(monkeypatch):
