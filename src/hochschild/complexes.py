@@ -7,24 +7,21 @@ complex is the secondary complex with B the ground field, so its
 b-digits are always 0: `build_classical_complex` builds the secondary
 complex of `trivial_triple(a)`.
 
-One builder makes both boundaries, from `SparseMatrix.kron` and `@`
-like every other structure map.  Each face is a head matrix on the
-slots it multiplies (mu a_1 eps(b..), a_i eps(b) a_(i+1),
-a_n eps(b..) mu), a product of the structure matrices of A, B, eps and
-the module, and `pair_layout` says which b-slots it copies and which it
-merges.  Once per call, each face is compiled into a term table: the
-columns of head (x) P_B (x) ... (x) P_B, one product P_B of B per merged
-b-pair, are the terms of each value of the source digits the face reads
-(its head key and the merged b-digits), each row mapped once to its
-target offset through the target's strides.  An interior face of d_n
-merges n-2 b-pairs and an outer face none, so every interior face has
-the table +-interior (x) P_B (x) ... (x) P_B, built once per call.  A
-column then costs one lookup per face, the copied digits entering as a
-base offset; only terms of different faces that land on one index are
-added.  A table has at most as many keys as d_n has columns, and it
-lives for one call.
+One builder makes both boundaries, straight from the structure
+constants.  Each face has a head on the slots it multiplies
+(mu a_1 eps(b..), a_i eps(b) a_(i+1), a_n eps(b..) mu), contracted with
+`_products` from the columns of the products of A, eps and the actions,
+and `pair_layout` says which b-slots it copies and which it merges.
+Once per call, each face is compiled into a term table: for each value
+of the source digits it reads (its head key and the merged b-digits),
+the head's terms times one column of the products P_B of B per merged
+b-pair (n-2 for an interior face of d_n, none for an outer one), each
+written at its target offset with the face's sign.  A column then costs
+one lookup per face, the copied digits entering as a base offset; only
+terms of different faces that land on one index are added.  A table has
+at most as many keys as d_n has columns, and it lives for one call.
 The chain maps that act slot by slot (the Morita and sequence maps) are
-Kronecker products too, and a homotopy that inserts an A-slot takes
+Kronecker products, and a homotopy that inserts an A-slot takes
 `insertion_b_slots` on its b-slots.
 
 Boundary-squared is verified exactly on every built column before it
@@ -114,7 +111,7 @@ from .linalg import (
     HomologyBasis,
     SparseMatrix,
     Subspace,
-    commutation,
+    _products,
     image_basis,
     kernel_basis,
     rank,
@@ -129,7 +126,7 @@ _Growing = namedtuple("_Growing", "field rows columns")  # a matrix built as it 
 
 
 def _pairs(n):
-    return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+    return tuple(itertools.combinations(range(1, n + 1), 2))  # (i, j), i < j, in lex order
 
 
 @dataclass(frozen=True)
@@ -213,76 +210,79 @@ def insertion_b_slots(b, n, i):
     return functools.reduce(SparseMatrix.kron, factors, SparseMatrix.identity(field, 1))
 
 
+def _face_terms(field, heads, stride, sign, merged, pb):
+    """A face's term table: per value of the digits it reads, in index
+    order (the head's, then each merged b-pair's), its (offset,
+    coefficient) terms.  A head term lands at its row times stride,
+    negated unless sign, and each merged b-pair multiplies it by a column
+    of P_B (pb), whose rows land at that pair's stride in merged."""
+    neg, mul = field.neg, field.mul
+    table = [[(r * stride, c if sign else neg(c)) for r, c in col.items()] for col in heads]
+    for s in merged:  # a product of nonzero scalars is nonzero: nothing drops
+        table = [
+            [(o + r * s, mul(c, v)) for o, c in terms for r, v in col.items()]
+            for terms in table
+            for col in pb
+        ]
+    return table
+
+
 def _boundary(a, b, eps, m, n, mask=None):
     """d_n = sum (-1)^i d_i on the chains of (A, B, eps) with coefficients
-    in m, eps given by its matrix E; with mask, a bytes of one flag per
-    chain, only its columns at the flagged chains, in index order.  With
-    P the products, F the (n-1)-fold product of B and G = P_A(I_A (x)
-    E)(I_A (x) F), the head of an interior face is P_A(P_A(I_A (x) E)
-    (x) I_A) on (a, b, a'), that of face 0 is R_M(G (x) I_M)K and that
-    of face n is L_M(G (x) I_M)K on (mu, a, b..), K moving mu past the
-    rest.  A face's term table is the columns of head (x) P_B (x) ...
-    (x) P_B, one P_B per b-pair it merges (n-2 for an interior face,
-    none for an outer one), and a row of it lands at the offset its
-    digits give through the target's strides; the slots it copies enter
-    as a base offset."""
+    in m, eps given by its matrix; with mask, a bytes of one flag per
+    chain, only its columns at the flagged chains, in index order.  The
+    heads are contracted from the columns of the products, eps and the
+    actions: x eps(y) x' on (a, b, a') for an interior face, and mu.g
+    (face 0) and g.mu (face n) on (mu, a, b..), g = a eps(b_1 ... b_(n-1))
+    with the b's multiplied from the left.  `_face_terms` compiles each
+    face; the slots it copies enter a column as a base offset."""
     if n < 1:
         raise PreconditionError("boundary needs degree >= 1")
     if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
         raise PreconditionError("bimodule actions do not match the algebra")
-    field = a.field
-    src = ChainIndexScheme(n, m.dim, a.dim, b.dim)
-    tgt = ChainIndexScheme(n - 1, m.dim, a.dim, b.dim)
+    field, da, db, dm = a.field, a.dim, b.dim, m.dim
+    src, tgt = ChainIndexScheme(n, dm, da, db), ChainIndexScheme(n - 1, dm, da, db)
     strides = tgt.strides
     b_at = {pair: n + 1 + s for s, pair in enumerate(src.pairs)}  # digit position
-    ident_a, ident_b, ident_m = (
-        SparseMatrix.identity(field, k) for k in (a.dim, b.dim, m.dim)
-    )
-    a_eps = a.products @ ident_a.kron(eps)  # a_x eps(b_y) at x * dim B + y
-    interior = a.products @ a_eps.kron(ident_a)
-    merged = functools.reduce(SparseMatrix.kron, [b.products] * (n - 2), interior)
-    tables = (merged, -merged)  # the table of every interior face, by sign
-    fold = SparseMatrix(field, b.dim, 1, [b.unit_vec()]) if n == 1 else ident_b
-    for _ in range(n - 2):
-        fold = b.products @ fold.kron(ident_b)
-    g = a_eps @ ident_a.kron(fold)  # a_x eps(b_1 ... b_(n-1))
-    outer = g.kron(ident_m) @ commutation(field, m.dim, g.cols)
+    prods, pb = a.products.columns(), b.products.columns()
+    right = [{x * da + k: c for k, c in e.items()} for x in range(da) for e in eps.columns()]
+    a_eps = _products(field, prods, right)  # x eps(y) at x * db + y
+    fold = [b.unit_vec()] if n == 1 else [{y: field.one} for y in range(db)]
+    for _ in range(n - 2):  # b_1 ... b_(n-1), the first b most significant
+        right = [{i * db + y: c for i, c in f.items()} for f in fold for y in range(db)]
+        fold = _products(field, pb, right)
+    right = [{x * db + z: c for z, c in f.items()} for x in range(da) for f in fold]
+    g = _products(field, a_eps, right)
+    moved = [{r * dm + mu: c for r, c in col.items()} for mu in range(dm) for col in g]  # g (x) mu
+    right = [{j * da + x: c for j, c in h.items()} for h in a_eps for x in range(da)]
+    interior = _products(field, prods, right) if n > 1 else None  # x eps(y) x'
     faces = []
     for i in range(n + 1):
         if 0 < i < n:  # a_i eps(b_(i,i+1)) a_(i+1)
             sources = [[k] for k in range(1, i)] + [[i, i + 1]]
             sources += [[k] for k in range(i + 2, n + 1)]
-            keys = (i, b_at[(i, i + 1)], i + 1)
-            table, radices = tables[i % 2], (a.dim, b.dim, a.dim)
-            out, copies, rows = i, [(0, strides[0])], a.dim
+            keys, radices = (i, b_at[(i, i + 1)], i + 1), (da, db, da)
+            heads, out, copies = interior, i, [(0, strides[0])]
         else:  # m a_1 eps(prod_j b_(1,j)) or a_n eps(prod_j b_(j,n)) m, merging none
             end = 1 if i == 0 else n
             sources = [[k] for k in range(1, n + 1) if k != end]
             keys = (0, end) + tuple(b_at[pair] for pair in src.pairs if end in pair)
-            table = (m.right_action if i == 0 else m.left_action) @ outer
-            table = table if i % 2 == 0 else -table
-            radices = (m.dim, a.dim) + (b.dim,) * (n - 1)
-            out, copies, rows = 0, [], m.dim
+            radices = (dm, da) + (db,) * (n - 1)
+            action = m.right_action if i == 0 else m.left_action
+            heads, out, copies = _products(field, action.columns(), moved), 0, []
         copies += [
             (ps[0], strides[k]) for k, ps in enumerate(sources, 1) if len(ps) == 1
         ]
-        slots = [(rows, strides[out])]
+        merged = []
         for s, ps in enumerate(pair_layout(sources, n), n):
             if len(ps) == 1:
                 copies.append((n + 1 + ps[0], strides[s]))
             else:
                 keys += (n + 1 + ps[0], n + 1 + ps[1])
-                radices += (b.dim, b.dim)
-                slots.append((b.dim, strides[s]))
-        offsets = [0]
-        for radix, stride in slots:
-            offsets = [o + k * stride for o in offsets for k in range(radix)]
-        terms = {
-            key: tuple((offsets[r], c) for r, c in col.items())
-            for key, col in zip(
-                itertools.product(*map(range, radices)), table.columns()
-            )
-        }
+                radices += (db, db)
+                merged.append(strides[s])
+        table = _face_terms(field, heads, strides[out], i % 2 == 0, merged, pb)
+        terms = dict(zip(itertools.product(*map(range, radices)), table))
         faces.append((itemgetter(*keys), terms, copies))
     add, zero = field.add, field.zero
     cols = []

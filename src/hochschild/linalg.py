@@ -41,8 +41,9 @@ them make on tensor products, the one primitive behind tensor algebras,
 tensor bimodules and the pairings of the matrix Morita context.
 
 Sparse products have one accumulation kernel, behind `apply` and `@`
-(and so behind `bilinear`, one `apply`), which adds in the scalars' own
-arithmetic with no field call per term.
+(and so behind `bilinear`, one `apply`) and the face heads of a
+boundary, which adds in the scalars' own arithmetic with no field call
+per term.
 Over GF(p) it sums raw `int` products and reduces mod p once per entry.
 Over Q it scales each row of the left factor that holds a fraction by
 the lcm of its denominators, once per product, and each right column by

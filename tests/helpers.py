@@ -1,7 +1,9 @@
 """Test-side constructors and accessors the engine itself does not need."""
 
+import dataclasses
 from fractions import Fraction
 
+from hochschild.algebra import Triple
 from hochschild.complexes import build_classical_complex, build_secondary_complex
 from hochschild.errors import PreconditionError
 from hochschild.linalg import (
@@ -190,3 +192,25 @@ def two_step_closure(a, vectors, gen_count):
     if not extra:
         return current
     return Subspace.span(field, ambient, [*current.basis, *extra])
+
+
+def renamed_b(t):
+    """t with the basis labels of B renamed: equal to t in every number,
+    but no longer equal to a triple whose B is the ground field or A."""
+    labels = tuple(f"b:{label}" for label in t.B.basis_labels)
+    b = dataclasses.replace(t.B, basis_labels=labels)
+    return Triple(t.A, b, dataclasses.replace(t.eps, source=b))
+
+
+def counting_builds(monkeypatch, module):
+    """The list of complexes built through the two builders' names in
+    module, in build order; it grows as they are built."""
+    built = []
+    for name in ("build_secondary_complex", "build_classical_complex"):
+
+        def recording(*args, _build=getattr(module, name), **kwargs):
+            built.append(_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(module, name, recording)
+    return built

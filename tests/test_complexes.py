@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import time
 from collections import Counter
@@ -13,6 +14,7 @@ from oracle_naive import (
     naive_classical_boundary,
     naive_rank,
     naive_secondary_boundary,
+    naive_secondary_face,
 )
 
 from hochschild import complexes
@@ -32,6 +34,7 @@ from hochschild.complexes import (
     ChainComplex,
     ChainIndexScheme,
     PeirceSplit,
+    TopColumns,
     _verify_dd_zero,
     build_classical_complex,
     build_secondary_complex,
@@ -123,9 +126,18 @@ class TestIndexScheme:
         assert s.decode(idx) == (mu, alphas, betas)
 
 
+def _typed(entries):
+    """Each scalar with its type: `from_rational` gives a scalar its one
+    form (over Q an int exactly when integral, over GF(p) an int in
+    [0, p)), and Fraction(2, 1) == 2, so values alone would not show a
+    scalar in another form."""
+    return {key: (type(v), v) for key, v in entries}
+
+
 def _naive_secondary_matrix_agrees(t, m, n, field=QQ):
     """The engine's boundary over field equals the Q oracle's, reduced
-    into field through `from_rational` (entries that vanish there drop)."""
+    into field through `from_rational` (entries that vanish there drop),
+    in value and in form."""
     engine = secondary_boundary(t.over(field), m.over(field), n)
     src = secondary_scheme(t, m, n)
     tgt = secondary_scheme(t, m, n - 1)
@@ -135,7 +147,7 @@ def _naive_secondary_matrix_agrees(t, m, n, field=QQ):
         row = encode(tgt, tkey[0], tkey[1], tuple(v for _, v in tkey[2]))
         if (c := field.from_rational(coeff)) != field.zero:
             expected[(row, col)] = c
-    assert dict(engine.entries()) == expected
+    assert _typed(engine.entries()) == _typed(expected.items())
 
 
 def _naive_classical_matrix_agrees(a, m, n, field=QQ):
@@ -148,7 +160,7 @@ def _naive_classical_matrix_agrees(a, m, n, field=QQ):
         row = encode(tgt, tkey[0], tkey[1], ())
         if (c := field.from_rational(coeff)) != field.zero:
             expected[(row, col)] = c
-    assert dict(engine.entries()) == expected
+    assert _typed(engine.entries()) == _typed(expected.items())
 
 
 class TestClassicalBoundary:
@@ -259,6 +271,68 @@ class TestOracleModP:
             layout = pair_layout(sources, 4)
             assert sum(len(ps) == 2 for ps in layout) == 2
         _naive_secondary_matrix_agrees(t, m, 4)
+
+
+FIELDS = [QQ, GF(2), GF(3), F1009]
+FIELD_IDS = ["Q", "GF2", "GF3", "GF1009"]
+
+
+class TestScalarForm:
+    """Every entry of a boundary equals the oracle's in value and in
+    form: over Q an int exactly when its value is integral, over GF(p) an
+    int in [0, p).  The oracle helpers compare both, so `TestOracleModP`
+    checks the fixtures over GF(p) and this class adds the rest."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_fixtures_and_random_instances(self, field, degree, named_instances):
+        cases = random_instances(7, 6)
+        if field == QQ:
+            cases += list(named_instances.values())
+        for t, m in cases:
+            try:
+                t.over(field), m.over(field)
+            except ScalarError:  # a literal with no image in field
+                continue
+            if secondary_scheme(t, m, degree).total <= 2048:
+                _naive_secondary_matrix_agrees(t, m, degree, field)
+            if classical_scheme(t.A, m, degree).total <= 2048:
+                _naive_classical_matrix_agrees(t.A, m, degree, field)
+
+    @pytest.mark.parametrize("kind", ["secondary", "classical"])
+    def test_masked_tops_of_a_lift(self, kind):
+        """d_n of FIX-DD-M2 built at its `TopColumns`, n <= 3, against the
+        oracle's faces at the flagged chains (those of `trivial_triple(A)`
+        for the classical kind)."""
+        t, m = _lifted(fix_dd)
+        u = t if kind == "secondary" else trivial_triple(t.A)
+        oracle = {}  # (n, chain): the oracle's column over Q
+        for field in FIELDS:
+            uf, mf = u.over(field), m.over(field)
+            for n in (1, 2, 3):
+                if kind == "secondary":
+                    build = functools.partial(secondary_boundary, uf, mf, n)
+                else:
+                    build = functools.partial(classical_boundary, uf.A, mf, n)
+                top = TopColumns.of(PeirceSplit.of(uf.A, uf.B, uf.eps.sparse, mf, n), build)
+                chains = list(itertools.compress(range(len(top.mask)), top.mask))
+                assert 0 < len(chains) < len(top.mask)
+                for j, col in zip(chains, top.matrix.columns(), strict=True):
+                    if (n, j) not in oracle:
+                        oracle[(n, j)] = _naive_column(u, m, n, j)
+                    want = {r: c for r, v in oracle[n, j].items() if (c := field.from_rational(v))}
+                    assert _typed(col.items()) == _typed(want.items()), (field, n, j)
+
+
+def _naive_column(t, m, n, j):
+    """Column j of the secondary d_n over Q, summed from the oracle's faces."""
+    src, tgt = secondary_scheme(t, m, n), secondary_scheme(t, m, n - 1)
+    mu, alphas, betas = src.decode(j)
+    key, col = (mu, alphas, tuple(zip(src.pairs, betas))), Counter()
+    for face in range(n + 1):
+        for (nu, gammas, deltas), c in naive_secondary_face(t, m, key, face).items():
+            col[encode(tgt, nu, gammas, [v for _, v in deltas])] += (-1) ** face * c
+    return col
 
 
 def _lifted(fixture):

@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import two_step_closure
+from helpers import counting_builds, renamed_b, two_step_closure
 
 from hochschild import kahler
 from hochschild.algebra import (
@@ -18,6 +18,7 @@ from hochschild.fixtures import (
     fix_d,
     fix_dd,
     fix_ext,
+    fix_k,
     fix_p3,
     random_instances,
 )
@@ -81,6 +82,7 @@ class TestKahlerModule:
         monkeypatch.setattr(kahler, "module_closure", checked)
         cases = [fn()[0] for fn in NAMED_FIXTURES.values()]
         cases += [t for t, _ in random_instances(7, 6)]
+        families = 0
         for t in cases:
             try:
                 t = t.over(field)
@@ -88,7 +90,9 @@ class TestKahlerModule:
                 continue
             if t.A.is_commutative():
                 verify_fundamental_sequence(t)
-        assert len(closed) >= 4 * (len(cases) - 1) and any(closed)
+                # one Omega^1 per distinct triple, and the domain's closure
+                families += len({trivial_triple(t.B), trivial_triple(t.A), t}) + 1
+        assert len(closed) == families and any(closed)
 
     def test_base_equal_to_ground_field_matches_classical(self):
         for t, m in random_instances(seed=31, count=8):
@@ -161,6 +165,22 @@ class TestH1Identification:
                 continue
             rep = verify_h1_kahler(t, m)
             assert rep.ok, rep.render()
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+    @pytest.mark.parametrize("fixture", [fix_d, fix_k])
+    def test_a_ground_base_builds_one_complex(self, monkeypatch, field, fixture):
+        """With B = k the secondary complex, Omega^1 and M (x)_A Omega^1 are
+        the classical ones: one complex is built, where a triple equal in
+        every number but with B's basis label renamed builds two, and the
+        reports render the same."""
+        t, m = (x.over(field) for x in fixture())
+        reports = []
+        for triple, count in ((t, 1), (renamed_b(t), 2)):
+            built = counting_builds(monkeypatch, kahler)
+            reports.append(verify_h1_kahler(triple, m).render())
+            assert len(built) == count
+            monkeypatch.undo()
+        assert reports[0] == reports[1]
 
     def test_guard_bytes_caps_the_complexes(self):
         t, m = fix_d()

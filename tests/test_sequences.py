@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import subspace_leq
+from helpers import counting_builds, renamed_b, subspace_leq
 from oracle_naive import naive_classical_boundary, naive_rank, naive_secondary_boundary
 
 from hochschild import sequences
@@ -188,6 +188,24 @@ class TestExactSequence:
         a = matrix_algebra(QQ, 2)
         rep = verify_exact_sequence(trivial_triple(a), regular_bimodule(a))
         assert rep.ok, rep.render()
+
+    @pytest.mark.parametrize("field", [QQ, GF(3)], ids=["Q", "GF3"])
+    @pytest.mark.parametrize("fixture, shared", [(fix_d, 2), (fix_k, 1), (fix_dd, 2)])
+    def test_equal_complexes_are_built_once(self, monkeypatch, field, fixture, shared):
+        """With B = k (FIX-D, FIX-K) the secondary complex is the classical
+        one of A, and with B = A, eps = id (FIX-DD, and FIX-K, whose A is
+        k) the classical one of B is that of A: each is built once.  With
+        B's basis label renamed, the triple is equal in every number but
+        no complex is shared: three are built, and the report renders the
+        same."""
+        t, m = (x.over(field) for x in fixture())
+        reports = []
+        for triple, count in ((t, shared), (renamed_b(t), 3)):
+            built = counting_builds(monkeypatch, sequences)
+            reports.append(verify_exact_sequence(triple, m).render())
+            assert len(built) == count
+            monkeypatch.undo()
+        assert reports[0] == reports[1]
 
 
     def test_exactseq_eliminates_each_boundary_once(self, monkeypatch):
