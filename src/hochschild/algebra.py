@@ -86,9 +86,6 @@ class FiniteAlgebra:
         zero = self.field.zero
         return {i: v for i, v in enumerate(self.unit) if v != zero}
 
-    def basis_vec(self, i):
-        return {i: self.field.one}
-
     def mul(self, x, y):
         """Product of two coordinate vectors (dicts)."""
         return bilinear(self.products, self.dim, x, y)

@@ -31,6 +31,7 @@ from .complexes import (
     check_size_guard,
     estimate_build_bytes,
     homology,
+    secondary_scheme,
 )
 from .errors import (
     BudgetExceededError,
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .fields import field_from_name
 from .fixtures import NAMED_FIXTURES
-from .kahler import verify_fundamental_sequence, verify_h1_kahler
+from .kahler import verify_kahler
 from .morita import (
     corner_morita,
     standard_matrix_morita,
@@ -168,7 +169,7 @@ def cmd_homology(args):
                 report.info(
                     f"H_{n} rep {k}",
                     _format_chain(
-                        cx.schemes[n],
+                        secondary_scheme(t, m, n),
                         labels_m,
                         t.A.basis_labels,
                         t.B.basis_labels,
@@ -224,11 +225,7 @@ def cmd_morita(args):
 
 def cmd_kahler(args):
     inst = _read_valid_instance(args)
-    report = Report("kahler differentials")
-    report.extend(
-        verify_h1_kahler(inst.triple, inst.module, guard_bytes=args.guard_bytes)
-    )
-    report.extend(verify_fundamental_sequence(inst.triple))
+    report = verify_kahler(inst.triple, inst.module, guard_bytes=args.guard_bytes)
     return _emit(report, args)
 
 

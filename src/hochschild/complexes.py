@@ -177,10 +177,6 @@ class ChainIndexScheme:
         return digits[0], tuple(digits[1 : self.degree + 1]), tuple(digits[self.degree + 1 :])
 
 
-def classical_scheme(a, m, n):
-    return ChainIndexScheme(n, m.dim, a.dim, 1)
-
-
 def secondary_scheme(t, m, n):
     return ChainIndexScheme(n, m.dim, t.A.dim, t.B.dim)
 
@@ -310,6 +306,7 @@ def _boundary(a, b, eps, m, n, mask=None):
 def classical_boundary(a, m, n, mask=None):
     """Matrix of d_n: M (x) A^n -> M (x) A^(n-1), that of `trivial_triple(a)`;
     with mask, its columns at the chains mask flags."""
+    # perfbench/tracing.py wraps this and secondary_boundary by name; `_boundary` stays unwrapped
     t = trivial_triple(a)
     return _boundary(a, t.B, t.eps.sparse, m, n, mask)
 
@@ -552,17 +549,15 @@ class ChainComplex:
     change once built.
     """
 
-    def __init__(self, kind, field, dims, boundaries, schemes, split=None, top=None):
+    def __init__(self, field, dims, boundaries, split=None, top=None):
         """With top, a `TopColumns`, boundaries stop below the top
         degree T and d_T is built only at top.mask until more of it is
         read or it is asked for."""
         self._boundaries = tuple(boundaries)
         self._top = top
         _verify_dd_zero(self._boundaries + ((top.matrix,) if top else ()))
-        self.kind = kind
         self.field = field
         self.dims = tuple(dims)
-        self.schemes = tuple(schemes)
         self.split = split
         self._cyclic = None  # per degree, the nonzero columns of d_n in C^s
         self._exact_cycles = None  # per degree n < T, d_(n+1) at supp h_n
@@ -841,14 +836,22 @@ def _verify_dd_zero(boundaries, start=1):
             )
 
 
-def _build(kind, t, m, max_degree, degree_cap, guard_bytes):
+def build_classical_complex(
+    a, m, max_degree, degree_cap=DEFAULT_DEGREE_CAP, guard_bytes=DEFAULT_GUARD_BYTES
+):
+    # perfbench/tracing.py wraps this by name
+    return build_secondary_complex(trivial_triple(a), m, max_degree, degree_cap, guard_bytes)
+
+
+def build_secondary_complex(
+    t, m, max_degree, degree_cap=DEFAULT_DEGREE_CAP, guard_bytes=DEFAULT_GUARD_BYTES
+):
     """The secondary complex of (t, m) up to max_degree, size-guarded
     before anything is built, with its `PeirceSplit`; the top boundary is
     built at its `TopColumns` only, none of it without a split.
     `ChainComplex` verifies boundary-squared."""
     field = t.A.field
-    schemes = [secondary_scheme(t, m, n) for n in range(max_degree + 1)]
-    dims = [s.total for s in schemes]
+    dims = [secondary_scheme(t, m, n).total for n in range(max_degree + 1)]
     _check_guards(dims, max_degree, degree_cap, guard_bytes)
     split = PeirceSplit.of(t.A, t.B, t.eps.sparse, m, max_degree)
     top, build = None, functools.partial(secondary_boundary, t, m, max_degree)
@@ -858,16 +861,4 @@ def _build(kind, t, m, max_degree, degree_cap, guard_bytes):
         top = TopColumns(bytes(dims[-1]), SparseMatrix.zero(field, dims[-2], 0), None, build)
     boundaries = [SparseMatrix.zero(field, 0, dims[0])]
     boundaries += [secondary_boundary(t, m, n) for n in range(1, max_degree)]
-    return ChainComplex(kind, field, dims, boundaries, schemes, split, top)
-
-
-def build_classical_complex(
-    a, m, max_degree, degree_cap=DEFAULT_DEGREE_CAP, guard_bytes=DEFAULT_GUARD_BYTES
-):
-    return _build("classical", trivial_triple(a), m, max_degree, degree_cap, guard_bytes)
-
-
-def build_secondary_complex(
-    t, m, max_degree, degree_cap=DEFAULT_DEGREE_CAP, guard_bytes=DEFAULT_GUARD_BYTES
-):
-    return _build("secondary", t, m, max_degree, degree_cap, guard_bytes)
+    return ChainComplex(field, dims, boundaries, split, top)

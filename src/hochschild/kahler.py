@@ -19,6 +19,7 @@ H_1((A,B,eps); M) = M (x)_A Omega^1_{A|B} for A-symmetric M.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .algebra import is_a_symmetric, trivial_triple
@@ -114,14 +115,19 @@ def verify_h1_kahler(t, m, guard_bytes=DEFAULT_GUARD_BYTES):
     guard_bytes is the memory guard of the complexes.  With B = k the
     classical complex, Omega^1 and M (x)_A Omega^1 are the secondary
     ones, and each is built once."""
+    return _h1_kahler(t, m, guard_bytes, kahler_module)
+
+
+def _h1_kahler(t, m, guard_bytes, omega):
+    """`verify_h1_kahler`, with omega(u) the Omega^1 of u."""
     if not t.A.is_commutative():
         raise PreconditionError("A not commutative")
     if not is_a_symmetric(m, t.A):
         raise PreconditionError("M not A-symmetric")
     report = Report("H1 vs Kaehler differentials")
     same = t == trivial_triple(t.A)
-    t_ab = tensor_m_kahler(m, kahler_module(t))
-    t_ak = t_ab if same else tensor_m_kahler(m, kahler_module(trivial_triple(t.A)))
+    t_ab = tensor_m_kahler(m, omega(t))
+    t_ak = t_ab if same else tensor_m_kahler(m, omega(trivial_triple(t.A)))
     sec = build_secondary_complex(t, m, 2, guard_bytes=guard_bytes)
     ca = sec if same else build_classical_complex(t.A, m, 2, guard_bytes=guard_bytes)
     h1_sec = homology(sec, 1).dim
@@ -138,17 +144,17 @@ def verify_h1_kahler(t, m, guard_bytes=DEFAULT_GUARD_BYTES):
 def verify_fundamental_sequence(t):
     """Exactness of A (x)_B Omega_{B|k} -> Omega_{A|k} -> Omega_{A|B} -> 0.
     Equal triples (B = k, or A = B) share one Omega^1."""
+    return _fundamental_sequence(t, functools.cache(kahler_module))
+
+
+def _fundamental_sequence(t, omega):
+    """`verify_fundamental_sequence`, with omega(u) the Omega^1 of u."""
     a, b, eps = t.A, t.B, t.eps
     if not a.is_commutative():
         raise PreconditionError("A not commutative")
     field = a.field
     report = Report("first fundamental exact sequence")
-    triples = (trivial_triple(b), trivial_triple(a), t)
-    modules = {}  # Omega^1 of each distinct triple, built once
-    for u in triples:
-        if u not in modules:
-            modules[u] = kahler_module(u)
-    omega_b, omega_ak, omega_ab = map(modules.__getitem__, triples)
+    omega_b, omega_ak, omega_ab = map(omega, (trivial_triple(b), trivial_triple(a), t))
     da = a.dim
     g_b = omega_b.free_rank
     q1 = QuotientSpace(omega_ak.relation_space)
@@ -186,4 +192,14 @@ def verify_fundamental_sequence(t):
         rank_second == q2.dim,
         f"rank {rank_second} onto dim {q2.dim}",
     )
+    return report
+
+
+def verify_kahler(t, m, guard_bytes=DEFAULT_GUARD_BYTES):
+    """The reports of `verify_h1_kahler` and `verify_fundamental_sequence`
+    in one, which build one Omega^1 per distinct triple between them."""
+    omega = functools.cache(kahler_module)
+    report = Report("kahler differentials")
+    report.extend(_h1_kahler(t, m, guard_bytes, omega))
+    report.extend(_fundamental_sequence(t, omega))
     return report

@@ -786,6 +786,7 @@ def induced_quotient_map(
     Raises NotAChainMapError unless f maps src cycles into tgt cycles
     and src boundaries into tgt boundaries.
     """
+    # perfbench/tracing.py wraps this by name
     src = HomologyBasis(src_cycles, src_boundaries, deadline=deadline)
     tgt = HomologyBasis(tgt_cycles, tgt_boundaries, deadline=deadline)
     return _induced_map(f, src, tgt)

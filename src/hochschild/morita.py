@@ -98,14 +98,6 @@ class MoritaData:
     def field(self):
         return self.source.A.field
 
-    @property
-    def s(self):
-        return len(self.p_dual)
-
-    @property
-    def t(self):
-        return len(self.pprime_dual)
-
     def __hash__(self):
         """Over the fields that hash (all but the dual vectors), so equal
         data hash alike."""
@@ -206,21 +198,11 @@ class BalancedTensor:
         return self.project(functools.reduce(SparseMatrix.kron, cols)).column(0)
 
 
-def tensor_over_algebra(x_mod, y_mod, a):
-    """x (x)_a y as a BalancedTensor (dim, embed, lift, project, module)."""
-    return BalancedTensor((x_mod, y_mod), (a,))
-
-
 def induced_module(d, m):
     """Q (x)_A M (x)_A P as a BalancedTensor: `module` is the induced
     A'-bimodule and embed(q, m, p) the class of q (x) m (x) p."""
     a = d.source.A
     return BalancedTensor((d.q_mod, m, d.p_mod), (a, a))
-
-
-def induced_coefficients(d, m):
-    """The coefficient bimodule Q (x)_A M (x)_A P over the target triple."""
-    return induced_module(d, m).module
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +440,7 @@ def validate_morita(d):
 
     # bijectivity through the quotients: M on the lifts of their bases
     for name, tensor_name, outer_name, _, x_mod, y_mod, pair, outer, inner in sides:
-        tensor = tensor_over_algebra(x_mod, y_mod, inner)
+        tensor = BalancedTensor((x_mod, y_mod), (inner,))
         r = rank(pair @ tensor.lift)
         report.check(
             f"(i) {name} bijective",
@@ -660,7 +642,7 @@ def alternating_homotopy(parts):
 # the invariance report
 
 
-def verify_morita_invariance(d, m, max_n, guard_bytes=DEFAULT_GUARD_BYTES, deadline=None):
+def verify_morita_invariance(d, m, max_n, guard_bytes=DEFAULT_GUARD_BYTES):
     """Check homology dims on both sides, the chain-map identities for
     psi/phi, and the homotopy identities for h/l, up to degree max_n."""
     if max_n < 0:
@@ -672,7 +654,7 @@ def verify_morita_invariance(d, m, max_n, guard_bytes=DEFAULT_GUARD_BYTES, deadl
         for side, mod in ((d.source, m), (d.target, ind.module))
     ]
     dims_src, dims_tgt = (
-        [homology(cx, k, deadline=deadline).dim for k in range(max_n + 1)] for cx in built
+        [homology(cx, k).dim for k in range(max_n + 1)] for cx in built
     )
     report.check(
         "homology dims agree",

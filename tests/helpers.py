@@ -62,9 +62,9 @@ def center(a):
     for j in range(a.dim):
         col = {}
         for i in range(a.dim):
-            diff = a.mul(a.basis_vec(j), a.basis_vec(i))
+            diff = a.mul({j: field.one}, {i: field.one})
             vec_add_scaled(
-                field, diff, field.neg(field.one), a.mul(a.basis_vec(i), a.basis_vec(j))
+                field, diff, field.neg(field.one), a.mul({i: field.one}, {j: field.one})
             )
             for k, v in diff.items():
                 col[i * a.dim + k] = v

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hochschild import cli
+from hochschild import cli, kahler
 from hochschild.cli import main
 from hochschild.errors import InstanceFormatError, ScalarError
 from hochschild.fixtures import fix_dd
@@ -154,6 +154,24 @@ def test_kahler(fixture_dir, capsys):
 def test_kahler_noncommutative_is_input_error(fixture_dir, tmp_path, capsys):
     # M_2-style instance: kahler preconditions fail -> exit 2
     assert main(["kahler", str(fixture_dir / "FIX-DD-M2.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "name, distinct",
+    [("FIX-K", 1), ("FIX-D", 2), ("FIX-DD", 2), ("FIX-P3", 2), ("FIX-KB", 3), ("FIX-EXT", 3)],
+)
+def test_kahler_builds_each_omega_once(fixture_dir, monkeypatch, capsys, name, distinct):
+    """The two reports of `hochschild kahler` share one Omega^1 per
+    distinct triple among (A, B, eps), (A, k, unit) and (B, k, unit)."""
+    built = []
+
+    def counting(t, _build=kahler.kahler_module):
+        built.append(t)
+        return _build(t)
+
+    monkeypatch.setattr(kahler, "kahler_module", counting)
+    assert main(["kahler", str(fixture_dir / f"{name}.json")]) == 0
+    assert len(built) == len(set(built)) == distinct
 
 
 def test_morita(fixture_dir, capsys):

@@ -20,24 +20,23 @@ from hochschild.algebra import (
     trivial_triple,
     validate_bimodule,
 )
-from hochschild.complexes import build_secondary_complex, homology
+from hochschild.complexes import build_secondary_complex, homology, secondary_scheme
 from hochschild.errors import PreconditionError
 from hochschild.fields import GF, QQ
-from hochschild.fixtures import NAMED_FIXTURES, fix_d, fix_dd, fix_kb
+from hochschild.fixtures import NAMED_FIXTURES, fix_d, fix_dd, fix_kb, fix_p3
 from hochschild.linalg import SparseMatrix, induced_quotient_map
 from hochschild.morita import (
+    BalancedTensor,
     alternating_homotopy,
     compose_morita,
     corner_morita,
     homotopy_h,
     homotopy_l,
     identity_morita,
-    induced_coefficients,
     induced_module,
     phi_chain_map,
     psi_chain_map,
     standard_matrix_morita,
-    tensor_over_algebra,
     validate_morita,
     verify_morita_invariance,
 )
@@ -119,8 +118,8 @@ class TestStandardMatrixData:
         d = standard_matrix_morita(t, 2)
         assert d.p_mod.dim == 4
         assert d.q_mod.dim == 4
-        assert d.s == 1
-        assert d.t == 2
+        assert len(d.p_dual) == 1
+        assert len(d.pprime_dual) == 2
 
     def test_data_compare_and_hash_by_value(self):
         t, _ = fix_d()
@@ -132,7 +131,7 @@ class TestStandardMatrixData:
         t, m = fix_d()
         d = standard_matrix_morita(t, 1)
         assert validate_morita(d).ok
-        assert induced_coefficients(d, m).dim == m.dim
+        assert induced_module(d, m).module.dim == m.dim
 
 
 class TestCornerData:
@@ -162,19 +161,19 @@ class TestTensorOverAlgebra:
         t, _ = fix_d()
         a_as_module = regular_bimodule(t.A)
         # over k every bilinear relation is trivial: dim = product
-        qs = tensor_over_algebra(m, m, k)
+        qs = BalancedTensor((m, m), (k,))
         assert qs.dim == 1
 
     def test_algebra_over_itself(self):
         t, _ = fix_dd()
         reg = regular_bimodule(t.A)
-        qs = tensor_over_algebra(reg, reg, t.A)
+        qs = BalancedTensor((reg, reg), (t.A,))
         assert qs.dim == t.A.dim
 
     def test_q_tensor_p_has_matrix_dimension(self):
         t, _ = fix_d()
         d = standard_matrix_morita(t, 2)
-        qs = tensor_over_algebra(d.q_mod, d.p_mod, t.A)
+        qs = BalancedTensor((d.q_mod, d.p_mod), (t.A,))
         assert qs.dim == d.target.A.dim
 
 
@@ -182,7 +181,7 @@ class TestInducedCoefficients:
     def test_identity_data_reproduces_module(self):
         t, m = fix_dd()
         d = identity_morita(t)
-        n_mod = induced_coefficients(d, m)
+        n_mod = induced_module(d, m).module
         assert n_mod.dim == m.dim
         # the classes of 1 (x) m (x) 1 give the canonical identification
         ind = induced_module(d, m)
@@ -196,7 +195,7 @@ class TestInducedCoefficients:
     def test_matrix_data_gives_matrix_module(self):
         t, m = fix_dd()
         d = standard_matrix_morita(t, 2)
-        n_mod = induced_coefficients(d, m)
+        n_mod = induced_module(d, m).module
         assert n_mod.dim == 4 * m.dim
         assert validate_bimodule(n_mod, d.target).ok
 
@@ -209,7 +208,7 @@ class TestCompose:
         right = compose_morita(d, identity_morita(d.target))
         assert validate_morita(left).ok
         assert validate_morita(right).ok
-        assert induced_coefficients(left, m).dim == induced_coefficients(d, m).dim
+        assert induced_module(left, m).module.dim == induced_module(d, m).module.dim
 
     def test_matrix_then_corner_recovers_source(self):
         # corner of M_2(A) at the e00-block undoes the matrix lift
@@ -343,9 +342,8 @@ class TestHomotopies:
         t, m = fix_dd()
         d = identity_morita(t)
         h0 = homotopy_h(d, m, 1, 0)
-        src = build_secondary_complex(t, m, 2)
         # every image chain carries the unit of A in slot 1
-        scheme = src.schemes[2]
+        scheme = secondary_scheme(t, m, 2)
         for j in range(h0.cols):
             for row in h0.column(j):
                 mu, alphas, betas = scheme.decode(row)
@@ -447,7 +445,7 @@ class TestInvariance:
         t, m = (x.over(field) for x in fix_kb())
         std = standard_matrix_morita(t, 2)
         d = compose_morita(std, standard_matrix_morita(std.target, 2))
-        assert (d.s, d.t) == (1, 4)
+        assert (len(d.p_dual), len(d.pprime_dual)) == (1, 4)
         rep = verify_morita_invariance(d, m, 2)
         assert rep.ok, rep.render()
 
@@ -463,6 +461,19 @@ class TestInvariance:
         assert rep_p.ok, rep_p.render()
         dims = LIFT_DIMS[(name, p)]
         agree = next(i for i in rep_p.items if i.label == "homology dims agree")
+        assert agree.detail == f"source {dims}, target {dims}"
+
+    @pytest.mark.parametrize(
+        "fixture, dims", [(fix_dd, [2, 0, 0, 0]), (fix_p3, [3, 3, 3, 3])], ids=["FIX-DD", "FIX-P3"]
+    )
+    def test_standard_context_through_degree_three(self, fixture, dims):
+        """The 2x2 context over GF(3) to degree 3: chain maps through
+        degree 3, homotopies through degree 2, and H_0..H_3 equal on both
+        sides (FIX-P3 reads 3, 2, 2, 2 over Q)."""
+        t, m = fixture()
+        rep = verify_morita_invariance(standard_matrix_morita(t, 2).over(GF(3)), m.over(GF(3)), 3)
+        assert rep.ok, rep.render()
+        agree = next(i for i in rep.items if i.label == "homology dims agree")
         assert agree.detail == f"source {dims}, target {dims}"
 
     def test_eta_is_inverted_once_per_context(self, monkeypatch):
@@ -494,7 +505,7 @@ class TestInvariance:
         # empty, and every map is the zero map of its shape
         a = FiniteAlgebra.from_data(QQ, (), (), ())
         d = corner_morita(trivial_triple(a), {})
-        assert (d.s, d.t) == (0, 1)
+        assert (len(d.p_dual), len(d.pprime_dual)) == (0, 1)
         rep = verify_morita_invariance(d, Bimodule.from_data(QQ, 0, (), ()), 1)
         assert rep.ok, rep.render()
 
