@@ -10,16 +10,18 @@ complex of `trivial_triple(a)`.
 One builder makes both boundaries, straight from the structure
 constants.  Each face has a head on the slots it multiplies
 (mu a_1 eps(b..), a_i eps(b) a_(i+1), a_n eps(b..) mu), contracted with
-`_products` from the columns of the products of A, eps and the actions,
-and `pair_layout` says which b-slots it copies and which it merges.
-Once per call, each face is compiled into a term table: for each value
-of the source digits it reads (its head key and the merged b-digits),
-the head's terms times one column of the products P_B of B per merged
-b-pair (n-2 for an interior face of d_n, none for an outer one), each
-written at its target offset with the face's sign.  A column then costs
-one lookup per face, the copied digits entering as a base offset; only
-terms of different faces that land on one index are added.  A table has
-at most as many keys as d_n has columns, and it lives for one call.
+`_products` from the columns of the products of A, eps and the actions.
+Its layout (`_face_layout`: the digits it reads, the slots it copies,
+the b-pairs it merges by `pair_layout`, where its head lands) depends on
+n alone and is made once per degree.  Per call, each face is compiled at
+the strides of its dims into a term table: for each value of the digits
+it reads, the head's terms times one column of the products P_B of B
+per merged b-pair (n-2 for an interior face of d_n, none for an outer
+one), each written at its target offset with the face's sign.  A column
+then costs one lookup per face, the copied digits entering as a base
+offset; only terms of different faces that land on one index are added.
+A table has at most as many keys as d_n has columns, and it lives for
+one call.
 The chain maps that act slot by slot (the Morita and sequence maps) are
 Kronecker products, and a homotopy that inserts an A-slot takes
 `insertion_b_slots` on its b-slots.
@@ -72,12 +74,13 @@ junction, a slot whose outer label is unchanged.
 
 Without a split, d_T is built as elimination reads it, in index order:
 a block of TOP_BLOCK chains, then blocks as large as all built so far,
-each d-d-checked before it is read, until the rank bound is met; with
-no bound known, the rest is built in one call.  A top of N chains read
-in full takes 1 + log2(N / TOP_BLOCK) calls.  The rank bound then
-speaks for columns that are never built, and rests on d d = 0 there, as
-it does for the unbuilt C^non_T columns of a split top; asking for the
-full d_T builds and checks them.
+each d-d-checked and then read whole, its nonzero columns sparsest first
+(a stable sort by nnz, which changes no answer), until the rank bound is
+met; with no bound known, the rest is built in one call.  A top of N
+chains read in full takes 1 + log2(N / TOP_BLOCK) calls.  The rank
+bound then speaks for columns that are never built, and rests on d d = 0
+there, as it does for the unbuilt C^non_T columns of a split top; asking
+for the full d_T builds and checks them.
 
 Homology with representatives reads only C^s.  Its cycles are the
 kernel of the C^s columns of d_n and its boundaries the image of the
@@ -138,7 +141,7 @@ class ChainIndexScheme:
     dim_a: int
     dim_b: int
 
-    @property
+    @functools.cached_property
     def pairs(self):
         return _pairs(self.degree)
 
@@ -146,23 +149,23 @@ class ChainIndexScheme:
     def num_pairs(self):
         return self.degree * (self.degree - 1) // 2
 
-    @property
+    @functools.cached_property
     def total(self):
         return self.dim_m * self.dim_a**self.degree * self.dim_b**self.num_pairs
 
-    @property
+    @functools.cached_property
     def radices(self):
         """Digit ranges of an index: mu, the A-slots, then the b-slots."""
         n, p = self.degree, self.num_pairs
         return (self.dim_m,) + (self.dim_a,) * n + (self.dim_b,) * p
 
-    @property
+    @functools.cached_property
     def strides(self):
         """Weight in the linear index of each digit of `radices`."""
         out = [1]
         for r in self.radices[:0:-1]:
             out.append(out[-1] * r)
-        return out[::-1]
+        return tuple(out[::-1])
 
     def digits(self):
         """The digit tuples of all chains, in index order."""
@@ -223,6 +226,35 @@ def _face_terms(field, heads, stride, sign, merged, pb):
     return table
 
 
+@functools.lru_cache(maxsize=8)
+def _face_layout(n):
+    """The layout of each face of d_n, in face order, which depends on n
+    alone: an itemgetter of the source digits it reads (its head's, then
+    each merged b-pair's) and their positions, the (source, target)
+    digit of each slot it copies, the target digit of each b-pair it
+    merges, and the target digit of its head."""
+    b_at = {pair: n + 1 + s for s, pair in enumerate(_pairs(n))}  # digit position
+    faces = []
+    for i in range(n + 1):
+        sources = [[k] for k in range(1, n + 1)]
+        if 0 < i < n:  # a_i eps(b_(i,i+1)) a_(i+1)
+            sources[i - 1 : i + 1] = [[i, i + 1]]
+            keys, copies, out = [i, b_at[(i, i + 1)], i + 1], [(0, 0)], i
+        else:  # m a_1 eps(prod_j b_(1,j)) or a_n eps(prod_j b_(j,n)) m, merging none
+            end = sources.pop(0 if i == 0 else -1)[0]
+            keys, copies, out = [0, end] + [b_at[p] for p in _pairs(n) if end in p], [], 0
+        copies += [(ps[0], k) for k, ps in enumerate(sources, 1) if len(ps) == 1]
+        merged = []
+        for s, ps in enumerate(pair_layout(sources, n), n):
+            if len(ps) == 1:
+                copies.append((n + 1 + ps[0], s))
+            else:
+                keys += [n + 1 + ps[0], n + 1 + ps[1]]
+                merged.append(s)
+        faces.append((itemgetter(*keys), tuple(keys), tuple(copies), tuple(merged), out))
+    return tuple(faces)
+
+
 def _boundary(a, b, eps, m, n, mask=None):
     """d_n = sum (-1)^i d_i on the chains of (A, B, eps) with coefficients
     in m, eps given by its matrix; with mask, a bytes of one flag per
@@ -231,15 +263,15 @@ def _boundary(a, b, eps, m, n, mask=None):
     actions: x eps(y) x' on (a, b, a') for an interior face, and mu.g
     (face 0) and g.mu (face n) on (mu, a, b..), g = a eps(b_1 ... b_(n-1))
     with the b's multiplied from the left.  `_face_terms` compiles each
-    face; the slots it copies enter a column as a base offset."""
+    face at the strides of its `_face_layout`; the slots it copies enter
+    a column as a base offset."""
     if n < 1:
         raise PreconditionError("boundary needs degree >= 1")
     if m.left_alg_dim != a.dim or m.right_alg_dim != a.dim:
         raise PreconditionError("bimodule actions do not match the algebra")
     field, da, db, dm = a.field, a.dim, b.dim, m.dim
     src, tgt = ChainIndexScheme(n, dm, da, db), ChainIndexScheme(n - 1, dm, da, db)
-    strides = tgt.strides
-    b_at = {pair: n + 1 + s for s, pair in enumerate(src.pairs)}  # digit position
+    radices, strides = src.radices, tgt.strides
     prods, pb = a.products.columns(), b.products.columns()
     right = [{x * da + k: c for k, c in e.items()} for x in range(da) for e in eps.columns()]
     a_eps = _products(field, prods, right)  # x eps(y) at x * db + y
@@ -253,33 +285,16 @@ def _boundary(a, b, eps, m, n, mask=None):
     right = [{j * da + x: c for j, c in h.items()} for h in a_eps for x in range(da)]
     interior = _products(field, prods, right) if n > 1 else None  # x eps(y) x'
     faces = []
-    for i in range(n + 1):
-        if 0 < i < n:  # a_i eps(b_(i,i+1)) a_(i+1)
-            sources = [[k] for k in range(1, i)] + [[i, i + 1]]
-            sources += [[k] for k in range(i + 2, n + 1)]
-            keys, radices = (i, b_at[(i, i + 1)], i + 1), (da, db, da)
-            heads, out, copies = interior, i, [(0, strides[0])]
-        else:  # m a_1 eps(prod_j b_(1,j)) or a_n eps(prod_j b_(j,n)) m, merging none
-            end = 1 if i == 0 else n
-            sources = [[k] for k in range(1, n + 1) if k != end]
-            keys = (0, end) + tuple(b_at[pair] for pair in src.pairs if end in pair)
-            radices = (dm, da) + (db,) * (n - 1)
+    for i, (key, keys, copies, merged, out) in enumerate(_face_layout(n)):
+        if 0 < i < n:
+            heads = interior
+        else:
             action = m.right_action if i == 0 else m.left_action
-            heads, out, copies = _products(field, action.columns(), moved), 0, []
-        copies += [
-            (ps[0], strides[k]) for k, ps in enumerate(sources, 1) if len(ps) == 1
-        ]
-        merged = []
-        for s, ps in enumerate(pair_layout(sources, n), n):
-            if len(ps) == 1:
-                copies.append((n + 1 + ps[0], strides[s]))
-            else:
-                keys += (n + 1 + ps[0], n + 1 + ps[1])
-                radices += (db, db)
-                merged.append(strides[s])
+            heads = _products(field, action.columns(), moved)
+        merged = [strides[s] for s in merged]
         table = _face_terms(field, heads, strides[out], i % 2 == 0, merged, pb)
-        terms = dict(zip(itertools.product(*map(range, radices)), table))
-        faces.append((itemgetter(*keys), terms, copies))
+        terms = dict(zip(itertools.product(*[range(radices[p]) for p in keys]), table))
+        faces.append((key, terms, [(p, strides[s]) for p, s in copies]))
     add, zero = field.add, field.zero
     cols = []
     digits = src.digits()
@@ -610,16 +625,17 @@ class ChainComplex:
         return new
 
     def _top_columns(self):
-        """The columns of d_T in index order, each block built and checked
-        as it is first read: TOP_BLOCK chains, then each block as many as
-        are built so far."""
-        yield from self._top.matrix.columns()
+        """The nonzero columns of d_T, each block built and checked before
+        it is read whole, sparsest first (a stable sort by nnz): the
+        columns built so far, then TOP_BLOCK chains, then each block as
+        many as are built so far."""
+        yield from sorted(filter(None, self._top.matrix.columns()), key=len)
         total = self.dims[-1]
         while len(self._boundaries) == self.max_degree:
             built = self._top.matrix.cols
             end = min(total, built + max(built, TOP_BLOCK))
             mask = bytes(built) + b"\x01" * (end - built) + bytes(total - end)
-            yield from self._extend_top(mask).columns()
+            yield from sorted(filter(None, self._extend_top(mask).columns()), key=len)
 
     def _built(self, n):
         """(d, part): the columns of d_n read by elimination and the

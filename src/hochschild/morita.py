@@ -27,8 +27,9 @@ classes.  The standard matrix context is made of tensor products over
 the ground field (`algebra.tensor_bimodule`, `linalg.tensor_bilinear`):
 P = k^n rows (x) A and Q = k^n columns (x) A.  `_paths` is the path sum
 over dual indices that builds each chain map and homotopy from per-slot
-matrices made once per call: a head matrix on the module slot, then
-acc'[c'] = sum_c acc[c] (x) slot[c][c'] for each A-slot; eta, eta^-1 or
+matrices, made once per context and module (`_ChainMaps`) and so once
+per verifier: a head matrix on the module slot, then acc'[c'] = sum_c
+acc[c] (x) slot[c][c'] for each A-slot; eta, eta^-1 or
 `complexes.insertion_b_slots` act on the b-slots.  The head and slot
 matrices are themselves Kronecker expressions in f or g, the dual
 vectors as one-column matrices, the actions and the products, such as
@@ -488,19 +489,6 @@ def validate_morita(d):
 # chain maps and homotopies
 
 
-def _dual_families(d):
-    """p_j, q_j, p'_m, q'_m as one-column matrices.  An empty family
-    reads as one zero vector: every term of a chain map or homotopy is
-    multilinear in the dual vectors, so each sum over dual indices stays
-    nonempty and keeps its value."""
-    families = (d.p_dual, d.q_dual, d.pprime_dual, d.qprime_dual)
-    dims = (d.p_mod.dim, d.q_mod.dim) * 2
-    return tuple(
-        [SparseMatrix(d.field, dim, 1, [v]) for v in family or [{}]]
-        for dim, family in zip(dims, families)
-    )
-
-
 def _sum(terms):
     return functools.reduce(operator.add, terms)
 
@@ -523,6 +511,8 @@ def _transfer(head, slot, b_map, n):
     slot[j_1][j_2] (x) ... (x) slot[j_n][j_0], then b_map on each b-slot.
     The cycles through j_0 = j are the paths from head[j], closed by
     slot[c][j]; at degree 0 the cycle is head[j][j]."""
+    if n < 0:
+        raise PreconditionError("negative degree")
     if n == 0:
         total = _sum(head[j][j] for j in range(len(head)))
     else:
@@ -541,90 +531,117 @@ def _slot_matrices(pair, xs, y_mod, ys):
     return [[pair @ x.kron(y) for y in acted] for x in xs]
 
 
-def psi_chain_map(d, m, n, *, induced=None):
-    """Matrix of psi_n from the source complex into the target complex
-    with induced coefficients: q_j0 (x) mu (x) p_j1 in the module slot,
-    g(q_ji (x) a_i p_j(i+1)) in A'-slot i, eta on the b-slots.  `induced`
-    is induced_module(d, m) when the caller already has it."""
-    if n < 0:
-        raise PreconditionError("negative degree")
-    ind = induced_module(d, m) if induced is None else induced
-    ident = SparseMatrix.identity(d.field, m.dim)
-    p_cols, q_cols, _, _ = _dual_families(d)
-    head = [[ind.project(q.kron(ident).kron(p)) for p in p_cols] for q in q_cols]
-    slot = _slot_matrices(d.g_mat, q_cols, d.p_mod, p_cols)
-    return _transfer(head, slot, d.eta.sparse, n)
-
-
-def phi_chain_map(d, m, n, *, induced=None):
-    """Matrix of phi_n from the target complex back to the source:
-    f(p'_m0 (x) q) mu f(p (x) q'_m1) for a lifted q (x) mu (x) p in the
-    module slot, f(p'_mi (x) a_i q'_m(i+1)) in A-slot i, eta^-1 on the
-    b-slots."""
-    if n < 0:
-        raise PreconditionError("negative degree")
-    ind = induced_module(d, m) if induced is None else induced
-    field = d.field
-    a = d.source.A
-    fm = d.f_mat
-    _, _, pp_cols, qp_cols = _dual_families(d)
-
-    def ident(k):
-        return SparseMatrix.identity(field, k)
-
-    # the maps q -> f(p'_m (x) q) and p -> f(p (x) q'_m), and
-    # R_M K (L_M (x) I_A): a (x) mu (x) a' -> a.mu.a'
-    f_pp = [fm @ x.kron(ident(d.q_mod.dim)) for x in pp_cols]
-    f_qp = [fm @ ident(d.p_mod.dim).kron(y) for y in qp_cols]
-    act = m.left_action.kron(ident(a.dim))
-    act = m.right_action @ commutation(field, m.dim, a.dim) @ act
-    lift = ind.lift
-    heads = [[act @ (x.kron(ident(m.dim)).kron(y) @ lift) for y in f_qp] for x in f_pp]
-    slot = _slot_matrices(fm, pp_cols, d.q_mod, qp_cols)
-    return _transfer(heads, slot, d.eta_inverse.sparse, n)
-
-
-def _homotopy(triple, mod, pair, first, second, n, i):
-    """h_i: C_n -> C_(n+1) on the complex of (triple, mod), from a pairing
-    X (x) Y -> A and two dual families first = (x_j, y_j), second =
-    (x'_m, y'_m) of one-column matrices.  With c = (j, m), the columns
-    v_c = pair(x_j (x) y'_m) and u_c = pair(x'_m (x) y_j), h_i is the path
-    sum over c_0..c_i of H_c0 (x) S_c0c1 (x) ... (x) S_c(i-1)ci (x) u_ci,
-    with H_c = R_M(v_c (x) I) the matrix of mu -> mu v_c and S_cc' =
-    P(P(u_c (x) I) (x) v_c') that of a -> u_c a v_c', then applies I_A to
-    a_(i+1)..a_n and `insertion_b_slots` to the b-slots."""
-    if not 0 <= i <= n:
-        raise PreconditionError("homotopy index out of range")
-    field = pair.field
-    a, b = triple.A, triple.B
-    (xs, ys), (xps, yps) = first, second
+def _homotopy_parts(triple, mod, pair, first, second):
+    """(triple, head, slot, u) of the homotopies on the complex of (triple,
+    mod), from a pairing X (x) Y -> A and dual families first = (x_j, y_j)
+    and second = (x'_m, y'_m): with c = (j, m), v_c = pair(x_j (x) y'_m)
+    and u_c = pair(x'_m (x) y_j), head[c] = R_M(v_c (x) I) is the matrix
+    of mu -> mu v_c and slot[c][c'] = P(P(u_c (x) I) (x) v_c') that of a
+    -> u_c a v_c'."""
+    a, (xs, ys), (xps, yps) = triple.A, first, second
     duals = list(itertools.product(range(len(xs)), range(len(xps))))
     v = [pair @ xs[j].kron(yps[k]) for j, k in duals]
     u = [pair @ xps[k].kron(ys[j]) for j, k in duals]
-    ident_m, ident_a = (SparseMatrix.identity(field, k) for k in (mod.dim, a.dim))
+    ident_m, ident_a = (SparseMatrix.identity(pair.field, k) for k in (mod.dim, a.dim))
     head = [mod.right_action @ vc.kron(ident_m) for vc in v]
     slot = [
         [a.products @ (a.products @ uc.kron(ident_a)).kron(vc) for vc in v] for uc in u
     ]
+    return triple, head, slot, u
+
+
+def _homotopy(parts, n, i):
+    """h_i: C_n -> C_(n+1) from `_homotopy_parts`: the path sum over
+    c_0..c_i of H_c0 (x) S_c0c1 (x) ... (x) S_c(i-1)ci (x) u_ci, then I_A
+    on a_(i+1)..a_n and `insertion_b_slots` on the b-slots."""
+    if not 0 <= i <= n:
+        raise PreconditionError("homotopy index out of range")
+    triple, head, slot, u = parts
     total = _sum(a.kron(uc) for a, uc in zip(_paths(head, slot, i), u))
-    tail = [ident_a] * (n - i) + [insertion_b_slots(b, n, i)]
+    ident_a = SparseMatrix.identity(total.field, triple.A.dim)
+    tail = [ident_a] * (n - i) + [insertion_b_slots(triple.B, n, i)]
     return functools.reduce(SparseMatrix.kron, tail, total)
 
 
-def homotopy_h(d, m, n, i):
-    """Matrix of h_i: C_n -> C_(n+1) on the source complex."""
-    p_cols, q_cols, pp_cols, qp_cols = _dual_families(d)
-    return _homotopy(d.source, m, d.f_mat, (p_cols, q_cols), (pp_cols, qp_cols), n, i)
+class _ChainMaps:
+    """The per-slot matrices of psi, phi, h and l for a context d and a
+    module m, each set made once, when first read.  duals holds p_j,
+    q_j, p'_m, q'_m as one-column matrices; an empty family reads as one
+    zero vector: every term is multilinear in the dual vectors, so each
+    sum over dual indices stays nonempty and keeps its value."""
+
+    def __init__(self, d, m):
+        self.d, self.m = d, m
+        families = (d.p_dual, d.q_dual, d.pprime_dual, d.qprime_dual)
+        self.duals = tuple(
+            [SparseMatrix(d.field, dim, 1, [v]) for v in family or [{}]]
+            for dim, family in zip((d.p_mod.dim, d.q_mod.dim) * 2, families)
+        )
+
+    @functools.cached_property
+    def induced(self):
+        return induced_module(self.d, self.m)
+
+    @functools.cached_property
+    def psi_parts(self):
+        d, (p_cols, q_cols, _, _) = self.d, self.duals
+        ident = SparseMatrix.identity(d.field, self.m.dim)
+        head = [[self.induced.project(q.kron(ident).kron(p)) for p in p_cols] for q in q_cols]
+        return head, _slot_matrices(d.g_mat, q_cols, d.p_mod, p_cols)
+
+    @functools.cached_property
+    def phi_parts(self):
+        d, m, (_, _, pp_cols, qp_cols) = self.d, self.m, self.duals
+        field, a, fm = d.field, d.source.A, d.f_mat
+        ident = functools.partial(SparseMatrix.identity, field)
+        # the maps q -> f(p'_m (x) q) and p -> f(p (x) q'_m), and
+        # R_M K (L_M (x) I_A): a (x) mu (x) a' -> a.mu.a'
+        f_pp = [fm @ x.kron(ident(d.q_mod.dim)) for x in pp_cols]
+        f_qp = [fm @ ident(d.p_mod.dim).kron(y) for y in qp_cols]
+        act = m.left_action.kron(ident(a.dim))
+        act = m.right_action @ commutation(field, m.dim, a.dim) @ act
+        lift = self.induced.lift
+        heads = [[act @ (x.kron(ident(m.dim)).kron(y) @ lift) for y in f_qp] for x in f_pp]
+        return heads, _slot_matrices(fm, pp_cols, d.q_mod, qp_cols)
+
+    @functools.cached_property
+    def h_parts(self):
+        d, (p, q, pp, qp) = self.d, self.duals
+        return _homotopy_parts(d.source, self.m, d.f_mat, (p, q), (pp, qp))
+
+    @functools.cached_property
+    def l_parts(self):
+        d, (p, q, pp, qp) = self.d, self.duals
+        return _homotopy_parts(d.target, self.induced.module, d.g_mat, (qp, pp), (q, p))
 
 
-def homotopy_l(d, m, n, i, *, induced=None):
+def psi_chain_map(d, m, n, *, maps=None):
+    """Matrix of psi_n from the source complex into the target complex
+    with induced coefficients: q_j0 (x) mu (x) p_j1 in the module slot,
+    g(q_ji (x) a_i p_j(i+1)) in A'-slot i, eta on the b-slots.  `maps` is
+    the `_ChainMaps` of d and m when the caller already has it."""
+    return _transfer(*(maps or _ChainMaps(d, m)).psi_parts, d.eta.sparse, n)
+
+
+def phi_chain_map(d, m, n, *, maps=None):
+    """Matrix of phi_n from the target complex back to the source:
+    f(p'_m0 (x) q) mu f(p (x) q'_m1) for a lifted q (x) mu (x) p in the
+    module slot, f(p'_mi (x) a_i q'_m(i+1)) in A-slot i, eta^-1 on the
+    b-slots; `maps` as in `psi_chain_map`."""
+    return _transfer(*(maps or _ChainMaps(d, m)).phi_parts, d.eta_inverse.sparse, n)
+
+
+def homotopy_h(d, m, n, i, *, maps=None):
+    """Matrix of h_i: C_n -> C_(n+1) on the source complex; `maps` as in
+    `psi_chain_map`."""
+    return _homotopy((maps or _ChainMaps(d, m)).h_parts, n, i)
+
+
+def homotopy_l(d, m, n, i, *, maps=None):
     """Matrix of l_i: C_n -> C_(n+1) on the target complex: h_i for the
-    target triple, the induced module and g, with the duals swapped."""
-    ind = induced_module(d, m) if induced is None else induced
-    p_cols, q_cols, pp_cols, qp_cols = _dual_families(d)
-    return _homotopy(
-        d.target, ind.module, d.g_mat, (qp_cols, pp_cols), (q_cols, p_cols), n, i
-    )
+    target triple, the induced module and g, with the duals swapped;
+    `maps` as in `psi_chain_map`."""
+    return _homotopy((maps or _ChainMaps(d, m)).l_parts, n, i)
 
 
 def alternating_homotopy(parts):
@@ -648,10 +665,10 @@ def verify_morita_invariance(d, m, max_n, guard_bytes=DEFAULT_GUARD_BYTES):
     if max_n < 0:
         raise PreconditionError("negative degree")
     report = Report("morita invariance")
-    ind = induced_module(d, m)
+    maps = _ChainMaps(d, m)
     src_complex, tgt_complex = built = [
         build_secondary_complex(side, mod, max_n + 1, guard_bytes=guard_bytes)
-        for side, mod in ((d.source, m), (d.target, ind.module))
+        for side, mod in ((d.source, m), (d.target, maps.induced.module))
     ]
     dims_src, dims_tgt = (
         [homology(cx, k).dim for k in range(max_n + 1)] for cx in built
@@ -661,15 +678,15 @@ def verify_morita_invariance(d, m, max_n, guard_bytes=DEFAULT_GUARD_BYTES):
         dims_src == dims_tgt,
         f"source {dims_src}, target {dims_tgt}",
     )
-    psis = [psi_chain_map(d, m, k, induced=ind) for k in range(max_n + 1)]
-    phis = [phi_chain_map(d, m, k, induced=ind) for k in range(max_n + 1)]
+    psis = [psi_chain_map(d, m, k, maps=maps) for k in range(max_n + 1)]
+    phis = [phi_chain_map(d, m, k, maps=maps) for k in range(max_n + 1)]
     # per side: name, homotopy identity, its complex, the other complex,
     # the maps out of and back into its complex, and its homotopies
     sides = (
         ("psi", "dH + Hd = id - phi.psi", src_complex, tgt_complex, psis, phis,
-         lambda k, i: homotopy_h(d, m, k, i)),
+         lambda k, i: homotopy_h(d, m, k, i, maps=maps)),
         ("phi", "dL + Ld = id - psi.phi", tgt_complex, src_complex, phis, psis,
-         lambda k, i: homotopy_l(d, m, k, i, induced=ind)),
+         lambda k, i: homotopy_l(d, m, k, i, maps=maps)),
     )
     for k in range(1, max_n + 1):
         for name, _, cx, other, out, _, _ in sides:

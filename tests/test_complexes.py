@@ -340,6 +340,44 @@ def _lifted(fixture):
     return lifted, lift(m)
 
 
+class TestFaceLayout:
+    """`_face_layout` depends on the degree alone: its cache is bounded
+    and keeps no dims, so a boundary built with it warm, after instances
+    of other dims, equals one built with it cold."""
+
+    def test_the_cache_is_bounded(self):
+        assert complexes._face_layout.cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+    def test_cold_and_warm_layouts_build_equal_boundaries(self, field, named_instances):
+        builds = []
+        for t, m in list(named_instances.values()) + random_instances(7, 6):
+            try:
+                t, m = t.over(field), m.over(field)
+            except ScalarError:  # a literal with no image in field
+                continue
+            for n in (1, 2, 3, 4):
+                builds.append(functools.partial(secondary_boundary, t, m, n))
+                builds.append(functools.partial(classical_boundary, t.A, m, n))
+        t, m = (x.over(field) for x in _lifted(fix_dd))
+        for n in (1, 2, 3):
+            build = functools.partial(secondary_boundary, t, m, n)
+            top = TopColumns.of(PeirceSplit.of(t.A, t.B, t.eps.sparse, m, n), build)
+            builds.append(functools.partial(build, top.mask))
+        cold = []
+        for build in builds:
+            complexes._face_layout.cache_clear()
+            cold.append(build())
+        assert complexes._face_layout.cache_info().currsize == 1
+        for build, want in zip(builds, cold, strict=True):
+            got = build()
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert [_typed(col.items()) for col in got.columns()] == [
+                _typed(col.items()) for col in want.columns()
+            ]
+        assert complexes._face_layout.cache_info().hits > 0
+
+
 class TestOracleOnNonCommutativeA:
     """2x2 lifts: faces merge b-slots while A is non-commutative."""
 
@@ -833,13 +871,56 @@ class TestUnsplitTop:
     elimination reads it, and no further than its rank bound."""
 
     def test_homology_builds_two_blocks_of_d4(self, monkeypatch):
-        """FIX-DD has H_3 = 0, so ranking d_4 stops at its bound after 464
-        of its 2,048 columns: two blocks of 256 hold them."""
+        """FIX-DD has H_3 = 0, so ranking d_4 stops at its bound after 325
+        of its 2,048 columns, read sparsest first: two blocks of 256 hold
+        them."""
         calls = _recording_builds(monkeypatch)
         cx = build_secondary_complex(*fix_dd(), 4)
         assert cx.split is None
         assert [homology(cx, n).dim for n in range(4)] == [2, 0, 0, 0]
         assert [(masked, d.cols) for _, n, masked, d in calls if n == 4] == [(True, 256)] * 2
+
+    @pytest.mark.parametrize("request_", ["rank", "image"])
+    def test_blocks_are_read_whole_and_sparsest_first(self, monkeypatch, request_):
+        """Each block of d_4 of FIX-DD reaches elimination as its nonzero
+        columns in a stable sort by nnz, read whole before the next block
+        is built: 325 columns of two blocks.  boundary(4) then equals a
+        d_4 built apart, with the built columns the very same objects, in
+        index order."""
+        calls = _recording_builds(monkeypatch)
+        read = []  # (blocks of d_4 built, column) of each top column read
+        for name in ("rank", "image_basis"):
+
+            def recording(m, deadline=None, bound=None, _run=getattr(complexes, name)):
+                if not isinstance(m, complexes._Growing):
+                    return _run(m, deadline=deadline, bound=bound)
+
+                def columns():
+                    for col in m.columns():
+                        read.append((sum(n == 4 for _, n, _, _ in calls), col))
+                        yield col
+
+                grown = complexes._Growing(m.field, m.rows, columns)
+                return _run(grown, deadline=deadline, bound=bound)
+
+            monkeypatch.setattr(complexes, name, recording)
+        t, m = fix_dd()
+        cx = build_secondary_complex(t, m, 4)
+        for n in range(4):
+            homology(cx, n, with_reps=request_ == "image")
+        tops = [d for _, n, _, d in calls if n == 4]
+        assert [d.cols for d in tops] == [256, 256]
+        assert len(read) == 325
+        for k, block in enumerate(tops, 1):
+            got = [col for built, col in read if built == k]
+            want = sorted(filter(None, block.columns()), key=len)
+            assert all(got) and [len(col) for col in got] == sorted(map(len, got))
+            assert [id(col) for col in got] == [id(col) for col in want[: len(got)]]
+            assert len(got) == len(want) or k == len(tops)
+        full = cx.boundary(4)
+        assert full == secondary_boundary(t, m, 4)
+        built = [id(col) for d in tops for col in d.columns()]
+        assert built == [id(col) for col in full.columns()[:512]]
 
     @pytest.mark.parametrize("kind", ["secondary", "classical"])
     @pytest.mark.parametrize(
