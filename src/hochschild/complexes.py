@@ -141,7 +141,7 @@ class ChainIndexScheme:
     dim_a: int
     dim_b: int
 
-    @functools.cached_property
+    @property
     def pairs(self):
         return _pairs(self.degree)
 
@@ -149,17 +149,17 @@ class ChainIndexScheme:
     def num_pairs(self):
         return self.degree * (self.degree - 1) // 2
 
-    @functools.cached_property
+    @property
     def total(self):
         return self.dim_m * self.dim_a**self.degree * self.dim_b**self.num_pairs
 
-    @functools.cached_property
+    @property
     def radices(self):
         """Digit ranges of an index: mu, the A-slots, then the b-slots."""
         n, p = self.degree, self.num_pairs
         return (self.dim_m,) + (self.dim_a,) * n + (self.dim_b,) * p
 
-    @functools.cached_property
+    @property
     def strides(self):
         """Weight in the linear index of each digit of `radices`."""
         out = [1]

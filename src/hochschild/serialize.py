@@ -6,6 +6,8 @@ trip in any field.  An instance holds the scalar field, the triple
 section (a constructive description: the matrix context or a corner
 context) and a morphism section (a self-morphism (f, g) of the triple).
 Serialization is canonical, so equal instances produce identical bytes.
+Parsing reads each distinct literal text once per file, through a table
+local to the `parse_instance` call.
 """
 
 from __future__ import annotations
@@ -27,10 +29,22 @@ class Instance:
     morphism: tuple | None = None  # (f_matrix, g_matrix) over the triple
 
 
-def _parse_scalar(field, s):
-    if not isinstance(s, str):
+class _Literals(dict):
+    """The values of one file's scalar literals, by text: `field.parse`
+    runs once per distinct text, at its first occurrence."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def __missing__(self, s):
+        value = self[s] = self.field.parse(s)
+        return value
+
+
+def _parse_scalar(literals, s):
+    if not isinstance(s, str):  # before the lookup: a list is unhashable
         raise InstanceFormatError(f"scalar must be a string, got {s!r}")
-    return field.parse(s)
+    return literals[s]
 
 
 def _is_list(data, length):
@@ -38,19 +52,19 @@ def _is_list(data, length):
     return isinstance(data, list) and len(data) == length
 
 
-def _parse_matrix(field, data, rows, cols, what):
+def _parse_matrix(literals, data, rows, cols, what):
     if not _is_list(data, rows) or not all(_is_list(r, cols) for r in data):
         raise InstanceFormatError(f"{what}: expected {rows}x{cols} matrix")
-    return tuple(tuple(_parse_scalar(field, v) for v in row) for row in data)
+    return tuple(tuple(_parse_scalar(literals, v) for v in row) for row in data)
 
 
-def _parse_tensor(field, data, d0, d1, d2, what):
+def _parse_tensor(literals, data, d0, d1, d2, what):
     if not _is_list(data, d0) or not all(
         _is_list(p, d1) and all(_is_list(r, d2) for r in p) for p in data
     ):
         raise InstanceFormatError(f"{what}: expected {d0}x{d1}x{d2} tensor")
     return tuple(
-        tuple(tuple(_parse_scalar(field, v) for v in row) for row in plane)
+        tuple(tuple(_parse_scalar(literals, v) for v in row) for row in plane)
         for plane in data
     )
 
@@ -62,7 +76,7 @@ def _parse_dim(value, what):
     return value
 
 
-def _parse_algebra(field, data, what):
+def _parse_algebra(literals, data, what):
     try:
         basis = data["basis"]
         dim = _parse_dim(data.get("dim", len(basis)), what)
@@ -79,10 +93,10 @@ def _parse_algebra(field, data, what):
     if len(unit) != dim:
         raise InstanceFormatError(f"{what}: unit length does not match dim")
     return FiniteAlgebra.from_data(
-        field,
+        literals.field,
         tuple(basis),
-        _parse_tensor(field, table, dim, dim, dim, f"{what}.table"),
-        tuple(_parse_scalar(field, v) for v in unit),
+        _parse_tensor(literals, table, dim, dim, dim, f"{what}.table"),
+        tuple(_parse_scalar(literals, v) for v in unit),
     )
 
 
@@ -99,17 +113,18 @@ def parse_instance(text, field_override=None):
         raise InstanceFormatError("top level must be an object")
     try:
         field = field_override or field_from_name(data.get("field", "Q"))
-        a = _parse_algebra(field, data["A"], "A")
-        b = _parse_algebra(field, data["B"], "B")
-        eps_mat = _parse_matrix(field, data["epsilon"], a.dim, b.dim, "epsilon")
+        literals = _Literals(field)
+        a = _parse_algebra(literals, data["A"], "A")
+        b = _parse_algebra(literals, data["B"], "B")
+        eps_mat = _parse_matrix(literals, data["epsilon"], a.dim, b.dim, "epsilon")
         eps = AlgebraMorphism.from_data(b, a, eps_mat)
         mod_data = data["module"]
         dim = _parse_dim(mod_data["dim"], "module")
         module = Bimodule.from_data(
             field,
             dim,
-            _parse_tensor(field, mod_data["left"], a.dim, dim, dim, "module.left"),
-            _parse_tensor(field, mod_data["right"], a.dim, dim, dim, "module.right"),
+            _parse_tensor(literals, mod_data["left"], a.dim, dim, dim, "module.left"),
+            _parse_tensor(literals, mod_data["right"], a.dim, dim, dim, "module.right"),
         )
     except ScalarError as exc:
         raise InstanceFormatError(str(exc)) from None
@@ -137,15 +152,15 @@ def parse_instance(text, field_override=None):
                 )
             try:
                 for v in idem:
-                    _parse_scalar(field, v)
+                    _parse_scalar(literals, v)
             except ScalarError as exc:
                 raise InstanceFormatError(f"morita.idempotent: {exc}") from None
     morphism = None
     if data.get("morphism") is not None:
         mdata = data["morphism"]
         try:
-            f_mat = _parse_matrix(field, mdata["f"], a.dim, a.dim, "morphism.f")
-            g_mat = _parse_matrix(field, mdata["g"], b.dim, b.dim, "morphism.g")
+            f_mat = _parse_matrix(literals, mdata["f"], a.dim, a.dim, "morphism.f")
+            g_mat = _parse_matrix(literals, mdata["g"], b.dim, b.dim, "morphism.g")
         except ScalarError as exc:
             raise InstanceFormatError(str(exc)) from None
         except (KeyError, TypeError) as exc:
