@@ -208,14 +208,7 @@ def cmd_morita(args):
             )
         data = standard_matrix_morita(inst.triple, n)
     else:
-        e = {
-            i: v
-            for i, v in enumerate(
-                inst.field.parse(s) for s in spec["idempotent"]
-            )
-            if v != inst.field.zero
-        }
-        data = corner_morita(inst.triple, e)
+        data = corner_morita(inst.triple, inst.idempotent)
     _require_valid(validate_morita(data))
     report = verify_morita_invariance(
         data, inst.module, args.max_degree, guard_bytes=args.guard_bytes

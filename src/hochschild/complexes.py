@@ -22,9 +22,10 @@ then costs one lookup per face, the copied digits entering as a base
 offset; only terms of different faces that land on one index are added.
 A table has at most as many keys as d_n has columns, and it lives for
 one call.
-The chain maps that act slot by slot (the Morita and sequence maps) are
-Kronecker products, and a homotopy that inserts an A-slot takes
-`insertion_b_slots` on its b-slots.
+A chain map that acts slot by slot is the Kronecker product
+`slotwise`, and a homotopy that inserts an A-slot takes
+`insertion_b_slots` on its b-slots.  A `ChainMap` holds a map between
+two complexes degree by degree, with the identities that check it.
 
 Boundary-squared is verified exactly on every built column before it
 is read, and elimination of d_n relies on it: it stops once the image
@@ -114,6 +115,7 @@ from .linalg import (
     HomologyBasis,
     SparseMatrix,
     Subspace,
+    _induced_map,
     _products,
     image_basis,
     kernel_basis,
@@ -790,6 +792,43 @@ class ChainComplex:
                 exact = ExactPart(self.split.masks[n], d, self._exact_cycles[n])
             self._homology[n] = HomologyBasis(*spaces, deadline=deadline, exact=exact)
         return self._homology[n]
+
+
+def slotwise(mu, a, b, n):
+    """mu (x) a^(x)n (x) b^(x)n(n-1)/2: the degree-n chain matrix that
+    applies mu to the module slot, a to each A-slot and b to each b-slot
+    (none below degree 2)."""
+    return functools.reduce(SparseMatrix.kron, [a] * n + [b] * (n * (n - 1) // 2), mu)
+
+
+class ChainMap:
+    """A map of complexes source -> target whose matrix in degree n,
+    `at(n)`, is make(n), made once and kept on the map.  Its checks are
+    exact identities with the boundaries of the two complexes (Weibel,
+    An Introduction to Homological Algebra, 1.4)."""
+
+    def __init__(self, source, target, make):
+        self.source, self.target, self.at = source, target, functools.cache(make)
+
+    def commutes(self, n):
+        """f_(n-1) d_n = d'_n f_n."""
+        return self.at(n - 1) @ self.source.boundary(n) == self.target.boundary(n) @ self.at(n)
+
+    def homotopy_holds(self, back, h, n):
+        """d h_n + h_(n-1) d = id - back_n f_n in degree n (no h_(-1) at
+        n = 0), back a map target -> source and h.at(k): C_k -> C_(k+1)."""
+        d = self.source.boundary
+        lhs = d(n + 1) @ h.at(n)
+        if n:
+            lhs = lhs + h.at(n - 1) @ d(n)
+        ident = SparseMatrix.identity(self.source.field, self.source.dims[n])
+        return lhs == ident - back.at(n) @ self.at(n)
+
+    def on_homology(self, n):
+        """The induced map on H_n; NotAChainMapError unless cycles and
+        boundaries descend."""
+        src, tgt = self.source.homology_basis(n), self.target.homology_basis(n)
+        return _induced_map(self.at(n), src, tgt)
 
 
 def homology(complex_, n, with_reps=False, deadline=None):

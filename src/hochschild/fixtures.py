@@ -7,7 +7,8 @@ Named fixtures:
   fix_dd   A = B = Q[x]/(x^2), eps = id, M = A.
   fix_p3   A = Q[x]/(x^3), B = Q, M = A.
   fix_kb   A = Q, B = Q[y]/(y^2), eps(y) = 0, M = B as a plain k-space.
-  fix_ext  B = Q[y]/(y^2), A = B[x]/(x^2) (dim 4), eps = inclusion, M = A.
+  fix_ext  B = Q[y]/(y^2), A = B[x]/(x^2) (dim 4), eps = inclusion, M = A:
+           FIX-EXT = FIX-D (x) FIX-DD, its A the tensor product of theirs.
 
 The random generator produces small triples that are valid by
 construction: A = Q[x]/(x^2 - lam*x - mu), B the subalgebra generated by
@@ -17,6 +18,7 @@ a chosen element, coefficients drawn from a seeded pool.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 from .algebra import (
@@ -27,11 +29,13 @@ from .algebra import (
     field_algebra,
     pullback_bimodule,
     regular_bimodule,
+    tensor_algebra,
     truncated_polynomial_algebra,
     trivial_triple,
     unit_morphism,
 )
 from .fields import QQ
+from .linalg import SparseMatrix
 
 
 def fix_k():
@@ -73,32 +77,14 @@ def fix_kb():
 
 
 def fix_ext():
-    """B = Q[y]/(y^2), A = B[x]/(x^2), eps the inclusion; M = A."""
-    b = truncated_polynomial_algebra(QQ, 2, var="y")
-    zero, one = QQ.zero, QQ.one
+    """B = Q[y]/(y^2), A = B[x]/(x^2) = Q[x]/(x^2) (x) B, eps = [1_x] (x) I_B
+    the inclusion; M = A.  FIX-EXT is FIX-D (x) FIX-DD."""
+    x, b = truncated_polynomial_algebra(QQ, 2), truncated_polynomial_algebra(QQ, 2, var="y")
     # A basis: 1, y, x, yx  (index = 2*xdeg + ydeg)
-    labels = ("1", "y", "x", "y*x")
-
-    def mul_idx(i, j):
-        yi, xi = i % 2, i // 2
-        yj, xj = j % 2, j // 2
-        yk, xk = yi + yj, xi + xj
-        if yk > 1 or xk > 1:
-            return None
-        return 2 * xk + yk
-
-    table = [[[zero] * 4 for _ in range(4)] for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            k = mul_idx(i, j)
-            if k is not None:
-                table[i][j][k] = one
-    a = FiniteAlgebra.from_data(QQ, labels, table, (one, zero, zero, zero))
-    eps = AlgebraMorphism.from_data(
-        b, a, ((one, zero), (zero, one), (zero, zero), (zero, zero))
-    )
-    t = Triple(a, b, eps)
-    return t, regular_bimodule(a)
+    a = replace(tensor_algebra(x, b), basis_labels=("1", "y", "x", "y*x"))
+    unit_x = SparseMatrix(QQ, 2, 1, [x.unit_vec()])
+    eps = AlgebraMorphism(b, a, unit_x.kron(SparseMatrix.identity(QQ, 2)))
+    return Triple(a, b, eps), regular_bimodule(a)
 
 
 NAMED_FIXTURES = {

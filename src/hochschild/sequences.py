@@ -12,9 +12,13 @@ exactness is reported junction by junction as subspace equalities.
 
 No map here permutes slots, so each is a Kronecker product of small
 per-slot matrices in the slot order of the chain index (module slot,
-A-slots, b-slots): Phi2 = I (x) [1_B], Psi = W (x) I_B (W the two
-actions of M with factor swaps), eps_* = I_M (x) eps, f_* = F (x) I
-and (f,g)_* = I_M (x) f^(x)n (x) g^(x)n(n-1)/2.
+A-slots, b-slots), `complexes.slotwise` for all but Psi:
+Phi = I_M (x) I_A^(x)n (x) [1_B]^(x)n(n-1)/2, whose degrees 2 and 1 are
+Phi2 and Phi1 and which the sequence reads as one `ChainMap`;
+Psi = W (x) I_B (W the two actions of M with factor swaps), which lowers
+the degree; eps_* = I_M (x) eps; and the pushforwards f_* = F (x) I and
+(f,g)_* = I_M (x) f^(x)n (x) g^(x)n(n-1)/2, each a `ChainMap` checked
+to commute with d_n.
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from .algebra import (
 )
 from .complexes import (
     DEFAULT_GUARD_BYTES,
+    ChainMap,
     build_classical_complex,
     build_secondary_complex,
-    secondary_boundary,
+    slotwise,
 )
 from .errors import NotAChainMapError, PreconditionError
 from .linalg import (
@@ -73,11 +78,12 @@ def validate_triple_morphism(tm):
 # the four chain-level maps of the sequence
 
 
-def phi2_chain(t, m):
-    """C_2(A,M) -> C_2((A,B,eps);M): insert the unit of B in the b-slot."""
-    field = t.A.field
-    unit_b = SparseMatrix(field, t.B.dim, 1, [t.B.unit_vec()])
-    return SparseMatrix.identity(field, m.dim * t.A.dim**2).kron(unit_b)
+def phi_chain(t, m, n):
+    """C_n(A,M) -> C_n((A,B,eps);M): insert the unit of B in each b-slot,
+    the canonical identification at n = 1."""
+    ident = functools.partial(SparseMatrix.identity, t.A.field)
+    unit_b = SparseMatrix(t.A.field, t.B.dim, 1, [t.B.unit_vec()])
+    return slotwise(ident(m.dim), ident(t.A.dim), unit_b, n)
 
 
 def psi_seq_chain(t, m):
@@ -96,12 +102,7 @@ def psi_seq_chain(t, m):
 
 def epsilon_star_chain(t, m):
     """C_1(B,M) -> C_1(A,M): apply eps on the algebra slot."""
-    return SparseMatrix.identity(t.A.field, m.dim).kron(t.eps.sparse)
-
-
-def phi1_chain(t, m):
-    """C_1(A,M) -> C_1((A,B,eps);M): the canonical identification."""
-    return SparseMatrix.identity(t.A.field, m.dim * t.A.dim)
+    return slotwise(SparseMatrix.identity(t.A.field, m.dim), t.eps.sparse, None, 1)
 
 
 def verify_exact_sequence(t, m, guard_bytes=DEFAULT_GUARD_BYTES):
@@ -134,16 +135,12 @@ def verify_exact_sequence(t, m, guard_bytes=DEFAULT_GUARD_BYTES):
     for label, value in dims.items():
         report.info(label, str(value))
 
-    try:
-        f2, ps, es, f1 = [
-            _induced_map(chain(t, m), src.homology_basis(i), tgt.homology_basis(j))
-            for chain, src, i, tgt, j in (
-                (phi2_chain, ca, 2, sec, 2),
-                (psi_seq_chain, sec, 2, cb, 1),
-                (epsilon_star_chain, cb, 1, ca, 1),
-                (phi1_chain, ca, 1, sec, 1),
-            )
-        ]
+    phi = ChainMap(ca, sec, functools.partial(phi_chain, t, m))
+    try:  # Phi2, Psi, eps_*, Phi1: the first map that does not descend is named
+        f2 = phi.on_homology(2)
+        ps = _induced_map(psi_seq_chain(t, m), sec.homology_basis(2), cb.homology_basis(1))
+        es = _induced_map(epsilon_star_chain(t, m), cb.homology_basis(1), ca.homology_basis(1))
+        f1 = phi.on_homology(1)
     except NotAChainMapError as exc:
         report.check("chain-level descent", False, str(exc))
         return report
@@ -189,20 +186,14 @@ def restrict_coefficients(tm, mprime):
 
 
 def _slotwise_chain_map(mu, a, b, n, src, tgt):
-    """mu (x) a^(x)n (x) b^(x)n(n-1)/2, the degree-n map applying mu to the
-    module slot, a to each A-slot and b to each b-slot, once it commutes
-    with the secondary boundaries of the (triple, module) pairs src, tgt."""
-
-    def matrix(k):
-        slots = [a] * k + [b] * (k * (k - 1) // 2)
-        return functools.reduce(SparseMatrix.kron, slots, mu)
-
-    mat = matrix(n)
-    if n >= 1 and matrix(n - 1) @ secondary_boundary(*src, n) != (
-        secondary_boundary(*tgt, n) @ mat
-    ):
+    """`slotwise(mu, a, b, n)` once it commutes with d_n, between the
+    secondary complexes of the (triple, module) pairs src and tgt, built
+    to degree n with no degree cap."""
+    built = (build_secondary_complex(*pair, n, degree_cap=n) for pair in (src, tgt))
+    f = ChainMap(*built, functools.partial(slotwise, mu, a, b))
+    if n >= 1 and not f.commutes(n):
         raise NotAChainMapError("pushforward does not commute with boundaries")
-    return mat
+    return f.at(n)
 
 
 def pushforward_m(fm, t, n):

@@ -27,6 +27,7 @@ class Instance:
     module: Bimodule
     morita: dict | None = None
     morphism: tuple | None = None  # (f_matrix, g_matrix) over the triple
+    idempotent: dict | None = None  # a corner morita section's e, as a sparse vector
 
 
 class _Literals(dict):
@@ -130,7 +131,7 @@ def parse_instance(text, field_override=None):
         raise InstanceFormatError(str(exc)) from None
     except (KeyError, TypeError) as exc:
         raise InstanceFormatError(f"missing or malformed section: {exc}") from None
-    morita = data.get("morita")
+    morita, idempotent = data.get("morita"), None
     if morita is not None:
         if not isinstance(morita, dict) or morita.get("kind") not in (
             "matrix",
@@ -151,10 +152,10 @@ def parse_instance(text, field_override=None):
                     f"corner morita needs an idempotent: a list of {a.dim} scalars"
                 )
             try:
-                for v in idem:
-                    _parse_scalar(literals, v)
+                values = [_parse_scalar(literals, v) for v in idem]
             except ScalarError as exc:
                 raise InstanceFormatError(f"morita.idempotent: {exc}") from None
+            idempotent = {i: v for i, v in enumerate(values) if v != field.zero}
     morphism = None
     if data.get("morphism") is not None:
         mdata = data["morphism"]
@@ -166,7 +167,7 @@ def parse_instance(text, field_override=None):
         except (KeyError, TypeError) as exc:
             raise InstanceFormatError(f"morphism section: {exc}") from None
         morphism = (f_mat, g_mat)
-    return Instance(field, Triple(a, b, eps), module, morita, morphism)
+    return Instance(field, Triple(a, b, eps), module, morita, morphism, idempotent)
 
 
 def _fmt_matrix(field, mat):

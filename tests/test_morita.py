@@ -24,7 +24,7 @@ from hochschild.complexes import build_secondary_complex, homology, secondary_sc
 from hochschild.errors import PreconditionError
 from hochschild.fields import GF, QQ
 from hochschild.fixtures import NAMED_FIXTURES, fix_d, fix_dd, fix_kb, fix_p3
-from hochschild.linalg import SparseMatrix, induced_quotient_map
+from hochschild.linalg import SparseMatrix, induced_quotient_map, vec_add_scaled
 from hochschild.morita import (
     BalancedTensor,
     alternating_homotopy,
@@ -525,6 +525,41 @@ class TestInvariance:
         t2, _ = fix_dd()
         with pytest.raises(PreconditionError):
             compose_morita(identity_morita(t), identity_morita(t2))
+
+
+class TestMutantsFail:
+    """Each mutant, patched on the module by name as the tracer patches
+    it, fails the report of FIX-D's 2x2 context to degree 2 at the
+    labels pinned: the chain-map and homotopy checks are not vacuous."""
+
+    @staticmethod
+    def _violations(monkeypatch, name, mutate):
+        original = getattr(morita, name)
+        monkeypatch.setattr(morita, name, lambda *args, **kw: mutate(original(*args, **kw), *args))
+        t, m = fix_d()
+        rep = verify_morita_invariance(standard_matrix_morita(t, 2), m, 2)
+        return [item.label for item in rep.violations]
+
+    def test_homotopy_with_one_sign_flipped(self, monkeypatch):
+        def flip(h, d, m, n, i):
+            return h.scale(QQ.neg(QQ.one)) if i == 1 else h
+
+        labels = self._violations(monkeypatch, "homotopy_h", flip)
+        assert labels == ["homotopy dH + Hd = id - phi.psi at degree 1"]
+
+    def test_psi_with_one_entry_changed(self, monkeypatch):
+        def bump(psi, d, m, n):  # entry (0, 0) of psi_1 raised by one
+            if n != 1:
+                return psi
+            cols = [dict(col) for col in psi.columns()]
+            vec_add_scaled(QQ, cols[0], QQ.one, {0: QQ.one})
+            return SparseMatrix(QQ, psi.rows, psi.cols, cols)
+
+        assert self._violations(monkeypatch, "psi_chain_map", bump) == [
+            "psi chain map at degree 2",
+            "homotopy dH + Hd = id - phi.psi at degree 1",
+            "homotopy dL + Ld = id - psi.phi at degree 1",
+        ]
 
 
 def test_no_process_wide_cache_keeps_a_context_alive():

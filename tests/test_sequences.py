@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,7 +8,7 @@ import pytest
 from helpers import counting_builds, renamed_b, subspace_leq
 from oracle_naive import naive_classical_boundary, naive_rank, naive_secondary_boundary
 
-from hochschild import sequences
+from hochschild import complexes, sequences
 from hochschild.algebra import (
     AlgebraMorphism,
     BimoduleMorphism,
@@ -50,8 +51,7 @@ from hochschild.linalg import (
 from hochschild.sequences import (
     TripleMorphism,
     epsilon_star_chain,
-    phi1_chain,
-    phi2_chain,
+    phi_chain,
     psi_seq_chain,
     pushforward_fg,
     pushforward_m,
@@ -64,13 +64,13 @@ from hochschild.sequences import (
 class TestChainLevelMaps:
     def test_phi2_is_injective_inclusion_when_base_is_ground_field(self):
         t, m = fix_d()
-        f2 = phi2_chain(t, m)
+        f2 = phi_chain(t, m, 2)
         assert f2.rows == f2.cols
         assert f2 == SparseMatrix.identity(QQ, f2.rows)
 
     def test_phi2_hits_unit_slot(self):
         t, m = fix_dd()
-        f2 = phi2_chain(t, m)
+        f2 = phi_chain(t, m, 2)
         assert f2.rows == 16 and f2.cols == 8
         # one target basis chain per source chain: the unit of B is a basis vector
         assert all(len(f2.column(j)) == 1 for j in range(f2.cols))
@@ -78,8 +78,8 @@ class TestChainLevelMaps:
     def test_phi2_intertwines_boundaries(self):
         # secondary d2 . Phi2 = Phi1 . classical d2 is the well-definedness identity
         for t, m in [fix_dd(), fix_kb(), fix_p3()]:
-            lhs = secondary_boundary(t, m, 2) @ phi2_chain(t, m)
-            rhs = phi1_chain(t, m) @ classical_boundary(t.A, m, 2)
+            lhs = secondary_boundary(t, m, 2) @ phi_chain(t, m, 2)
+            rhs = phi_chain(t, m, 1) @ classical_boundary(t.A, m, 2)
             assert lhs == rhs
 
     def test_psi_descends_to_boundaries(self):
@@ -123,7 +123,7 @@ class TestChainLevelMaps:
 
     def test_phi1_bijection(self):
         for t, m in [fix_d(), fix_dd(), fix_kb()]:
-            f1 = phi1_chain(t, m)
+            f1 = phi_chain(t, m, 1)
             assert f1 == SparseMatrix.identity(QQ, f1.rows)
 
     def test_phi1_induced_map_onto_vanishing_target(self):
@@ -135,7 +135,7 @@ class TestChainLevelMaps:
         sec = build_secondary_complex(t, m, 2)
         cla = build_classical_complex(t.A, m, 2)
         induced = induced_quotient_map(
-            phi1_chain(t, m),
+            phi_chain(t, m, 1),
             cla.cycle_space(1),
             cla.boundary_image(2),
             sec.cycle_space(1),
@@ -452,6 +452,25 @@ class TestPushforwardM:
         ]
         fm = BimoduleMorphism.from_data(m, m, SparseMatrix(QQ, 4, 4, cols).to_dense())
         with pytest.raises(PreconditionError, match=rf"^not a bimodule morphism \({side} action\)$"):
+            pushforward_m(fm, t, 1)
+
+    def test_a_corrupted_boundary_is_reported(self, monkeypatch):
+        """The identity of the regular M_2(Q), into an equal module whose
+        d_1 is doubled: the chain-map identity fails and the pushforward
+        raises.  d_1 (m a - a m) is not zero, so doubling it shows."""
+        a = matrix_algebra(QQ, 2)
+        t, m = trivial_triple(a), regular_bimodule(a)
+        target = dataclasses.replace(m)  # equal to m, another object
+        fm = BimoduleMorphism(m, target, SparseMatrix.identity(QQ, m.dim))
+        assert pushforward_m(fm, t, 1) == SparseMatrix.identity(QQ, 16)
+        boundary, two = complexes._boundary, QQ.add(QQ.one, QQ.one)
+
+        def doubled(a, b, eps, mod, n, mask=None):
+            d = boundary(a, b, eps, mod, n, mask)
+            return d.scale(two) if mod is target else d
+
+        monkeypatch.setattr(complexes, "_boundary", doubled)
+        with pytest.raises(NotAChainMapError, match="^pushforward does not commute with boundaries$"):
             pushforward_m(fm, t, 1)
 
 

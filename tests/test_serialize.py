@@ -158,3 +158,19 @@ def test_each_distinct_literal_is_parsed_once_per_call(texts, monkeypatch):
     for repeat in (1, 2):  # no table outlives its call
         parse_instance(text)
         assert sorted(calls) == sorted(list(distinct) * repeat)
+
+
+@pytest.mark.parametrize("field", [None, GF(3)], ids=["file", "GF3"])
+def test_a_corner_idempotent_is_kept_parsed(texts, field):
+    """A corner section's idempotent comes back as a sparse vector in the
+    field read, without its zeros, and the section re-serializes as
+    written; a matrix section has none."""
+    assert parse_instance(texts["FIX-DD"]).idempotent is None
+    data = json.loads(texts["FIX-DD-M2"])
+    idem = ["0"] * data["A"]["dim"]
+    idem[0], idem[3] = "1", "3"  # 3 vanishes in GF(3)
+    data["morita"] = {"kind": "corner", "idempotent": idem}
+    inst = parse_instance(json.dumps(data), field_override=field)
+    one = inst.field.one
+    assert inst.idempotent == ({0: one} if field else {0: one, 3: inst.field.parse("3")})
+    assert json.loads(serialize_instance(inst))["morita"] == data["morita"]
